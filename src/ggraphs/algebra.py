@@ -19,11 +19,9 @@ import numpy as np
 
 from .errors import CapExceeded, NotAGroup, ParseError, PreconditionFailed
 
-DEFAULT_CLOSURE_CAP = 100_000
-
-# Orders up to this bound get an exhaustive associativity check; beyond it,
-# 10*order random triples (seeded) are tested instead.
-_EXHAUSTIVE_ASSOC_BOUND = 256
+# Largest group order built: its int32 table takes 256 MiB (twice that
+# while PermClosure.table builds it).
+DEFAULT_CLOSURE_CAP = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +140,100 @@ def conjugate(p: Perm, q: Perm) -> Perm:
 
 
 # ---------------------------------------------------------------------------
+# permutation-group core: integer permutation arrays of points 0..degree-1,
+# composed right-to-left, so the product p * q is the gather p[q]
+
+
+def _check_order(n: int) -> None:
+    """Refuse a group whose table would exceed DEFAULT_CLOSURE_CAP elements."""
+    if n > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(
+            "group order %d exceeds cap %d" % (n, DEFAULT_CLOSURE_CAP)
+        )
+
+
+@dataclass
+class PermClosure:
+    """A permutation group in breadth-first order from the identity.
+
+    elems[0] is the identity and elems[j] = elems[parent[j]] * gens[gen[j]]
+    for j > 0 (a Schreier vector); rmul[i, s] is the index of
+    elems[i] * gens[s]; index maps elems[i].tobytes() to i.
+    """
+
+    elems: np.ndarray  # (order, degree) int32
+    parent: list[int]
+    gen: list[int]
+    rmul: np.ndarray  # (order, number of generators)
+    index: dict
+
+    def table(self) -> np.ndarray:
+        """The Cayley table mul[i, j] = index of elems[i] * elems[j].
+
+        Column j is one gather, because elems[i] * elems[j] =
+        (elems[i] * elems[parent[j]]) * gens[gen[j]]; columns are built as
+        rows of the transpose so that every write is contiguous."""
+        n = len(self.parent)
+        _check_order(n)
+        mul_t = np.empty((n, n), dtype=np.int32)
+        mul_t[0] = np.arange(n)
+        for j in range(1, n):
+            np.take(self.rmul[:, self.gen[j]], mul_t[self.parent[j]], out=mul_t[j])
+        return np.ascontiguousarray(mul_t.T)
+
+
+def perm_closure(gens, degree: int, cap: int = DEFAULT_CLOSURE_CAP) -> PermClosure:
+    """The group generated by the permutation arrays gens, breadth first:
+    each element in turn is multiplied on the right by every generator.
+    Raises CapExceeded when the group has more than cap elements."""
+    gens = np.array(gens, dtype=np.int32).reshape(len(gens), degree)
+    elems = [np.arange(degree, dtype=np.int32)]
+    index = {elems[0].tobytes(): 0}
+    parent, gen, rmul = [-1], [-1], []
+    for i, x in enumerate(elems):  # elems grows behind i: a queue
+        for s, y in enumerate(x[gens]):
+            key = y.tobytes()
+            j = index.get(key)
+            if j is None:
+                j = len(elems)
+                if j >= cap:
+                    raise CapExceeded("closure exceeds cap %d" % cap)
+                index[key] = j
+                elems.append(y)
+                parent.append(i)
+                gen.append(s)
+            rmul.append(j)
+    n = len(elems)
+    return PermClosure(
+        np.array(elems).reshape(n, degree), parent, gen,
+        np.array(rmul, dtype=np.int32).reshape(n, len(gens)), index,
+    )
+
+
+def orbits(maps, n_points: int, starts=None) -> list[np.ndarray]:
+    """Orbits of the group generated by the point maps (rows of maps, each a
+    permutation of 0..n_points-1), each ascending.
+
+    One orbit per start point not already covered, in the order of starts
+    (by default every point, which orders the orbits by their minimum)."""
+    maps = np.asarray(maps).reshape(len(maps), n_points)
+    seen = np.zeros(n_points, dtype=bool)
+    out = []
+    for start in range(n_points) if starts is None else starts:
+        if seen[start]:
+            continue
+        seen[start] = True
+        found = frontier = np.array([start])
+        while len(frontier):
+            img = np.unique(maps[:, frontier])
+            frontier = img[~seen[img]]
+            seen[frontier] = True
+            found = np.concatenate((found, frontier))
+        out.append(np.sort(found))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # groups
 
 
@@ -176,7 +268,7 @@ class FiniteGroup:
         return self._name_index
 
 
-def check_group_axioms(mul: np.ndarray, identity: int = 0, *, seed: int = 0) -> None:
+def check_group_axioms(mul: np.ndarray, identity: int = 0) -> None:
     """Raise NotAGroup unless mul is a group table with the given identity."""
     mul = np.asarray(mul)
     if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
@@ -190,20 +282,16 @@ def check_group_axioms(mul: np.ndarray, identity: int = 0, *, seed: int = 0) -> 
     if not (mul[identity] == rng_n).all() or not (mul[:, identity] == rng_n).all():
         raise NotAGroup("index %d is not an identity" % identity)
     # each row and column must be a permutation, otherwise inverses can't exist
-    if any(len(np.unique(mul[a])) != n for a in range(n)) or any(
-        len(np.unique(mul[:, a])) != n for a in range(n)
-    ):
+    if not (np.sort(mul, axis=1) == rng_n).all() or not (
+        np.sort(mul, axis=0) == rng_n[:, None]
+    ).all():
         raise NotAGroup("table rows/columns are not permutations")
-    if n <= _EXHAUSTIVE_ASSOC_BOUND:
-        # (ab)c == a(bc) for every triple, fully vectorized
-        if not (mul[mul] == mul[:, mul]).all():
+    # Light's test: (xt)y == x(ty) for all x, y and every t of a generating
+    # set.  The t that pass are closed under products, and every element is
+    # a product of generators, so the whole table is associative.
+    for t in generating_set(mul, identity):
+        if not (mul[mul[:, t]] == mul[:, mul[t]]).all():
             raise NotAGroup("associativity fails")
-    else:
-        rng = np.random.default_rng(seed)
-        trips = rng.integers(0, n, size=(10 * n, 3))
-        a, b, c = trips[:, 0], trips[:, 1], trips[:, 2]
-        if not (mul[mul[a, b], c] == mul[a, mul[b, c]]).all():
-            raise NotAGroup("associativity fails on sampled triples")
 
 
 def _inverses_from_table(mul: np.ndarray, identity: int = 0) -> np.ndarray:
@@ -246,6 +334,7 @@ def group_from_table(
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise PreconditionFailed("cyclic_group needs n >= 1")
+    _check_order(n)
     idx = np.arange(n, dtype=np.int32)
     mul = (idx[:, None] + idx[None, :]) % n
     return group_from_table(mul, name="Z%d" % n, factor_orders=(n,))
@@ -268,6 +357,7 @@ def _product_names(factor_orders: tuple[int, ...]) -> tuple[str, ...]:
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """G1 x G2 with (a, b) encoded as a*|G2| + b."""
     n1, n2 = g1.order, g2.order
+    _check_order(n1 * n2)
     mul = (
         g1.mul[:, None, :, None].astype(np.int64) * n2
         + g2.mul[None, :, None, :]
@@ -301,30 +391,15 @@ def perm_group(
     for p in gens:
         if p.degree != degree:
             raise PreconditionFailed("generator degree != %d" % degree)
-    ident = Perm.identity(degree)
-    elems = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        x = queue.pop(0)
-        for gen in gens:
-            y = x * gen
-            if y not in index:
-                if len(elems) >= cap:
-                    raise CapExceeded("closure exceeds cap %d" % cap)
-                index[y] = len(elems)
-                elems.append(y)
-                queue.append(y)
-    n = len(elems)
-    mul = np.empty((n, n), dtype=np.int32)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mul[i, j] = index[p * q]
+    closure = perm_closure([np.array(p.img) - 1 for p in gens], degree, cap)
+    perms = tuple(
+        Perm(tuple(x + 1 for x in row)) for row in closure.elems.tolist()
+    )
     return group_from_table(
-        mul,
+        closure.table(),
         name=name or "Perm%d" % degree,
-        elem_names=tuple(p.cycle_string() for p in elems),
-        perms=tuple(elems),
+        elem_names=tuple(p.cycle_string() for p in perms),
+        perms=perms,
     )
 
 
@@ -420,17 +495,22 @@ def right_coset(g: FiniteGroup, s: int, x: int) -> Coset:
 
 def generated_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:
     """Sorted element set of <gens> (identity included)."""
-    gens = [int(x) for x in gens]
-    seen = {g.identity}
-    queue = [g.identity]
-    while queue:
-        x = queue.pop(0)
-        for s in gens:
-            y = int(g.mul[x, s])
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return tuple(sorted(seen))
+    right_mul = g.mul[:, [int(x) for x in gens]].T
+    return tuple(orbits(right_mul, g.order, [g.identity])[0].tolist())
+
+
+def generating_set(mul: np.ndarray, identity: int = 0) -> tuple[int, ...]:
+    """Generators picked greedily from the table mul: each element in index
+    order joins unless the earlier picks already reach it by right
+    multiplication from the identity, so every element is a product of them."""
+    n = mul.shape[0]
+    gens: list[int] = []
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[orbits(mul[:, gens].T, n, [identity])[0]] = True
+    return tuple(gens)
 
 
 def subgroup_group(g: FiniteGroup, elements, name: str | None = None) -> tuple[FiniteGroup, dict]:
@@ -442,22 +522,19 @@ def subgroup_group(g: FiniteGroup, elements, name: str | None = None) -> tuple[F
     sub = tuple(sorted(int(x) for x in elements))
     if sub[0] != g.identity:
         raise PreconditionFailed("subgroup must contain the identity")
-    pos = {x: i for i, x in enumerate(sub)}
     k = len(sub)
-    mul = np.empty((k, k), dtype=np.int32)
-    for i, a in enumerate(sub):
-        for j, b in enumerate(sub):
-            c = int(g.mul[a, b])
-            if c not in pos:
-                raise PreconditionFailed("element set is not closed")
-            mul[i, j] = pos[c]
+    pos = np.full(g.order, -1, dtype=np.int32)
+    pos[list(sub)] = np.arange(k)
+    mul = pos[g.mul[np.ix_(sub, sub)]]
+    if (mul < 0).any():
+        raise PreconditionFailed("element set is not closed")
     names = tuple(g.elem_name(x) for x in sub)
     sub_perms = tuple(g.perms[x] for x in sub) if g.perms is not None else None
     grp = group_from_table(
         mul, name=name or "%s-sub%d" % (g.name, k), elem_names=names,
         perms=sub_perms,
     )
-    return grp, pos
+    return grp, {x: i for i, x in enumerate(sub)}
 
 
 def factorize(n: int) -> dict[int, int]:

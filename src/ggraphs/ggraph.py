@@ -29,6 +29,7 @@ from .algebra import (
     element_order,
     factorize,
     generated_subgroup,
+    generating_set,
     right_coset,
     subgroup_group,
 )
@@ -287,8 +288,12 @@ def verify_structure(gg: GGraph) -> StructureReport:
         ).all()
     ) and all(sorted(S_e[x]) == list(range(g.n_edges)) for x in range(n))
     distinct = len({(S_v[x].tobytes(), S_e[x].tobytes()) for x in range(n)})
+    # Both shift laws below are checked for a generating set only: an a that
+    # satisfies a law for every b is closed under products, and every
+    # element is a product of generators.
+    gens = generating_set(grp.mul, grp.identity)
     comp_ok = True
-    for a in range(n):
+    for a in gens:
         # delta_a . delta_b = delta_{ba}
         if not (S_v[a][S_v] == S_v[grp.mul[:, a]]).all() or not (
             S_e[a][S_e] == S_e[grp.mul[:, a]]
@@ -315,8 +320,9 @@ def verify_structure(gg: GGraph) -> StructureReport:
     C = np.empty((n, gg.n_levels), dtype=np.int64)
     for i, lvl in enumerate(gg.levels):
         C[:, i] = lvl.offset + lvl.membership.astype(np.int64)
-    ok3 = True
-    for gp in range(n):
+    # the reduction to generators uses the composition law of item 1
+    ok3 = comp_ok
+    for gp in gens:
         if not (S_v[gp][C] == C[grp.mul[:, gp]]).all():
             ok3 = False
             break

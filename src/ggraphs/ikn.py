@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tauengine
-from .algebra import FiniteGroup, Perm, perm_group
+from .algebra import FiniteGroup, Perm, orbits, perm_closure, perm_group
 from .errors import (
     BudgetExceeded,
+    CapExceeded,
     InternalAssertion,
     ParseError,
     PreconditionFailed,
@@ -287,44 +288,16 @@ class OrbitReport:
 def orbit_structure(n: int, tau: Perm) -> OrbitReport:
     _check_tau_arg(n, tau)
     rs = make_rho_sigma(n)
-    maps = (rs.rho, tau)
-    seen = [False] * (n + 1)
-    orbits = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        orbit = []
-        stack = [start]
-        seen[start] = True
-        while stack:
-            p = stack.pop()
-            orbit.append(p)
-            for f in maps:
-                q = f(p)
-                if not seen[q]:
-                    seen[q] = True
-                    stack.append(q)
-        orbits.append(tuple(sorted(orbit)))
-    orbits.sort()
-
-    order: int | None = None
-    elems = {Perm.identity(n)}
-    queue = [Perm.identity(n)]
-    while queue:
-        x = queue.pop()
-        for f in maps:
-            y = f * x
-            if y not in elems:
-                elems.add(y)
-                queue.append(y)
-        if len(elems) > 720:
-            break
-    else:
-        order = len(elems)
+    maps = [np.array(p.img) - 1 for p in (rs.rho, tau)]
+    orbit_list = [tuple(x + 1 for x in orb.tolist()) for orb in orbits(maps, n)]
+    try:
+        order: int | None = len(perm_closure(maps, n, cap=720).elems)
+    except CapExceeded:
+        order = None
 
     counts = {1: 0, 2: 0, 3: 0, 6: 0}
     other = 0
-    for orbit in orbits:
+    for orbit in orbit_list:
         if len(orbit) in counts:
             counts[len(orbit)] += 1
         else:
@@ -336,7 +309,7 @@ def orbit_structure(n: int, tau: Perm) -> OrbitReport:
         and odd_orbits == (1 if n % 2 else 0)
     )
     conforms = sizes_ok and (order == 6 or (n <= 4 and order is not None))
-    return OrbitReport(n, tuple(orbits), order, order != 6, conforms)
+    return OrbitReport(n, tuple(orbit_list), order, order != 6, conforms)
 
 
 @dataclass(frozen=True)

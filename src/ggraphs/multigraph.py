@@ -444,16 +444,19 @@ def import_json(data) -> Multigraph:
     for it in vspecs:
         if not isinstance(it, dict) or "id" not in it:
             raise ParseError("vertex entries need an 'id'")
-        ids.append(int(it["id"]))
+        ids.append(_json_int(it["id"], "vertex id"))
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate vertex ids")
     remap = {old: new for new, old in enumerate(sorted(ids))}
     for it in sorted(vspecs, key=lambda it: int(it["id"])):
         part = it.get("part")
         g.add_vertex(
-            str(it.get("label", "")), None if part is None else int(part)
+            str(it.get("label", "")),
+            None if part is None else _json_int(part, "vertex part"),
         )
-    especs = sorted(especs, key=lambda it: int(it.get("id", 0)))
+    if not all(isinstance(it, dict) for it in especs):
+        raise ParseError("edge entries must be objects")
+    especs = sorted(especs, key=lambda it: _json_int(it.get("id", 0), "edge id"))
     eids = [int(it.get("id", i)) for i, it in enumerate(especs)]
     if len(set(eids)) != len(eids):
         raise ParseError("duplicate edge ids")
@@ -462,8 +465,17 @@ def import_json(data) -> Multigraph:
             u, v = remap[int(it["u"])], remap[int(it["v"])]
         except KeyError:
             raise ParseError("edge references unknown vertex") from None
+        except (TypeError, ValueError):
+            raise ParseError("edge ends must be vertex ids") from None
         g.add_edge(u, v, str(it.get("label", "")))
     return g
+
+
+def _json_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseError("%s must be an integer, got %r" % (what, value)) from None
 
 
 def export_dot(g: Multigraph) -> str:

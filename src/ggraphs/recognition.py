@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import FiniteGroup, element_order, group_from_table
+from .algebra import (
+    FiniteGroup,
+    PermClosure,
+    element_order,
+    group_from_table,
+    orbits,
+    perm_closure,
+)
 from .errors import (
     CapExceeded,
     InternalAssertion,
@@ -77,6 +84,14 @@ def aut_defect(g: Multigraph, a: GraphAut) -> str | None:
     return None
 
 
+def _aut_rows(g: Multigraph, auts) -> np.ndarray:
+    """Each automorphism as one permutation of V and E taken together: the
+    vertex map, then the edge map offset by n_vertices."""
+    nv = g.n_vertices
+    rows = [a.vertex_map + tuple(nv + x for x in a.edge_map) for a in auts]
+    return np.array(rows, dtype=np.int32).reshape(len(rows), nv + g.n_edges)
+
+
 def close_under_composition(
     g: Multigraph, gens, cap: int = 20000
 ) -> list[GraphAut]:
@@ -85,24 +100,15 @@ def close_under_composition(
     Sorting is by (vertex_map, edge_map); the identity is lexicographically
     minimal so it always lands at index 0.
     """
-    ident = identity_aut(g)
-    seen = {ident}
-    frontier = [ident]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in gens:
-                c = b.compose(a)
-                if c not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(
-                            "automorphism closure exceeds cap %d" % cap
-                        )
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return sorted(seen)
+    nv = g.n_vertices
+    try:
+        closure = perm_closure(_aut_rows(g, gens), nv + g.n_edges, cap)
+    except CapExceeded:
+        raise CapExceeded("automorphism closure exceeds cap %d" % cap) from None
+    return sorted(
+        GraphAut(tuple(row[:nv]), tuple(x - nv for x in row[nv:]))
+        for row in closure.elems.tolist()
+    )
 
 
 @dataclass
@@ -133,25 +139,8 @@ def shifts_of(gg: GGraph) -> RecognitionWitness:
 
 def vertex_orbits(g: Multigraph, H) -> list[list[int]]:
     """Orbits of H on vertices, each ascending, ordered by minimum."""
-    nv = g.n_vertices
-    seen = [False] * nv
-    orbits = []
-    for v in range(nv):
-        if seen[v]:
-            continue
-        orb = []
-        stack = [v]
-        seen[v] = True
-        while stack:
-            w = stack.pop()
-            orb.append(w)
-            for a in H:
-                x = a.vertex_map[w]
-                if not seen[x]:
-                    seen[x] = True
-                    stack.append(x)
-        orbits.append(sorted(orb))
-    return orbits
+    maps = [a.vertex_map for a in H]
+    return [orb.tolist() for orb in orbits(maps, g.n_vertices)]
 
 
 def stabilizer(H, u: int) -> list[GraphAut]:
@@ -254,9 +243,7 @@ def _witness_defects(g: Multigraph, w: RecognitionWitness, need_loops: bool):
             break
     if not any(a.is_identity() for a in w.H):
         defects.append("H does not contain the identity")
-    members = set(w.H)
-    closed = all(a.compose(b) in members for a in w.H for b in w.H)
-    if not closed:
+    if _closure_of(g, w.H) is None:
         defects.append("H is not closed under composition")
     for i, u in enumerate(w.C):
         for v in w.C[i + 1 :]:
@@ -358,14 +345,35 @@ class ReconstructionResult:
     report: RecognitionReport
 
 
-def _group_of(H: list[GraphAut]) -> FiniteGroup:
-    index = {a: i for i, a in enumerate(H)}
-    n = len(H)
-    mul = np.zeros((n, n), dtype=np.int32)
-    for i, a in enumerate(H):
-        for j, b in enumerate(H):
-            mul[i, j] = index[a.compose(b)]
-    return group_from_table(mul, name="H")
+def _closure_of(g: Multigraph, H) -> PermClosure | None:
+    """The group generated by generators picked greedily from H, or None when
+    it has more elements than H.  Each element of H not yet generated joins
+    the generators, so the group contains H, and it equals H exactly when H
+    is closed under composition."""
+    rows = _aut_rows(g, H)
+    cap = len({row.tobytes() for row in rows})
+    gens: list[np.ndarray] = []
+    closure = perm_closure(gens, rows.shape[1])
+    for row in rows:
+        if row.tobytes() in closure.index:
+            continue
+        gens.append(row)
+        try:
+            closure = perm_closure(gens, rows.shape[1], cap)
+        except CapExceeded:
+            return None
+    return closure
+
+
+def _group_of(g: Multigraph, H: list[GraphAut]) -> FiniteGroup:
+    """The multiplication table of H, indexed in the order of the list H."""
+    closure = _closure_of(g, H)
+    if closure is None:
+        raise InternalAssertion("H is not closed under composition")
+    at = np.array([closure.index[row.tobytes()] for row in _aut_rows(g, H)])
+    pos = np.empty(len(closure.elems), dtype=np.int32)
+    pos[at] = np.arange(len(H))
+    return group_from_table(pos[closure.table()[np.ix_(at, at)]], name="H")
 
 
 def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
@@ -383,7 +391,7 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
             "characterisation conditions fail: " + "; ".join(report.details)
         )
     H = sorted(w.H)
-    grp = _group_of(H)
+    grp = _group_of(g, H)
     C = list(w.C)
 
     gens = []
@@ -491,7 +499,9 @@ def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitne
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("witness JSON needs H_generators and C arrays") from exc
     emaps = data.get("H_generator_edge_maps")
-    if emaps is not None and len(emaps) != len(vmaps):
+    if emaps is not None and (
+        not isinstance(emaps, (list, tuple)) or len(emaps) != len(vmaps)
+    ):
         raise ParseError("H_generator_edge_maps length mismatch")
     gens = []
     for i, vmap in enumerate(vmaps):
@@ -501,6 +511,13 @@ def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitne
         if row is None:
             em = infer_edge_map(g, vmap)
         else:
-            em = tuple(int(x) for x in row)
+            try:
+                em = tuple(int(x) for x in row)
+            except (TypeError, ValueError):
+                raise ParseError(
+                    "H_generator_edge_maps entry %d is not an integer list" % i
+                ) from None
+        if sorted(em) != list(range(g.n_edges)):
+            raise WitnessInvalid("an H element's edge map is not a permutation")
         gens.append(GraphAut(tuple(vmap), em))
     return witness_from_generators(g, gens, C, cap=cap)

@@ -199,6 +199,31 @@ def test_group_axioms_reject_non_groups():
     )
     with pytest.raises(NotAGroup):
         al.check_group_axioms(loop)
+    # Z300 with one intercalate flipped: a latin square with identity in
+    # which few triples break associativity
+    z300 = al.cyclic_group(300).mul.copy()
+    for r in (1, 151):
+        for c in (1, 151):
+            z300[r, c] = (z300[r, c] + 150) % 300
+    with pytest.raises(NotAGroup):
+        al.check_group_axioms(z300)
+
+
+def test_oversized_groups_raise_cap_exceeded():
+    # refused before any order^2 table is allocated
+    with pytest.raises(CapExceeded):
+        al.parse_group("Z1000xZ1000")
+    with pytest.raises(CapExceeded):
+        al.symmetric_group(8)
+    assert al.parse_group("S7").order == 5040
+
+
+def test_generating_set_generates_greedily():
+    for g in (al.symmetric_group(5), al.parse_group("Z2xZ2xZ4"), al.quaternion_group()):
+        gens = al.generating_set(g.mul, g.identity)
+        assert al.generated_subgroup(g, gens) == tuple(range(g.order))
+        for k, x in enumerate(gens):
+            assert x not in al.generated_subgroup(g, gens[:k])
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,20 @@ def test_recognize_missing_file_exit_three(tmp_path):
     assert "cannot read" in err
 
 
+def test_recognize_malformed_graph_exit_three():
+    code, _, err = cli(
+        "recognize", "--graph", '{"vertices":[{"id":"x"}]}', "--witness", "{}"
+    )
+    assert code == 3
+    assert "vertex id must be an integer" in err
+
+
+def test_oversized_group_exit_two():
+    code, _, err = cli("build", "-g", "S8", "-s", "(1,2)")
+    assert code == 2
+    assert "exceeds cap" in err
+
+
 def test_leading_program_name_tolerated():
     code, out, _ = cli("ggraph", "ikn", "verify", "5", "--tau", "(2,3)(4,5)")
     assert code == 0

@@ -264,6 +264,23 @@ def test_json_import_rejects_malformed():
         mg.import_json({"vertices": [{"id": 1}], "edges": [{"u": 1, "v": 2}]})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vertices": [{"id": "x"}]},
+        {"vertices": [{"id": [0]}]},
+        {"vertices": [{"id": 0, "part": "p"}]},
+        {"vertices": [{"id": 0}], "edges": [{"id": "e", "u": 0, "v": 0}]},
+        {"vertices": [{"id": 0}], "edges": [{"u": "a", "v": 0}]},
+        {"vertices": [{"id": 0}], "edges": [{"u": 0, "v": None}]},
+        {"vertices": [{"id": 0}], "edges": [[0, 0]]},
+    ],
+)
+def test_json_import_rejects_non_integer_fields(data):
+    with pytest.raises(ParseError):
+        mg.import_json(data)
+
+
 def test_dot_format():
     g = build(3, [(0, 1)], labels=["g2"])
     g.add_vertex()  # isolated

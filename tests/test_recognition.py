@@ -12,7 +12,7 @@ from ggraphs.algebra import (
     quaternion_group,
     symmetric_group,
 )
-from ggraphs.errors import PreconditionFailed, WitnessInvalid
+from ggraphs.errors import ParseError, PreconditionFailed, WitnessInvalid
 from ggraphs.ggraph import build_phi, build_psi, level_vertices
 from ggraphs.multigraph import Multigraph, isomorphic
 from ggraphs.recognition import (
@@ -334,3 +334,22 @@ def test_witness_json_rejects_malformed():
         witness_from_json(gg.graph, "not json {")
     with pytest.raises(Exception):
         witness_from_json(gg.graph, {"C": [0]})
+
+
+@pytest.mark.parametrize(
+    "edge_maps,error",
+    [
+        ([[0, "a"], None], ParseError),
+        ([5, None], ParseError),
+        ([None], ParseError),
+        (3, ParseError),
+        ([[0, 9], None], WitnessInvalid),
+        ([[0, 0], None], WitnessInvalid),
+    ],
+)
+def test_witness_json_rejects_bad_edge_maps(edge_maps, error):
+    gg = build_phi(cyclic_group(2), [1, 1])
+    data = witness_to_json(gg.graph, shifts_of(gg))
+    data["H_generator_edge_maps"] = edge_maps
+    with pytest.raises(error):
+        witness_from_json(gg.graph, data)
