@@ -1,9 +1,10 @@
 """Benchmark the tau-certificate search kernel: JIT backend vs pure Python.
 
 The kernel is the exhaustive backtracking search over involutions with
-residue/braid/relation pruning.  Both backends run the identical search
-(same branch order, same node counts), so besides timing, this script
-cross-checks that their outputs agree bit for bit.
+residue/braid/relation pruning.  Both backends run the identical body on the
+same flat layout (Python lists for python, int64 arrays for numba), so
+besides timing, this script cross-checks that their status, node counts and
+solution rows agree exactly.
 
 Compilation (first call) is timed separately from steady state; steady
 state is the best of --repeats runs.
@@ -16,26 +17,25 @@ Usage:
 import argparse
 import time
 
-import numpy as np
-
 from ggraphs._tauengine import HAVE_NUMBA, get_kernel, search_arrays
 from ggraphs.ikn import DEFAULT_BUDGET
 
 
-def run_once(kernel, n, budget):
-    rho, sig_pow, used0, tau0 = search_arrays(n)
-    out = np.zeros((1024, n + 1), dtype=np.int64)
+def run_once(backend, n, budget):
+    kernel, _ = get_kernel(backend)
+    arrays = search_arrays(n, 1024, backend)
     t0 = time.perf_counter()
-    status, found, nodes = kernel(n, rho, sig_pow, used0, tau0, budget, 1, out)
+    status, found, nodes = kernel(n, budget, 1, *arrays)
     dt = time.perf_counter() - t0
-    return dt, (int(status), int(found), int(nodes), out[: int(found)].tobytes())
+    rows = tuple(int(x) for x in arrays[-1][: int(found) * (n + 1)])
+    return dt, (int(status), int(found), int(nodes), rows)
 
 
-def best_of(kernel, n, budget, repeats):
+def best_of(backend, n, budget, repeats):
     times = []
     result = None
     for _ in range(repeats):
-        dt, res = run_once(kernel, n, budget)
+        dt, res = run_once(backend, n, budget)
         if result is None:
             result = res
         elif res != result:
@@ -53,26 +53,24 @@ def main():
     args = ap.parse_args()
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
 
-    py_kernel, _ = get_kernel("python")
-    backends = [("python", py_kernel)]
+    backends = ["python"]
     if HAVE_NUMBA:
-        nb_kernel, _ = get_kernel("numba")
         t0 = time.perf_counter()
-        run_once(nb_kernel, min(sizes), args.budget)
+        run_once("numba", min(sizes), args.budget)
         print("numba warmup (compile + first run): %.3fs" % (time.perf_counter() - t0))
-        backends.append(("numba", nb_kernel))
+        backends.append("numba")
     else:
         print("numba not installed; timing the python backend only")
 
     header = "%4s %12s" + " %12s" * len(backends) + " %9s"
-    cols = ["n", "nodes"] + [name for name, _ in backends]
+    cols = ["n", "nodes"] + backends
     cols.append("speedup" if len(backends) == 2 else "")
     print(header % tuple(cols))
     for n in sizes:
         times = []
         results = []
-        for _name, kernel in backends:
-            dt, res = best_of(kernel, n, args.budget, args.repeats)
+        for backend in backends:
+            dt, res = best_of(backend, n, args.budget, args.repeats)
             times.append(dt)
             results.append(res)
         if len(results) == 2 and results[0] != results[1]:

@@ -5,9 +5,13 @@ The search looks for involutions tau of {1..n} with tau(n) = n-1 satisfying
     tau sigma^k tau = sigma^{tau(k)} tau sigma^{tau rho tau(k)}
 
 for every k in {1..n-2}, where sigma = (1,...,n-1) fixes n and rho is the
-involution k -> n-1-k on {1..n-2} that swaps n-1 and n.  The kernel is a
-single array-only function so the same body runs both as plain Python and
-under numba's nopython compiler; pick the variant through ``get_kernel``.
+involution k -> n-1-k on {1..n-2} that swaps n-1 and n.  The kernel is one
+function that indexes only flat 1-D sequences and allocates nothing.  The
+python backend runs it on Python lists, because indexing a numpy array from
+Python costs several times a list index; the numba backend compiles the same
+body in nopython mode for int64 arrays of the same layout.  ``search_arrays``
+builds the inputs for either backend; pick the variant through
+``get_kernel``.
 
 Pruning used by the search (each one is a proved consequence of the
 certificate conditions, so nothing valid is ever cut):
@@ -42,20 +46,21 @@ OUT_OF_BUDGET = 1
 OUT_OF_SPACE = 2
 
 
-def _search_body(n, rho, sig_pow, used0, tau0, budget, want_all, out):
+def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, out):
     """Enumerate certificate involutions; see module docstring.
 
-    Arrays are 1-indexed on points (index 0 unused).  ``tau0`` carries the
-    seed assignment tau(n) = n-1; ``used0`` carries the residue pre-marks.
-    Solutions are written to ``out`` (one row per solution, row layout equal
-    to the internal tau array).  Returns (status, found, nodes).
+    Every sequence is flat and 1-D, and point arrays are 1-indexed (index 0
+    unused); ``sig[k*(n+1) + p]`` is sigma^k(p).  ``tau`` carries the seed
+    assignment tau(n) = n-1 and ``used`` the residue pre-marks; both, and the
+    branch stacks ``st_a``/``st_b``, are working state changed in place, so
+    every call needs fresh ones from ``search_arrays``.  Solutions are
+    written to ``out`` as rows of n+1 entries, ``out[row*(n+1) + p]`` =
+    tau(p), at most ``len(out) // (n+1)`` of them.  Returns (status, found,
+    nodes).
     """
     m = n - 1
-    cap = out.shape[0]
-    tau = tau0.copy()
-    used = used0.copy()
-    st_a = np.zeros(n + 2, dtype=np.int64)
-    st_b = np.zeros(n + 2, dtype=np.int64)
+    w = n + 1
+    cap = len(out) // w
     nodes = 0
     found = 0
 
@@ -71,14 +76,14 @@ def _search_body(n, rho, sig_pow, used0, tau0, budget, want_all, out):
             e1 = tau[k]
             e2 = tau[rho[e1]]
             for p in range(1, n + 1):
-                if tau[sig_pow[k, tau[p]]] != sig_pow[e1, tau[sig_pow[e2, p]]]:
+                if tau[sig[k * w + tau[p]]] != sig[e1 * w + tau[sig[e2 * w + p]]]:
                     ok = False
                     break
             if not ok:
                 break
         if ok:
-            for p in range(n + 1):
-                out[0, p] = tau[p]
+            for p in range(w):
+                out[p] = tau[p]
             found = 1
         return OK, found, nodes
 
@@ -146,6 +151,9 @@ def _search_body(n, rho, sig_pow, used0, tau0, budget, want_all, out):
                         e2 = tau[rho[e1]]
                         if e2 == 0:
                             continue
+                        kw = k * w
+                        e1w = e1 * w
+                        e2w = e2 * w
                         for pi in range(n):
                             if pi == 0:
                                 p = n
@@ -156,13 +164,13 @@ def _search_body(n, rho, sig_pow, used0, tau0, budget, want_all, out):
                             tp = tau[p]
                             if tp == 0:
                                 continue
-                            lhs = tau[sig_pow[k, tp]]
+                            lhs = tau[sig[kw + tp]]
                             if lhs == 0:
                                 continue
-                            q = tau[sig_pow[e2, p]]
+                            q = tau[sig[e2w + p]]
                             if q == 0:
                                 continue
-                            if lhs != sig_pow[e1, q]:
+                            if lhs != sig[e1w + q]:
                                 good = False
                                 break
                         if not good:
@@ -176,8 +184,9 @@ def _search_body(n, rho, sig_pow, used0, tau0, budget, want_all, out):
                     if na == 0:
                         # complete: the prune above already checked the full
                         # relation, since every point was evaluable
-                        for p in range(n + 1):
-                            out[found, p] = tau[p]
+                        base = found * w
+                        for p in range(w):
+                            out[base + p] = tau[p]
                         found += 1
                         if want_all == 0:
                             return OK, found, nodes
@@ -257,26 +266,36 @@ def get_kernel(backend: str | None = None):
     return _search_python, "python"
 
 
-def search_arrays(n: int):
-    """Seeded (rho, sig_pow, used0, tau0) arrays for a degree-n search."""
+def search_arrays(n: int, cap: int, backend: str = "python"):
+    """Fresh flat inputs for one degree-n kernel call.
+
+    Returns (rho, sig, used, tau, st_a, st_b, out) in the layout
+    ``_search_body`` documents, with room in ``out`` for ``cap`` solutions:
+    Python lists for the python backend, int64 arrays for numba, which
+    compiles the same body for them.
+    """
     if n < 2:
         raise PreconditionFailed("need n >= 2")
     m = n - 1
-    rho = np.zeros(n + 1, dtype=np.int64)
+    w = n + 1
+    rho = [0] * w
     for k in range(1, n - 1):
         rho[k] = m - k
     rho[m] = n
     rho[n] = m
-    sig_pow = np.zeros((max(m, 1), n + 1), dtype=np.int64)
+    sig = [0] * (max(m, 1) * w)
     for j in range(max(m, 1)):
         for p in range(1, n + 1):
-            sig_pow[j, p] = n if p == n else (p - 1 + j) % m + 1
-    used0 = np.zeros(max(m, 1), dtype=np.int64)
+            sig[j * w + p] = n if p == n else (p - 1 + j) % m + 1
+    used = [0] * max(m, 1)
     if n % 2 == 0:
-        used0[0] = 1  # no fixed points allowed
+        used[0] = 1  # no fixed points allowed
     else:
-        used0[m // 2] = 1  # the one residue a fixed-point-free pair may not hit
-    tau0 = np.zeros(n + 1, dtype=np.int64)
-    tau0[n] = m
-    tau0[m] = n
-    return rho, sig_pow, used0, tau0
+        used[m // 2] = 1  # the one residue a fixed-point-free pair may not hit
+    tau = [0] * w
+    tau[n] = m
+    tau[m] = n
+    flat = (rho, sig, used, tau, [0] * (n + 2), [0] * (n + 2), [0] * (cap * w))
+    if backend == "numba":
+        return tuple(np.array(xs, dtype=np.int64) for xs in flat)
+    return flat

@@ -130,10 +130,6 @@ class Perm:
         return self.cycle_string()
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    return p * q
-
-
 def conjugate(p: Perm, q: Perm) -> Perm:
     """q * p * q^-1."""
     return q * p * q.inverse()

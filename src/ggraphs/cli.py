@@ -4,8 +4,9 @@ Every subcommand writes deterministic output; text summaries start with a
 `format: 1` version line, JSON payloads carry a `"format": 1` key and
 re-import through the matching reader.  Exit codes: 0 success or positive
 decision, 1 negative decision, 2 inconclusive (search budget ran out),
-3 usage error.  The environment variable GGRAPH_BUDGET overrides default
-search budgets; GGRAPH_BACKEND picks the search kernel (auto|numba|python).
+3 usage error, 4 internal error (a failed internal check or out of memory).
+The environment variable GGRAPH_BUDGET overrides default search budgets;
+GGRAPH_BACKEND picks the search kernel (auto|numba|python).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .errors import (
     BudgetExceeded,
     CapExceeded,
     GGraphError,
+    InternalAssertion,
+    NotAGroup,
     ParseError,
     PreconditionFailed,
     WitnessInvalid,
@@ -45,6 +48,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class UsageError(GGraphError):
@@ -575,6 +579,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except (ParseError, PreconditionFailed, WitnessInvalid) as exc:
         stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
+    except (InternalAssertion, NotAGroup, MemoryError) as exc:
+        stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
+        return EXIT_INTERNAL
 
 
 def main() -> None:

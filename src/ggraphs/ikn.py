@@ -453,20 +453,18 @@ def search_tau(
         return SearchResult(n, mode, (), modular, 0, True, "none")
 
     kernel, backend_name = _tauengine.get_kernel(backend)
-    rho, sig_pow, used0, tau0 = _tauengine.search_arrays(n)
     want_all = 0 if mode == "first_only" else 1
     cap = 1 if mode == "first_only" else 1024
     while True:
-        out = np.zeros((cap, n + 1), dtype=np.int64)
-        status, found, nodes = kernel(
-            n, rho, sig_pow, used0, tau0, node_budget, want_all, out
-        )
+        arrays = _tauengine.search_arrays(n, cap, backend_name)
+        status, found, nodes = kernel(n, node_budget, want_all, *arrays)
         status, found, nodes = int(status), int(found), int(nodes)
         if status != _tauengine.OUT_OF_SPACE:
             break
         cap *= 8
 
-    certs = tuple(_certificate(n, out[i]) for i in range(found))
+    out, w = arrays[-1], n + 1
+    certs = tuple(_certificate(n, out[i * w:(i + 1) * w]) for i in range(found))
     if status == _tauengine.OUT_OF_BUDGET:
         raise BudgetExceeded(
             "tau search for n=%d stopped inconclusive after %d nodes" % (n, nodes),

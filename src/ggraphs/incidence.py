@@ -22,7 +22,7 @@ from .algebra import (
     power,
 )
 from .errors import (
-    CapExceeded,
+    BudgetExceeded,
     InternalAssertion,
     PreconditionFailed,
     WitnessInvalid,
@@ -58,11 +58,6 @@ class IncidenceGraph:
 
     def vertex_for_edge(self, k: int) -> int:
         return self.n_source_vertices + k
-
-    def source_of(self, iv: int) -> tuple[str, int]:
-        if iv < self.n_source_vertices:
-            return ("vertex", iv)
-        return ("edge", iv - self.n_source_vertices)
 
 
 def incidence_graph(g: Multigraph) -> IncidenceGraph:
@@ -214,10 +209,10 @@ def sufficient_bipartite_test(
     For a homomorphism with f(e) = e, the displacement conditions
     f(sx) in <t>f(x), f(tx) in <s>f(x) reduce to the generator conditions,
     so candidates are the pairs (f(s), f(t)) = (t^m, s^n) in (m, n) order;
-    each is extended over G by word evaluation and kept only when it is
-    well-defined on the full multiplication table and involutive.  Finding
-    a witness proves that I(Phi(G, {s,t})) is a G-graph; absence proves
-    nothing.
+    each is extended over G by word evaluation and kept only when the
+    extension is consistent, which makes it a homomorphism, and involutive.
+    Finding a witness proves that I(Phi(G, {s,t})) is a G-graph; absence
+    proves nothing.
     """
     if generated_subgroup(g, [s, t]) != tuple(range(g.order)):
         raise PreconditionFailed("s and t do not generate the group")
@@ -227,8 +222,6 @@ def sufficient_bipartite_test(
             ft = power(g, s, n)
             f = _extend_by_words(g, s, t, fs, ft)
             if f is None:
-                continue
-            if not _is_homomorphism(g, f):
                 continue
             if any(f[f[x]] != x for x in range(g.order)):
                 continue
@@ -244,7 +237,12 @@ def sufficient_bipartite_test(
 
 
 def _extend_by_words(g: FiniteGroup, s: int, t: int, fs: int, ft: int):
-    """Spread f over G from generator images; None on any inconsistency."""
+    """Spread f over G from generator images; None on any inconsistency.
+
+    A returned f satisfies f(gx) = f(g)f(x) for g in {s, t} and every x.
+    Every element is a word in s and t, so by induction on word length f is
+    a homomorphism of G.
+    """
     mul = g.mul
     f = [-1] * g.order
     f[g.identity] = g.identity
@@ -317,8 +315,9 @@ def necessary_bipartite_witness(
         for b in choices:
             nodes += 1
             if nodes > budget:
-                raise CapExceeded(
-                    "automorphism search exceeded %d nodes" % budget
+                raise BudgetExceeded(
+                    "automorphism search exceeded %d nodes" % budget,
+                    nodes=nodes,
                 )
             if graph.multiplicity(a, b) != graph.multiplicity(b, a):
                 continue

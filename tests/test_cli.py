@@ -9,8 +9,10 @@ import json
 
 import pytest
 
+from ggraphs import cli as cli_module
 from ggraphs.algebra import parse_group
 from ggraphs.cli import run
+from ggraphs.errors import InternalAssertion, NotAGroup
 from ggraphs.ggraph import build_phi
 from ggraphs.ikn import TauCertificate
 from ggraphs.multigraph import import_json
@@ -356,6 +358,21 @@ def test_oversized_group_exit_two():
     code, _, err = cli("build", "-g", "S8", "-s", "(1,2)")
     assert code == 2
     assert "exceeds cap" in err
+
+
+@pytest.mark.parametrize(
+    "exc", [InternalAssertion("kernel disagrees"), NotAGroup("associativity fails"), MemoryError()]
+)
+def test_internal_error_exit_four(monkeypatch, exc):
+    def broken(args, out):
+        out.write("format: 1\n")
+        raise exc
+
+    monkeypatch.setattr(cli_module, "_cmd_ikn_verify", broken)
+    code, out, err = cli("ikn", "verify", "5", "--tau", "(2 3)(4 5)")
+    assert code == 4
+    assert out == "format: 1\n"
+    assert err.startswith("internal error: %s" % type(exc).__name__)
 
 
 def test_leading_program_name_tolerated():

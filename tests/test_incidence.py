@@ -14,9 +14,11 @@ from ggraphs.algebra import (
     parse_element,
     symmetric_group,
 )
-from ggraphs.errors import CapExceeded, PreconditionFailed
+from ggraphs.errors import BudgetExceeded, PreconditionFailed
 from ggraphs.ggraph import build_phi, build_psi, level_vertices, shift
 from ggraphs.incidence import (
+    _extend_by_words,
+    _is_homomorphism,
     incidence_graph,
     incidence_preimage,
     lift_automorphism,
@@ -266,6 +268,19 @@ def test_sufficient_witness_none_for_z6():
     assert sufficient_bipartite_test(cyclic_group(6), 2, 3) is None
 
 
+def test_word_extensions_are_homomorphisms():
+    # sufficient_bipartite_test relies on this instead of an all-pairs check
+    extended = 0
+    for grp, (s, t) in preimage_zoo() + [(cyclic_group(2), [1, 1])]:
+        for fs in cyclic_subgroup(grp, t):
+            for ft in cyclic_subgroup(grp, s):
+                f = _extend_by_words(grp, s, t, fs, ft)
+                if f is not None:
+                    extended += 1
+                    assert _is_homomorphism(grp, f), (grp.name, fs, ft)
+    assert extended > 0
+
+
 def test_sufficient_witness_identity_map():
     w = sufficient_bipartite_test(cyclic_group(2), 1, 1)
     assert w is not None
@@ -321,8 +336,9 @@ def test_necessary_witness_preconditions_and_budget():
         necessary_bipartite_witness(build_phi(cyclic_group(4), [2, 2]))
     grp = symmetric_group(3)
     gens = [parse_element(grp, "(1,2)"), parse_element(grp, "(2,3)")]
-    with pytest.raises(CapExceeded):
+    with pytest.raises(BudgetExceeded) as info:
         necessary_bipartite_witness(build_phi(grp, gens), budget=0)
+    assert info.value.nodes > 0
 
 
 def test_sufficient_witness_feeds_recognition_of_incidence_graph():
