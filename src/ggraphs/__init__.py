@@ -47,7 +47,6 @@ from .ggraph import (
     kmn_plan,
     level_vertices,
     replicate_components,
-    shift,
     shifts,
     verify_structure,
 )
@@ -75,17 +74,19 @@ from .incidence import (
     witness_automorphism,
 )
 from .multigraph import (
+    GraphAut,
     IsoWitness,
     Multigraph,
     connected_components,
     export_dot,
     export_json,
     import_json,
+    induced_edge_map,
     isomorphic,
+    map_defect,
     verify_iso_witness,
 )
 from .recognition import (
-    GraphAut,
     RecognitionWitness,
     check,
     check_simple,

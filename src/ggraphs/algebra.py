@@ -148,6 +148,14 @@ def _check_order(n: int) -> None:
         )
 
 
+def _check_degree(degree: int) -> int:
+    """Refuse a permutation degree above DEFAULT_CLOSURE_CAP: a closure's
+    order x degree element array then stays within the table bound."""
+    if degree > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded("permutation degree %d exceeds cap %d" % (degree, DEFAULT_CLOSURE_CAP))
+    return degree
+
+
 @dataclass
 class PermClosure:
     """A permutation group in breadth-first order from the identity.
@@ -579,7 +587,7 @@ def parse_group(spec: str) -> FiniteGroup:
     s = spec.strip()
     m = re.fullmatch(r"S(\d+)", s)
     if m:
-        return symmetric_group(int(m.group(1)))
+        return symmetric_group(_check_degree(int(m.group(1))))
     m = re.fullmatch(r"Z(\d+)(?:xZ(\d+))*", s)
     if m:
         orders = [int(t) for t in re.findall(r"Z(\d+)", s)]
@@ -591,7 +599,7 @@ def parse_group(spec: str) -> FiniteGroup:
         return grp
     m = re.fullmatch(r"perm:(\d+):(.+)", s, re.DOTALL)
     if m:
-        degree = int(m.group(1))
+        degree = _check_degree(int(m.group(1)))
         gen_texts = split_top_level(m.group(2))
         if not gen_texts:
             raise ParseError("perm group needs at least one generator")

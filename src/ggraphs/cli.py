@@ -440,16 +440,22 @@ def _cmd_ikn_search(args, out) -> int:
 def _cmd_ikn_table(args, out) -> int:
     if args.nmax < 2:
         raise UsageError("nmax must be >= 2")
-    lines = ["format: 1"]
-    for n in range(2, args.nmax + 1):
-        result = search_tau(n, budget=args.budget)
-        if result.certificates:
-            lines.append("n=%d: certificate %s" % (n, result.certificates[0].cycles))
+    _emit(out, ["format: 1"])
+    code = EXIT_OK
+    for n in range(2, args.nmax + 1):  # each row goes out once decided
+        try:
+            result = search_tau(n, budget=args.budget)
+        except BudgetExceeded as exc:
+            row = "inconclusive after %d nodes" % exc.nodes
+            args.stderr.write("inconclusive: %s\n" % exc)
+            code = EXIT_INCONCLUSIVE
         else:
-            kinds = ", ".join(o.kind for o in result.obstructions)
-            lines.append("n=%d: no certificate [%s]" % (n, kinds))
-    _emit(out, lines)
-    return EXIT_OK
+            certs, kinds = result.certificates, [o.kind for o in result.obstructions]
+            row = ("certificate %s" % certs[0].cycles if certs
+                   else "no certificate [%s]" % ", ".join(kinds))
+        _emit(out, ["n=%d: %s" % (n, row)])
+        out.flush()
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +571,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    args.stderr = stderr  # for a command that reports a failed step and goes on
     try:
         return args.func(args, stdout)
     except UsageError as exc:

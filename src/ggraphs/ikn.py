@@ -143,7 +143,7 @@ class TauCertificate:
         try:
             n = int(data["n"])
             img = tuple(int(x) for x in data["tau"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError("certificate needs integer 'n' and integer list 'tau'") from None
         if len(img) != n or sorted(img) != list(range(1, n + 1)):
             raise ParseError("'tau' is not a permutation of 1..%d" % n)
@@ -168,7 +168,7 @@ class Obstruction:
         try:
             n = int(data["n"])
             kind = str(data["kind"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ParseError("obstruction needs 'n' and 'kind'") from None
         if kind not in OBSTRUCTION_KINDS:
             raise ParseError("unknown obstruction kind %r" % kind)

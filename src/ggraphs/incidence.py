@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (
     FiniteGroup,
     cyclic_subgroup,
@@ -30,12 +32,14 @@ from .errors import (
 from ._tauengine import resolve_budget
 from .ggraph import GGraph, level_vertices
 from .multigraph import (
+    GraphAut,
     IsoWitness,
     Multigraph,
     connected_components,
+    induced_edge_map,
+    map_defect,
     verify_iso_witness,
 )
-from .recognition import GraphAut, aut_defect
 
 
 @dataclass
@@ -52,9 +56,6 @@ class IncidenceGraph:
     n_source_vertices: int
     n_source_edges: int
     outside_theorems: bool
-
-    def vertex_for(self, v: int) -> int:
-        return v
 
     def vertex_for_edge(self, k: int) -> int:
         return self.n_source_vertices + k
@@ -86,23 +87,19 @@ def lift_automorphism(
     g: Multigraph, f: GraphAut, ig: IncidenceGraph | None = None
 ) -> GraphAut:
     """The canonical lift of f to I(g), acting as f on part 0 and f# on part 1."""
-    reason = aut_defect(g, f)
+    reason = map_defect(g, g, [f.vertex_map], [f.edge_map])
     if reason is not None:
         raise WitnessInvalid("not an automorphism of the source graph: " + reason)
     if ig is None:
         ig = incidence_graph(g)
     n = ig.n_source_vertices
-    vmap = list(f.vertex_map) + [n + f.edge_map[k] for k in range(ig.n_source_edges)]
-    emap = []
-    for e in ig.graph.edges:
-        cands = ig.graph.edges_between(vmap[e.u], vmap[e.v])
-        if len(cands) != 1:
-            raise InternalAssertion("incidence image edge is not unique")
-        emap.append(cands[0])
-    out = GraphAut(tuple(vmap), tuple(emap))
-    if aut_defect(ig.graph, out) is not None:
+    vmap = tuple(f.vertex_map) + tuple(n + x for x in f.edge_map)
+    emap = induced_edge_map(ig.graph, ig.graph, vmap)
+    if emap is None:
+        raise InternalAssertion("incidence image edge is not unique")
+    if map_defect(ig.graph, ig.graph, [vmap], [emap]) is not None:
         raise InternalAssertion("lifted map failed automorphism verification")
-    return out
+    return GraphAut(vmap, emap)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +153,10 @@ def incidence_preimage(gg: GGraph) -> PreimageResult:
         vmap[v] = pos[v]
     for k, v in enumerate(tverts):
         vmap[v] = ig.vertex_for_edge(k)
-    emap = []
-    for e in gg.graph.edges:
-        cands = ig.graph.edges_between(vmap[e.u], vmap[e.v])
-        if len(cands) != 1:
-            raise InternalAssertion("incidence image edge is not unique")
-        emap.append(cands[0])
-    iso = IsoWitness(tuple(vmap), tuple(emap))
+    emap = induced_edge_map(gg.graph, ig.graph, vmap)
+    if emap is None:
+        raise InternalAssertion("incidence image edge is not unique")
+    iso = IsoWitness(tuple(vmap), emap)
     if not verify_iso_witness(gg.graph, ig.graph, iso, respect_parts=False):
         raise InternalAssertion("preimage isomorphism failed verification")
     return PreimageResult(pre, ig, iso)
@@ -194,11 +188,7 @@ class IncidenceWitnessMap:
 
 def _is_homomorphism(g: FiniteGroup, f) -> bool:
     mul = g.mul
-    return all(
-        f[mul[a, b]] == mul[f[a], f[b]]
-        for a in range(g.order)
-        for b in range(g.order)
-    )
+    return bool((np.asarray(f)[mul] == mul[np.ix_(f, f)]).all())
 
 
 def sufficient_bipartite_test(
@@ -337,22 +327,10 @@ def necessary_bipartite_witness(
     vmap = list(range(graph.n_vertices))
     for a, b in match.items():
         vmap[a], vmap[b] = b, a
-    emap = [0] * graph.n_edges
-    for a in V0:
-        for b in V1:
-            ids = graph.edges_between(a, b)
-            if not ids:
-                continue
-            img = graph.edges_between(vmap[a], vmap[b])
-            if {vmap[a], vmap[b]} == {a, b}:
-                for x in ids:
-                    emap[x] = x
-            else:
-                for x, y in zip(ids, img):
-                    emap[x] = y
-    tau = GraphAut(tuple(vmap), tuple(emap))
-    if aut_defect(graph, tau) is not None:
+    emap = induced_edge_map(graph, graph, vmap)
+    if emap is None or map_defect(graph, graph, [vmap], [emap]) is not None:
         raise InternalAssertion("matched map is not an automorphism")
+    tau = GraphAut(tuple(vmap), emap)
     if not tau.compose(tau).is_identity():
         raise InternalAssertion("matched automorphism is not an involution")
 
@@ -407,6 +385,6 @@ def witness_automorphism(gg: GGraph, w: IncidenceWitnessMap) -> GraphAut:
         edge_of[int(gg.edge_glabel[e.id])] = e.id
     emap = [edge_of[f[int(gg.edge_glabel[e.id])]] for e in gg.graph.edges]
     out = GraphAut(tuple(vmap), tuple(emap))
-    if aut_defect(gg.graph, out) is not None:
+    if map_defect(gg.graph, gg.graph, [vmap], [emap]) is not None:
         raise WitnessInvalid("witness map does not induce an automorphism")
     return out

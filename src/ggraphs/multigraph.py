@@ -10,6 +10,8 @@ import json
 from collections import Counter, deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapExceeded, ParseError, PreconditionFailed
 
 ISO_SIZE_CAP = 2000
@@ -96,6 +98,14 @@ class Multigraph:
             return self.loops_at(u)
         return sorted(eid for eid, w in self.adj()[u] if w == v)
 
+    def multi_edges(self) -> dict[tuple[int, int], list[int]]:
+        """Edge ids of each multi-edge, ascending, keyed by its end pair
+        (smaller end first)."""
+        out: dict = {}
+        for e in self.edges:
+            out.setdefault(_pair_key(e.u, e.v), []).append(e.id)
+        return out
+
     def has_loops(self) -> bool:
         return any(e.u == e.v for e in self.edges)
 
@@ -171,11 +181,8 @@ def is_complete_bipartite_multi(g: Multigraph):
         b = [v for v in range(g.n_vertices) if color[v] == 1]
     if not a or not b:
         return None
-    mult = Counter()
-    for e in g.edges:
-        key = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
-        mult[key] += 1
-    sa, sb = set(a), set(b)
+    mult = {key: len(ids) for key, ids in g.multi_edges().items()}
+    sa = set(a)
     ls = set()
     for u in a:
         for v in b:
@@ -194,11 +201,6 @@ def is_complete_bipartite_multi(g: Multigraph):
     if not g.fully_part_tagged():
         m, n = min(m, n), max(m, n)
     return m, n, l
-
-
-def induced_subgraph(g: Multigraph, vertex_set) -> Multigraph:
-    sub, _, _ = induced_subgraph_with_maps(g, vertex_set)
-    return sub
 
 
 def induced_subgraph_with_maps(g: Multigraph, vertex_set):
@@ -221,40 +223,135 @@ def induced_subgraph_with_maps(g: Multigraph, vertex_set):
 # isomorphism
 
 
-@dataclass(frozen=True)
-class IsoWitness:
-    """Maps are g1 id -> g2 id."""
+@dataclass(frozen=True, order=True)
+class GraphAut:
+    """A (vertex map, edge map) pair, g1 id -> g2 id: an isomorphism witness,
+    or an automorphism when g1 = g2.
+
+    For multigraphs the vertex map alone does not determine the edge map,
+    so both are carried explicitly.  Composition is right-to-left:
+    (a.compose(b))(x) = a(b(x)).
+    """
 
     vertex_map: tuple[int, ...]
     edge_map: tuple[int, ...]
+
+    def is_identity(self) -> bool:
+        return all(i == x for i, x in enumerate(self.vertex_map)) and all(
+            i == x for i, x in enumerate(self.edge_map)
+        )
+
+    def compose(self, other: "GraphAut") -> "GraphAut":
+        return GraphAut(
+            tuple(self.vertex_map[x] for x in other.vertex_map),
+            tuple(self.edge_map[x] for x in other.edge_map),
+        )
+
+    def inverse(self) -> "GraphAut":
+        vm = [0] * len(self.vertex_map)
+        em = [0] * len(self.edge_map)
+        for i, x in enumerate(self.vertex_map):
+            vm[x] = i
+        for i, x in enumerate(self.edge_map):
+            em[x] = i
+        return GraphAut(tuple(vm), tuple(em))
+
+
+IsoWitness = GraphAut
+
+
+def _map_rows(maps, width: int) -> np.ndarray:
+    """k maps as a (k, width) int32 array; an array passes through.  A map of
+    another length, or with an entry that is no int32, becomes a row of -1s,
+    which is no permutation."""
+    if isinstance(maps, np.ndarray) and maps.shape[1:] == (width,):
+        return maps
+    rows = np.full((len(maps), width), -1, dtype=np.int32)
+    for i, row in enumerate(maps):
+        if len(row) == width:
+            try:
+                rows[i] = row
+            except (OverflowError, TypeError, ValueError):
+                pass
+    return rows
+
+
+def _permutation_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of a (k, width) array are permutations of 0..n-1."""
+    if rows.shape[1] != n:
+        return np.zeros(len(rows), dtype=bool)
+    return (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
+
+
+def map_defect(g1: Multigraph, g2: Multigraph, vertex_maps, edge_maps) -> str | None:
+    """None when every pair (vertex_maps[i], edge_maps[i]) is an isomorphism
+    g1 -> g2, else the reason the first pair that is not fails.
+
+    The maps are k rows each, as sequences or as (k, n) arrays.  A pair is
+    an isomorphism when both rows are bijections and every edge's image
+    joins the images of its ends; a reason of the second kind names the
+    first edge whose image does not.
+    """
+    V = _map_rows(vertex_maps, g1.n_vertices)
+    E = _map_rows(edge_maps, g1.n_edges)
+    v_ok = _permutation_rows(V, g2.n_vertices)
+    e_ok = _permutation_rows(E, g2.n_edges)
+    bad = np.flatnonzero(~(v_ok & e_ok))
+    k = int(bad[0]) if len(bad) else len(V)
+    # end-points only for the pairs before the first that is no bijection
+    ends1, ends2 = (
+        np.array([(e.u, e.v) for e in g.edges], dtype=np.int32).reshape(-1, 2)
+        for g in (g1, g2)
+    )
+    a, b = V[:k, ends1[:, 0]], V[:k, ends1[:, 1]]
+    c, d = ends2[E[:k], 0], ends2[E[:k], 1]
+    joined = ((a == c) & (b == d)) | ((a == d) & (b == c))
+    broken = np.flatnonzero(~joined.all(axis=1))
+    if len(broken):
+        i = int(broken[0])
+        e = int(np.argmin(joined[i]))
+        return "edge %d maps to edge %d with mismatched endpoints" % (e, int(E[i, e]))
+    if k == len(V):
+        return None
+    if not v_ok[k]:
+        return "vertex map is not a permutation of the vertices"
+    return "edge map is not a permutation of the edges"
 
 
 def verify_iso_witness(
     g1: Multigraph,
     g2: Multigraph,
-    w: IsoWitness,
+    w: GraphAut,
     *,
     strict_labels: bool = False,
     respect_parts: bool = True,
 ) -> bool:
     """Independent validation of an isomorphism witness."""
-    n, m = g1.n_vertices, g1.n_edges
-    if g2.n_vertices != n or g2.n_edges != m:
-        return False
-    if sorted(w.vertex_map) != list(range(n)) or sorted(w.edge_map) != list(range(m)):
+    if map_defect(g1, g2, [w.vertex_map], [w.edge_map]) is not None:
         return False
     use_parts = respect_parts and g1.fully_part_tagged() and g2.fully_part_tagged()
     if use_parts and any(
-        g1.vertices[v].part != g2.vertices[w.vertex_map[v]].part for v in range(n)
+        v.part != g2.vertices[w.vertex_map[v.id]].part for v in g1.vertices
     ):
         return False
-    for e in g1.edges:
-        f = g2.edges[w.edge_map[e.id]]
-        if {w.vertex_map[e.u], w.vertex_map[e.v]} != {f.u, f.v}:
-            return False
-        if strict_labels and e.label != f.label:
-            return False
-    return True
+    return not strict_labels or all(
+        e.label == g2.edges[w.edge_map[e.id]].label for e in g1.edges
+    )
+
+
+def induced_edge_map(g1: Multigraph, g2: Multigraph, vmap) -> tuple[int, ...] | None:
+    """The edge map that the vertex map vmap (g1 -> g2) induces: the k-th
+    edge of each multi-edge, in ascending id order, goes to the k-th edge of
+    its image.  None when a multi-edge and its image differ in multiplicity."""
+    emap = [0] * g1.n_edges
+    images = g2.multi_edges()
+    for (a, b), ids in g1.multi_edges().items():
+        img = images.get(_pair_key(vmap[a], vmap[b]), [])
+        if len(img) != len(ids):
+            return None
+        for x, y in zip(ids, img):
+            emap[x] = y
+    return tuple(emap)
 
 
 def _pair_key(u: int, v: int) -> tuple[int, int]:
@@ -262,9 +359,7 @@ def _pair_key(u: int, v: int) -> tuple[int, int]:
 
 
 def _initial_colors(g: Multigraph, use_parts: bool, strict: bool):
-    mult = Counter()
-    for e in g.edges:
-        mult[_pair_key(e.u, e.v)] += 1
+    mult = {key: len(ids) for key, ids in g.multi_edges().items()}
     keys = []
     for v in range(g.n_vertices):
         nonloop = sorted(
@@ -322,7 +417,7 @@ def isomorphic(
     *,
     strict_labels: bool = False,
     cap: int = ISO_SIZE_CAP,
-) -> IsoWitness | None:
+) -> GraphAut | None:
     """Backtracking isomorphism with color refinement.
 
     Part tags participate only when both graphs are fully tagged. Candidate
@@ -347,13 +442,10 @@ def isomorphic(
     c1, c2 = refined
 
     if strict_labels:
-        def pair_labels(g):
-            d = {}
-            for e in g.edges:
-                d.setdefault(_pair_key(e.u, e.v), []).append(e.label)
-            return {k: sorted(v) for k, v in d.items()}
-
-        lab1, lab2 = pair_labels(g1), pair_labels(g2)
+        lab1, lab2 = (
+            {k: sorted(g.edges[i].label for i in ids) for k, ids in g.multi_edges().items()}
+            for g in (g1, g2)
+        )
 
     n = g1.n_vertices
     fwd = [-1] * n  # g1 -> g2
@@ -402,7 +494,7 @@ def isomorphic(
             e2 = sorted(e2, key=lambda i: (g2.edges[i].label, i))
         for x, y in zip(e1, e2):
             emap[x] = y
-    w = IsoWitness(tuple(fwd), tuple(emap))
+    w = GraphAut(tuple(fwd), tuple(emap))
     if not verify_iso_witness(g1, g2, w, strict_labels=strict_labels):
         return None
     return w
@@ -430,7 +522,7 @@ def import_json(data) -> Multigraph:
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise ParseError("bad JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise ParseError("graph JSON must be an object")
@@ -465,7 +557,7 @@ def import_json(data) -> Multigraph:
             u, v = remap[int(it["u"])], remap[int(it["v"])]
         except KeyError:
             raise ParseError("edge references unknown vertex") from None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError("edge ends must be vertex ids") from None
         g.add_edge(u, v, str(it.get("label", "")))
     return g
@@ -474,7 +566,7 @@ def import_json(data) -> Multigraph:
 def _json_int(value, what: str) -> int:
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
         raise ParseError("%s must be an integer, got %r" % (what, value)) from None
 
 

@@ -30,58 +30,19 @@ from .errors import (
     WitnessInvalid,
 )
 from .ggraph import GGraph, build_phi, build_psi, colour_clique, shifts
-from .multigraph import IsoWitness, Multigraph, verify_iso_witness
-
-
-@dataclass(frozen=True, order=True)
-class GraphAut:
-    """A multigraph automorphism as a (vertex map, edge map) pair.
-
-    For multigraphs the vertex map alone does not determine the edge map,
-    so both are carried explicitly.  Composition is right-to-left:
-    (a.compose(b))(x) = a(b(x)).
-    """
-
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[int, ...]
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.vertex_map)) and all(
-            i == x for i, x in enumerate(self.edge_map)
-        )
-
-    def compose(self, other: "GraphAut") -> "GraphAut":
-        return GraphAut(
-            tuple(self.vertex_map[x] for x in other.vertex_map),
-            tuple(self.edge_map[x] for x in other.edge_map),
-        )
-
-    def inverse(self) -> "GraphAut":
-        vm = [0] * len(self.vertex_map)
-        em = [0] * len(self.edge_map)
-        for i, x in enumerate(self.vertex_map):
-            vm[x] = i
-        for i, x in enumerate(self.edge_map):
-            em[x] = i
-        return GraphAut(tuple(vm), tuple(em))
+from .multigraph import (
+    GraphAut,
+    IsoWitness,
+    Multigraph,
+    _map_rows,
+    _permutation_rows,
+    map_defect,
+    verify_iso_witness,
+)
 
 
 def identity_aut(g: Multigraph) -> GraphAut:
     return GraphAut(tuple(range(g.n_vertices)), tuple(range(g.n_edges)))
-
-
-def aut_defect(g: Multigraph, a: GraphAut) -> str | None:
-    """None when a is an automorphism of g, else a short reason."""
-    nv, ne = g.n_vertices, g.n_edges
-    if len(a.vertex_map) != nv or sorted(a.vertex_map) != list(range(nv)):
-        return "vertex map is not a permutation of the vertices"
-    if len(a.edge_map) != ne or sorted(a.edge_map) != list(range(ne)):
-        return "edge map is not a permutation of the edges"
-    for e in g.edges:
-        f = g.edges[a.edge_map[e.id]]
-        if {a.vertex_map[e.u], a.vertex_map[e.v]} != {f.u, f.v}:
-            return "edge %d maps to edge %d with mismatched endpoints" % (e.id, f.id)
-    return None
 
 
 def _aut_rows(g: Multigraph, auts) -> np.ndarray:
@@ -127,10 +88,8 @@ def witness_from_generators(
 
 def shifts_of(gg: GGraph) -> RecognitionWitness:
     """H = the distinct shifts, C = the colour clique of the identity."""
-    auts = set()
-    for sh in shifts(gg):
-        auts.add(GraphAut(sh.vertex_map, sh.edge_map))
-    return RecognitionWitness(sorted(auts), colour_clique(gg, gg.group.identity))
+    H = sorted(set(shifts(gg)))
+    return RecognitionWitness(H, colour_clique(gg, gg.group.identity))
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +179,12 @@ class RecognitionReport:
 def _validate_maps(g: Multigraph, w: RecognitionWitness) -> None:
     """Hard structural validation; errors here make the checks meaningless."""
     nv, ne = g.n_vertices, g.n_edges
-    for a in w.H:
-        if len(a.vertex_map) != nv or sorted(a.vertex_map) != list(range(nv)):
-            raise WitnessInvalid("an H element's vertex map is not a permutation")
-        if len(a.edge_map) != ne or sorted(a.edge_map) != list(range(ne)):
-            raise WitnessInvalid("an H element's edge map is not a permutation")
+    v_ok = _permutation_rows(_map_rows([a.vertex_map for a in w.H], nv), nv)
+    e_ok = _permutation_rows(_map_rows([a.edge_map for a in w.H], ne), ne)
+    bad = np.flatnonzero(~(v_ok & e_ok))
+    if len(bad):
+        what = "edge" if v_ok[bad[0]] else "vertex"
+        raise WitnessInvalid("an H element's %s map is not a permutation" % what)
     for u in w.C:
         if not 0 <= u < nv:
             raise WitnessInvalid("C contains an unknown vertex id %r" % (u,))
@@ -236,11 +196,11 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness) -> None:
 
 def _witness_defects(g: Multigraph, w: RecognitionWitness, need_loops: bool):
     defects = []
-    for a in w.H:
-        reason = aut_defect(g, a)
-        if reason is not None:
-            defects.append("H element is not an automorphism: " + reason)
-            break
+    reason = map_defect(
+        g, g, [a.vertex_map for a in w.H], [a.edge_map for a in w.H]
+    )
+    if reason is not None:
+        defects.append("H element is not an automorphism: " + reason)
     if not any(a.is_identity() for a in w.H):
         defects.append("H does not contain the identity")
     if _closure_of(g, w.H) is None:
@@ -445,16 +405,6 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
 # witness JSON
 
 
-def _ambiguous_edges(g: Multigraph) -> bool:
-    seen = set()
-    for e in g.edges:
-        key = (e.u, e.v) if e.u <= e.v else (e.v, e.u)
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
 def infer_edge_map(g: Multigraph, vmap) -> tuple[int, ...]:
     """The unique edge map compatible with vmap, when one exists."""
     em = []
@@ -474,7 +424,7 @@ def witness_to_json(g: Multigraph, w: RecognitionWitness) -> dict:
         "H_generators": [list(a.vertex_map) for a in w.H],
         "C": list(w.C),
     }
-    if _ambiguous_edges(g):
+    if any(len(ids) > 1 for ids in g.multi_edges().values()):
         data["H_generator_edge_maps"] = [list(a.edge_map) for a in w.H]
     return data
 
@@ -489,14 +439,14 @@ def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitne
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise ParseError("witness is not valid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise ParseError("witness JSON must be an object")
     try:
         vmaps = [tuple(int(x) for x in row) for row in data["H_generators"]]
         C = [int(x) for x in data["C"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError("witness JSON needs H_generators and C arrays") from exc
     emaps = data.get("H_generator_edge_maps")
     if emaps is not None and (
@@ -513,7 +463,7 @@ def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitne
         else:
             try:
                 em = tuple(int(x) for x in row)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ParseError(
                     "H_generator_edge_maps entry %d is not an integer list" % i
                 ) from None

@@ -218,6 +218,14 @@ def test_oversized_groups_raise_cap_exceeded():
     assert al.parse_group("S7").order == 5040
 
 
+def test_parse_group_refuses_large_degree_before_any_perm(no_permutations):
+    cap = al.DEFAULT_CLOSURE_CAP
+    for spec in ("perm:99999999:(1,2)", "perm:%d:(1,2)" % (cap + 1), "S%d" % (cap + 1), "S99999999"):
+        with pytest.raises(CapExceeded, match="degree"):
+            al.parse_group(spec)
+    assert al._check_degree(cap) == cap
+
+
 def test_generating_set_generates_greedily():
     for g in (al.symmetric_group(5), al.parse_group("Z2xZ2xZ4"), al.quaternion_group()):
         gens = al.generating_set(g.mul, g.identity)

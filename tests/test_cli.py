@@ -6,6 +6,7 @@ streams are observable without spawning subprocesses.
 
 import io
 import json
+import re
 
 import pytest
 
@@ -256,6 +257,58 @@ def test_ikn_table_lines():
     for n in (2, 3, 4, 5, 7, 8, 9):
         assert body["n=%d" % n].startswith("certificate ")
     assert body["n=6"] == "no certificate [Mod4, Mod6]"
+
+
+def test_ikn_table_keeps_decided_rows_past_an_inconclusive_n():
+    code, out, err = cli("ikn", "table", "26", "--budget", "50000")
+    assert code == 2
+    _, decided, _ = cli("ikn", "table", "24")
+    lines = out.splitlines()
+    assert out.startswith(decided)
+    assert re.fullmatch(r"n=25: inconclusive after \d+ nodes", lines[-2])
+    assert lines[-1] == "n=26: no certificate [Mod4]"
+    assert err.startswith("inconclusive: ") and err.count("\n") == 1
+    nodes = int(lines[-2].split()[-2])
+    assert "after %d nodes" % nodes in err
+
+
+def test_ikn_table_exit_zero_when_every_row_is_decided():
+    code, out, err = cli("ikn", "table", "12", "--budget", "100000")
+    assert code == 0 and err == ""
+    assert "inconclusive" not in out
+
+
+def test_build_refuses_huge_permutation_degree(no_permutations):
+    code, out, err = cli("build", "-g", "perm:99999999:(1,2)", "-s", "(1,2)")
+    assert code == 2 and out == ""
+    assert err.startswith("inconclusive: permutation degree 99999999 exceeds cap")
+
+
+@pytest.mark.parametrize("where", ["vertex", "part", "edge", "C", "H", "edge_map"])
+def test_recognize_non_finite_number_is_a_parse_error(where):
+    graph = {
+        "vertices": [{"id": 0, "part": 0}, {"id": 1, "part": 1}],
+        "edges": [{"id": 0, "u": 0, "v": 1}, {"id": 1, "u": 0, "v": 1}],
+    }
+    witness = {"H_generators": [[0, 1]], "C": [0], "H_generator_edge_maps": [[0, 1]]}
+    graph_text, witness_text = json.dumps(graph), json.dumps(witness)
+    if where == "vertex":
+        graph_text = graph_text.replace('{"id": 1, "part": 1}', '{"id": 1e999, "part": 1}')
+    elif where == "part":
+        graph_text = graph_text.replace('"part": 1}', '"part": 1e999}')
+    elif where == "edge":
+        graph_text = graph_text.replace('"u": 0, "v": 1}]', '"u": 0, "v": 1e999}]')
+    elif where == "C":
+        witness_text = witness_text.replace('"C": [0]', '"C": [1e999]')
+    elif where == "H":
+        witness_text = witness_text.replace('[[0, 1]], "C"', '[[0, 1e999]], "C"')
+    else:
+        witness_text = witness_text.replace('"H_generator_edge_maps": [[0, 1]]',
+                                            '"H_generator_edge_maps": [[0, 1e999]]')
+    assert "1e999" in graph_text + witness_text
+    code, out, err = cli("recognize", "--graph", graph_text, "--witness", witness_text)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_ikn_search_modes_agree():

@@ -193,7 +193,7 @@ def test_shift_preserves_edges():
     grp, s, t = s3_st()
     x = gg.build_psi(grp, [s, t])
     for a in range(grp.order):
-        sh = gg.shift(x, a)
+        sh = gg.shifts(x)[a]
         w = mg.IsoWitness(sh.vertex_map, sh.edge_map)
         assert mg.verify_iso_witness(x.graph, x.graph, w)
 

@@ -15,7 +15,7 @@ from ggraphs.algebra import (
     symmetric_group,
 )
 from ggraphs.errors import BudgetExceeded, PreconditionFailed
-from ggraphs.ggraph import build_phi, build_psi, level_vertices, shift
+from ggraphs.ggraph import build_phi, build_psi, level_vertices, shifts
 from ggraphs.incidence import (
     _extend_by_words,
     _is_homomorphism,
@@ -134,7 +134,7 @@ def test_lift_identity_and_shifts_injective():
     ig = incidence_graph(gg.graph)
     lifted = set()
     for g in range(6):
-        sh = shift(gg, g)
+        sh = shifts(gg)[g]
         aut = GraphAut(sh.vertex_map, sh.edge_map)
         lifted.add(lift_automorphism(gg.graph, aut, ig))
     assert len(lifted) == 6
@@ -349,7 +349,7 @@ def test_sufficient_witness_feeds_recognition_of_incidence_graph():
     gg = build_phi(grp, [s, t])
     w = sufficient_bipartite_test(grp, s, t)
     tau = witness_automorphism(gg, w)
-    ds = shift(gg, s)
+    ds = shifts(gg)[s]
     ig = incidence_graph(gg.graph)
     lifted = [
         lift_automorphism(gg.graph, tau, ig),
@@ -359,7 +359,7 @@ def test_sufficient_witness_feeds_recognition_of_incidence_graph():
     edge_e = next(
         e.id for e in gg.graph.edges if int(gg.edge_glabel[e.id]) == grp.identity
     )
-    C = [ig.vertex_for_edge(edge_e), ig.vertex_for(gg.vertex_of(0, grp.identity))]
+    C = [ig.vertex_for_edge(edge_e), gg.vertex_of(0, grp.identity)]
     report = check_simple(ig.graph, RecognitionWitness(H, C))
     assert report.ok, report.details
     result = reconstruct(ig.graph, RecognitionWitness(H, C))

@@ -102,7 +102,7 @@ def test_complete_bipartite_recognition():
 def test_induced_subgraph_keeps_labels_and_reindexes():
     g = build(4, [(0, 1), (1, 2), (2, 3)], labels=["a", "b", "c"])
     g.vertices[2].label = "mid"
-    sub = mg.induced_subgraph(g, [1, 2, 3])
+    sub = mg.induced_subgraph_with_maps(g, [1, 2, 3])[0]
     assert sub.n_vertices == 3 and sub.n_edges == 2
     assert sub.vertices[1].label == "mid"
     assert [e.label for e in sub.edges] == ["b", "c"]
