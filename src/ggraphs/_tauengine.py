@@ -19,8 +19,45 @@ certificate conditions, so nothing valid is ever cut):
 * residues: k -> k - tau(k) (mod n-1) is injective on {1..n-2}; the missed
   residue is 0 for even n and (n-1)/2 for odd n,
 * braid: tau rho tau = rho tau rho,
-* the defining relation itself, probed at every point that is already
-  evaluable under the partial assignment.
+* the defining relation itself.
+
+The braid and the relation are propagated, not only checked (forward
+checking, Haralick & Elliott 1980).  Both read tau(s1) = f(tau(s2)) for a
+bijection f once some values are known:
+
+* braid, f = rho: s1 = rho(tau(p)) and s2 = rho(p) for a known tau(p); so
+  tau(rho(p)) = rho(tau(rho tau(p))) and tau(rho tau(p)) = rho(tau(rho(p))),
+* relation, f = sigma^e1: for a row k with e1 = tau(k) and e2 = tau(rho(e1))
+  known and a probe p with tau(p) known, s1 = sigma^k(tau(p)) and
+  s2 = sigma^e2(p).
+
+When exactly one of tau(s1) and tau(s2) is known, the other is forced; when
+both are, they are checked.  A forced pair (u, v) must pass the admission
+test of a branched one: both points free and the residues u - v and v - u
+free, or for u = v the fixed-point residue 0 free.  Otherwise the node dies.
+Every point assigned at a node, branched or forced, goes on the ``trail``;
+the part of the trail past the node's ``mark`` is a first-in first-out
+queue, and backtracking pops the trail back to the mark.  Propagation takes
+points off the queue until it is empty, and a point q revisits three things:
+the braid at p = q, every probe of the row k = q, and the probe p = q of
+every evaluable row.  That reaches every constraint, because each is a
+hexagon of three tau-pairs joined by fixed maps, any two of which force the
+third, and it is read from each of its pairs:
+
+* the braid at p sees {p, tau(p)} and its two neighbours, and a point's
+  partner is queued with it;
+* the relation at probe p of row k is also the one at probe tau(p) of row
+  e2 = tau(rho(e1)), with s1 and s2 swapped, and it is read from its other
+  two pairs by rows rho(e1) and rho(e2).  These rows need {k, e1},
+  {rho(e1), e2} and {rho(e2), rho(k)}, the last forced by the braid from
+  the first two before the queue reaches a later point.
+
+So when the last pair a constraint needs is revisited, it is read.
+
+Branching always takes the smallest free point and its candidates in
+ascending order, and propagation cuts no certificate, so the certificates
+and their order are those of plain checking.  ``nodes`` counts branch
+assignments only; forced ones are free.
 """
 
 from __future__ import annotations
@@ -46,17 +83,17 @@ OUT_OF_BUDGET = 1
 OUT_OF_SPACE = 2
 
 
-def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, out):
+def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, mark, out):
     """Enumerate certificate involutions; see module docstring.
 
     Every sequence is flat and 1-D, and point arrays are 1-indexed (index 0
     unused); ``sig[k*(n+1) + p]`` is sigma^k(p).  ``tau`` carries the seed
-    assignment tau(n) = n-1 and ``used`` the residue pre-marks; both, and the
-    branch stacks ``st_a``/``st_b``, are working state changed in place, so
-    every call needs fresh ones from ``search_arrays``.  Solutions are
-    written to ``out`` as rows of n+1 entries, ``out[row*(n+1) + p]`` =
-    tau(p), at most ``len(out) // (n+1)`` of them.  Returns (status, found,
-    nodes).
+    assignment tau(n) = n-1 and ``used`` the residue pre-marks; both, the
+    branch stacks ``st_a``/``st_b``, the ``trail`` of assigned points and its
+    per-depth ``mark`` are working state changed in place, so every call
+    needs fresh ones from ``search_arrays``.  Solutions are written to
+    ``out`` as rows of n+1 entries, ``out[row*(n+1) + p]`` = tau(p), at most
+    ``len(out) // (n+1)`` of them.  Returns (status, found, nodes).
     """
     m = n - 1
     w = n + 1
@@ -90,136 +127,154 @@ def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, out):
     depth = 0
     st_a[0] = a0
     st_b[0] = 0
+    mark[0] = 0
+    tlen = 0
 
     while depth >= 0:
         a = st_a[depth]
-        prev = st_b[depth]
-        if prev != 0:
-            # undo the assignment whose subtree we just finished
-            if prev == m:
-                tau[a] = 0
-                used[0] = 0
-            else:
-                tau[a] = 0
-                tau[prev] = 0
-                used[(a - prev) % m] = 0
-                used[(prev - a) % m] = 0
-        nb = prev + 1 if prev != 0 else a + 1
-        advanced = False
-        while nb <= m:
-            # candidates ascending; nb == m encodes the self-pair tau(a) = a
-            if nb == m:
-                can = used[0] == 0
-            else:
-                can = tau[nb] == 0
-                if can:
-                    can = used[(a - nb) % m] == 0 and used[(nb - a) % m] == 0
-            if can:
-                nodes += 1
-                if nodes > budget:
-                    return OUT_OF_BUDGET, found, nodes
-                if nb == m:
-                    tau[a] = a
-                    used[0] = 1
+        # undo the previous candidate at this depth and everything it forced;
+        # point q owns the residue q - tau(q)
+        t0 = mark[depth]
+        while tlen > t0:
+            tlen -= 1
+            q = trail[tlen]
+            used[(q - tau[q]) % m] = 0
+            tau[q] = 0
+        # next admissible candidate, ascending; nb == m encodes tau(a) = a
+        nb = st_b[depth] + 1 if st_b[depth] != 0 else a + 1
+        while nb < m and (tau[nb] != 0 or used[(a - nb) % m] != 0 or used[(nb - a) % m] != 0):
+            nb += 1
+        if nb == m and used[0] != 0:
+            nb += 1
+        if nb > m:
+            depth -= 1
+            continue
+        st_b[depth] = nb
+        nodes += 1
+        if nodes > budget:
+            return OUT_OF_BUDGET, found, nodes
+        v = a if nb == m else nb
+        tau[a] = v
+        tau[v] = a
+        used[(a - v) % m] = 1
+        used[(v - a) % m] = 1
+        trail[tlen] = a
+        tlen += 1
+        if v != a:
+            trail[tlen] = v
+            tlen += 1
+
+        # propagate to a fixpoint, with the trail past t0 as the queue; the
+        # module docstring says why these three revisits of each new point q
+        # reach every constraint
+        good = True
+        head = t0
+        while good and head < tlen:
+            q = trail[head]
+            head += 1
+            # braid tau(rho(tau(p))) = rho(tau(rho(p))), f = rho, at p = q
+            s1 = rho[tau[q]]
+            s2 = rho[q]
+            x = tau[s1]
+            y = tau[s2]
+            u = 0
+            if x != 0 and y != 0:
+                good = x == rho[y]
+            elif x != 0:
+                u = s2
+                v = rho[x]
+            elif y != 0:
+                u = s1
+                v = rho[y]
+            if u != 0:
+                if u == v:
+                    good = used[0] == 0
                 else:
-                    tau[a] = nb
-                    tau[nb] = a
-                    used[(a - nb) % m] = 1
-                    used[(nb - a) % m] = 1
-                good = True
-                # braid prune: tau(rho(tau(p))) == rho(tau(rho(p)))
-                for p in range(1, n + 1):
+                    good = tau[v] == 0 and used[(u - v) % m] == 0 and used[(v - u) % m] == 0
+                if good:
+                    tau[u] = v
+                    tau[v] = u
+                    used[(u - v) % m] = 1
+                    used[(v - u) % m] = 1
+                    trail[tlen] = u
+                    tlen += 1
+                    if u != v:
+                        trail[tlen] = v
+                        tlen += 1
+            if not good:
+                break
+            # relation tau(s1) = sigma^e1(tau(s2)), f = sigma^e1, with
+            # s1 = sigma^k(tau(p)), s2 = sigma^e2(p), e1 = tau(k) and
+            # e2 = tau(rho(e1))
+            for k in range(1, n - 1):
+                e1 = tau[k]
+                if e1 == 0:
+                    continue
+                e2 = tau[rho[e1]]
+                if e2 == 0:
+                    continue
+                full = k == q
+                for i in range(n if full else 1):
+                    p = i + 1 if full else q
                     tp = tau[p]
                     if tp == 0:
                         continue
-                    x = tau[rho[tp]]
-                    if x == 0:
-                        continue
-                    y = tau[rho[p]]
-                    if y == 0:
-                        continue
-                    if x != rho[y]:
-                        good = False
-                        break
-                if good:
-                    # relation prune at every evaluable k and probe point;
-                    # probes in the order n, n-1, 1, 2, ..., n-2
-                    for k in range(1, n - 1):
-                        e1 = tau[k]
-                        if e1 == 0:
-                            continue
-                        e2 = tau[rho[e1]]
-                        if e2 == 0:
-                            continue
-                        kw = k * w
-                        e1w = e1 * w
-                        e2w = e2 * w
-                        for pi in range(n):
-                            if pi == 0:
-                                p = n
-                            elif pi == 1:
-                                p = n - 1
-                            else:
-                                p = pi - 1
-                            tp = tau[p]
-                            if tp == 0:
-                                continue
-                            lhs = tau[sig[kw + tp]]
-                            if lhs == 0:
-                                continue
-                            q = tau[sig[e2w + p]]
-                            if q == 0:
-                                continue
-                            if lhs != sig[e1w + q]:
-                                good = False
-                                break
-                        if not good:
-                            break
-                if good:
-                    na = 0
-                    for p in range(a + 1, n - 1):
-                        if tau[p] == 0:
-                            na = p
-                            break
-                    if na == 0:
-                        # complete: the prune above already checked the full
-                        # relation, since every point was evaluable
-                        base = found * w
-                        for p in range(w):
-                            out[base + p] = tau[p]
-                        found += 1
-                        if want_all == 0:
-                            return OK, found, nodes
-                        if found == cap:
-                            return OUT_OF_SPACE, found, nodes
-                        if nb == m:
-                            tau[a] = 0
-                            used[0] = 0
+                    s1 = sig[k * w + tp]
+                    s2 = sig[e2 * w + p]
+                    x = tau[s1]
+                    y = tau[s2]
+                    u = 0
+                    if x != 0 and y != 0:
+                        good = x == sig[e1 * w + y]
+                    elif x != 0:
+                        u = s2
+                        v = sig[(m - e1) * w + x]
+                    elif y != 0:
+                        u = s1
+                        v = sig[e1 * w + y]
+                    if u != 0:
+                        if u == v:
+                            good = used[0] == 0
                         else:
-                            tau[a] = 0
-                            tau[nb] = 0
-                            used[(a - nb) % m] = 0
-                            used[(nb - a) % m] = 0
-                    else:
-                        st_b[depth] = nb
-                        depth += 1
-                        st_a[depth] = na
-                        st_b[depth] = 0
-                        advanced = True
+                            good = tau[v] == 0 and used[(u - v) % m] == 0 and used[(v - u) % m] == 0
+                        if good:
+                            tau[u] = v
+                            tau[v] = u
+                            used[(u - v) % m] = 1
+                            used[(v - u) % m] = 1
+                            trail[tlen] = u
+                            tlen += 1
+                            if u != v:
+                                trail[tlen] = v
+                                tlen += 1
+                    if not good:
                         break
-                else:
-                    if nb == m:
-                        tau[a] = 0
-                        used[0] = 0
-                    else:
-                        tau[a] = 0
-                        tau[nb] = 0
-                        used[(a - nb) % m] = 0
-                        used[(nb - a) % m] = 0
-            nb += 1
-        if not advanced:
-            st_b[depth] = 0
-            depth -= 1
+                if not good:
+                    break
+        if not good:
+            continue
+
+        na = 0
+        for p in range(a + 1, n - 1):
+            if tau[p] == 0:
+                na = p
+                break
+        if na == 0:
+            # complete: every constraint was read, and so checked, when the
+            # last pair it needs was revisited
+            base = found * w
+            for p in range(w):
+                out[base + p] = tau[p]
+            found += 1
+            if want_all == 0:
+                return OK, found, nodes
+            if found == cap:
+                return OUT_OF_SPACE, found, nodes
+            continue
+        depth += 1
+        st_a[depth] = na
+        st_b[depth] = 0
+        mark[depth] = tlen
     return OK, found, nodes
 
 
@@ -269,7 +324,7 @@ def get_kernel(backend: str | None = None):
 def search_arrays(n: int, cap: int, backend: str = "python"):
     """Fresh flat inputs for one degree-n kernel call.
 
-    Returns (rho, sig, used, tau, st_a, st_b, out) in the layout
+    Returns (rho, sig, used, tau, st_a, st_b, trail, mark, out) in the layout
     ``_search_body`` documents, with room in ``out`` for ``cap`` solutions:
     Python lists for the python backend, int64 arrays for numba, which
     compiles the same body for them.
@@ -295,7 +350,8 @@ def search_arrays(n: int, cap: int, backend: str = "python"):
     tau = [0] * w
     tau[n] = m
     tau[m] = n
-    flat = (rho, sig, used, tau, [0] * (n + 2), [0] * (n + 2), [0] * (cap * w))
+    stack = [[0] * (n + 2) for _ in range(4)]  # st_a, st_b, trail, mark
+    flat = (rho, sig, used, tau, *stack, [0] * (cap * w))
     if backend == "numba":
         return tuple(np.array(xs, dtype=np.int64) for xs in flat)
     return flat

@@ -582,15 +582,23 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
+def _spec_int(digits: str) -> int:
+    """A number in a group spec; int() refuses one over 4300 digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError("number in group spec has %d digits" % len(digits)) from None
+
+
 def parse_group(spec: str) -> FiniteGroup:
     """Grammar: Z<n>; Z<m>xZ<n>[xZ<k>...]; S<n>; perm:<degree>:<cycles>[,...]."""
     s = spec.strip()
     m = re.fullmatch(r"S(\d+)", s)
     if m:
-        return symmetric_group(_check_degree(int(m.group(1))))
+        return symmetric_group(_check_degree(_spec_int(m.group(1))))
     m = re.fullmatch(r"Z(\d+)(?:xZ(\d+))*", s)
     if m:
-        orders = [int(t) for t in re.findall(r"Z(\d+)", s)]
+        orders = [_spec_int(t) for t in re.findall(r"Z(\d+)", s)]
         if any(o < 1 for o in orders):
             raise ParseError("cyclic factors must be >= 1: %r" % spec)
         grp = cyclic_group(orders[0])
@@ -599,7 +607,7 @@ def parse_group(spec: str) -> FiniteGroup:
         return grp
     m = re.fullmatch(r"perm:(\d+):(.+)", s, re.DOTALL)
     if m:
-        degree = _check_degree(int(m.group(1)))
+        degree = _check_degree(_spec_int(m.group(1)))
         gen_texts = split_top_level(m.group(2))
         if not gen_texts:
             raise ParseError("perm group needs at least one generator")

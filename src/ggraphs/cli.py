@@ -4,7 +4,8 @@ Every subcommand writes deterministic output; text summaries start with a
 `format: 1` version line, JSON payloads carry a `"format": 1` key and
 re-import through the matching reader.  Exit codes: 0 success or positive
 decision, 1 negative decision, 2 inconclusive (search budget ran out),
-3 usage error, 4 internal error (a failed internal check or out of memory).
+3 usage error, 4 internal error (a failed internal check, out of memory or
+any other unexpected exception).
 The environment variable GGRAPH_BUDGET overrides default search budgets;
 GGRAPH_BACKEND picks the search kernel (auto|numba|python).
 """
@@ -20,8 +21,6 @@ from .errors import (
     BudgetExceeded,
     CapExceeded,
     GGraphError,
-    InternalAssertion,
-    NotAGroup,
     ParseError,
     PreconditionFailed,
     WitnessInvalid,
@@ -586,7 +585,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except (ParseError, PreconditionFailed, WitnessInvalid) as exc:
         stderr.write("error: %s\n" % exc)
         return EXIT_USAGE
-    except (InternalAssertion, NotAGroup, MemoryError) as exc:
+    except Exception as exc:  # InternalAssertion, NotAGroup, MemoryError or a bug
         stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         return EXIT_INTERNAL
 

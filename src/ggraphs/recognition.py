@@ -429,6 +429,17 @@ def witness_to_json(g: Multigraph, w: RecognitionWitness) -> dict:
     return data
 
 
+def _int_row(row, what: str) -> tuple:
+    """A JSON array of integers.  Strings and booleans are refused: "120"
+    would iterate as the row (1, 2, 0) and int(True) reads as 1."""
+    if not isinstance(row, list) or any(isinstance(x, (str, bool)) for x in row):
+        raise ParseError("%s is not an integer array" % what)
+    try:
+        return tuple(int(x) for x in row)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
+        raise ParseError("%s is not an integer array" % what) from None
+
+
 def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitness:
     """Parse the witness format and close the generators into H.
 
@@ -443,11 +454,13 @@ def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitne
             raise ParseError("witness is not valid JSON: %s" % exc) from exc
     if not isinstance(data, dict):
         raise ParseError("witness JSON must be an object")
-    try:
-        vmaps = [tuple(int(x) for x in row) for row in data["H_generators"]]
-        C = [int(x) for x in data["C"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError("witness JSON needs H_generators and C arrays") from exc
+    if not isinstance(data.get("H_generators"), list) or "C" not in data:
+        raise ParseError("witness JSON needs H_generators and C arrays")
+    vmaps = [
+        _int_row(row, "H_generators entry %d" % i)
+        for i, row in enumerate(data["H_generators"])
+    ]
+    C = list(_int_row(data["C"], "C"))
     emaps = data.get("H_generator_edge_maps")
     if emaps is not None and (
         not isinstance(emaps, (list, tuple)) or len(emaps) != len(vmaps)
@@ -461,12 +474,7 @@ def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitne
         if row is None:
             em = infer_edge_map(g, vmap)
         else:
-            try:
-                em = tuple(int(x) for x in row)
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(
-                    "H_generator_edge_maps entry %d is not an integer list" % i
-                ) from None
+            em = _int_row(row, "H_generator_edge_maps entry %d" % i)
         if sorted(em) != list(range(g.n_edges)):
             raise WitnessInvalid("an H element's edge map is not a permutation")
         gens.append(GraphAut(tuple(vmap), em))

@@ -226,6 +226,14 @@ def test_parse_group_refuses_large_degree_before_any_perm(no_permutations):
     assert al._check_degree(cap) == cap
 
 
+def test_parse_group_refuses_overlong_numbers(no_permutations):
+    """int() refuses literals over 4300 digits with a bare ValueError."""
+    digits = "1" + "0" * 5000
+    for spec in ("S" + digits, "Z" + digits, "Z2xZ" + digits, "perm:%s:(1,2)" % digits):
+        with pytest.raises(ParseError, match="5001 digits"):
+            al.parse_group(spec)
+
+
 def test_generating_set_generates_greedily():
     for g in (al.symmetric_group(5), al.parse_group("Z2xZ2xZ4"), al.quaternion_group()):
         gens = al.generating_set(g.mul, g.identity)

@@ -284,6 +284,12 @@ def test_build_refuses_huge_permutation_degree(no_permutations):
     assert err.startswith("inconclusive: permutation degree 99999999 exceeds cap")
 
 
+def test_build_overlong_group_number_is_a_parse_error(no_permutations):
+    code, out, err = cli("build", "-g", "S1" + "0" * 5000, "-s", "(1,2)")
+    assert code == 3 and out == ""
+    assert err == "error: number in group spec has 5001 digits\n"
+
+
 @pytest.mark.parametrize("where", ["vertex", "part", "edge", "C", "H", "edge_map"])
 def test_recognize_non_finite_number_is_a_parse_error(where):
     graph = {
@@ -414,7 +420,14 @@ def test_oversized_group_exit_two():
 
 
 @pytest.mark.parametrize(
-    "exc", [InternalAssertion("kernel disagrees"), NotAGroup("associativity fails"), MemoryError()]
+    "exc",
+    [
+        InternalAssertion("kernel disagrees"),
+        NotAGroup("associativity fails"),
+        MemoryError(),
+        ValueError("stray"),
+        KeyError("missing"),
+    ],
 )
 def test_internal_error_exit_four(monkeypatch, exc):
     def broken(args, out):

@@ -337,6 +337,22 @@ def test_witness_json_rejects_malformed():
 
 
 @pytest.mark.parametrize(
+    "data",
+    [
+        {"H_generators": ["120"], "C": "0"},
+        {"H_generators": [[1, 2, 0]], "C": "0"},
+        {"H_generators": "120", "C": [0]},
+        {"H_generators": [[1, 2, 0]], "C": [False]},
+        {"H_generators": [[True, 2, 0]], "C": [0]},
+    ],
+)
+def test_witness_json_rejects_strings_and_bools(data):
+    """Iterating a string row would read "120" as the generator (1, 2, 0)."""
+    with pytest.raises(ParseError):
+        witness_from_json(cycle_graph(3), data)
+
+
+@pytest.mark.parametrize(
     "edge_maps,error",
     [
         ([[0, "a"], None], ParseError),
@@ -345,6 +361,7 @@ def test_witness_json_rejects_malformed():
         (3, ParseError),
         ([[0, 9], None], WitnessInvalid),
         ([[0, 0], None], WitnessInvalid),
+        (["10", None], ParseError),
     ],
 )
 def test_witness_json_rejects_bad_edge_maps(edge_maps, error):

@@ -1,11 +1,14 @@
-"""The flat-sequence tau-search kernel against the numpy body it replaced.
+"""The propagating tau-search kernel against the checking body it grew from.
 
-The oracle below is the former kernel, kept verbatim apart from its name and
-the status constants: it indexed a 2-D ``sig_pow`` and a 2-D ``out`` as
-numpy arrays and allocated its own working copies and stacks.  The flat body
-must return the same (status, found, nodes) and the same solution rows, in
-the same order, for every outcome: a full search, a search cut by its node
-budget, and one that fills its output buffer.
+The oracle below is the original kernel, kept verbatim apart from its name
+and the status constants: it indexed a 2-D ``sig_pow`` and a 2-D ``out`` as
+numpy arrays, allocated its own working copies and stacks, and only checked
+the braid and the defining relation where the current kernel also forces
+values from them.  Propagation changes the node count but cuts no
+certificate and keeps the branching order, so the current body must return
+the oracle's status and solution rows, in the same order, in at most the
+oracle's number of nodes: for a full search, a search cut by its node budget
+(a prefix of the full run), and one that fills its output buffer.
 """
 
 import numpy as np
@@ -227,15 +230,16 @@ def new_run(n, budget, want_all, cap):
 
 def test_flat_inputs_are_the_old_arrays_flattened():
     for n in range(2, 26):
-        rho, sig, used, tau, st_a, st_b, out = _tauengine.search_arrays(n, 3)
-        assert all(type(xs) is list for xs in (rho, sig, used, tau, st_a, st_b, out))
+        arrays = _tauengine.search_arrays(n, 3)
+        rho, sig, used, tau, st_a, st_b, trail, mark, out = arrays
+        assert all(type(xs) is list for xs in arrays)
         old = old_search_arrays(n)
         assert [rho, sig, used, tau] == [a.ravel().tolist() for a in old]
-        assert st_a == st_b == [0] * (n + 2)
+        assert st_a == st_b == trail == mark == [0] * (n + 2)
         assert out == [0] * (3 * (n + 1))
         numba_layout = _tauengine.search_arrays(n, 3, "numba")
         assert all(a.dtype == np.int64 and a.ndim == 1 for a in numba_layout)
-        assert [a.tolist() for a in numba_layout] == [rho, sig, used, tau, st_a, st_b, out]
+        assert [a.tolist() for a in numba_layout] == list(arrays)
 
 
 def test_body_on_numba_layout_matches_lists():
@@ -251,11 +255,22 @@ def test_body_on_numba_layout_matches_lists():
 
 @pytest.mark.parametrize("want_all", [0, 1])
 def test_full_search_matches_oracle(want_all):
-    for n in range(2, 23):
+    for n in range(2, 23 if want_all else 24):
         cap = 1024 if want_all else 1
-        got = new_run(n, 10**7, want_all, cap)
-        assert got[0][0] == _tauengine.OK
-        assert got == old_run(n, 10**7, want_all, cap), n
+        (status, found, nodes), rows = new_run(n, 10**7, want_all, cap)
+        (o_status, o_found, o_nodes), o_rows = old_run(n, 10**7, want_all, cap)
+        assert status == o_status == _tauengine.OK
+        assert (found, rows) == (o_found, o_rows), n
+        assert nodes <= o_nodes, n
+
+
+def test_exhaustive_node_counts():
+    """Branch assignments of the exhaustive search for n = 17..22, the
+    ikn-exhaustive workload: 117,757 in all, against the checking body's
+    282,709."""
+    counts = {n: new_run(n, 10**7, 1, 1024)[0][2] for n in range(17, 23)}
+    assert counts == {17: 2725, 18: 4135, 19: 9150, 20: 14195, 21: 34141, 22: 53411}
+    assert new_run(6, 10**7, 1, 1024)[0] == (_tauengine.OK, 0, 4)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 7, 50, 400, 3000])
@@ -263,18 +278,26 @@ def test_budget_stop_matches_oracle(budget):
     stopped = 0
     for n in (5, 9, 13, 16, 17, 19):
         for want_all in (0, 1):
-            got = new_run(n, budget, want_all, 64)
-            assert got == old_run(n, budget, want_all, 64), (n, want_all)
-            stopped += got[0][0] == _tauengine.OUT_OF_BUDGET
+            full = new_run(n, 10**7, want_all, 64)
+            assert full[1] == old_run(n, 10**7, want_all, 64)[1], (n, want_all)
+            (status, found, nodes), rows = new_run(n, budget, want_all, 64)
+            if full[0][2] > budget:
+                assert status == _tauengine.OUT_OF_BUDGET, (n, want_all)
+                assert nodes == budget + 1
+                assert rows == full[1][:found]
+                stopped += 1
+            else:
+                assert ((status, found, nodes), rows) == full, (n, want_all)
     assert stopped > 0
 
 
 @pytest.mark.parametrize("cap", [1, 2])
 def test_full_buffer_matches_oracle(cap):
     for n in (7, 8, 9, 11, 13, 16, 17, 19):
-        got = new_run(n, 10**7, 1, cap)
-        assert got[0][0] == _tauengine.OUT_OF_SPACE
-        assert got == old_run(n, 10**7, 1, cap), n
+        (status, found, nodes), rows = new_run(n, 10**7, 1, cap)
+        (o_status, o_found, _), o_rows = old_run(n, 10**7, 1, cap)
+        assert status == o_status == _tauengine.OUT_OF_SPACE
+        assert (found, rows) == (o_found, o_rows), n
 
 
 def test_search_tau_retries_with_fresh_state_when_out_of_space(monkeypatch):
@@ -282,7 +305,7 @@ def test_search_tau_retries_with_fresh_state_when_out_of_space(monkeypatch):
 
     The first kernel call gets a two-row buffer, so it stops with
     OUT_OF_SPACE after dirtying its working state; the retry must still give
-    the oracle's certificates and node count."""
+    the certificates and node count of one uninterrupted run."""
     kernel, _ = _tauengine.get_kernel("python")
     calls = []
 
@@ -300,6 +323,6 @@ def test_search_tau_retries_with_fresh_state_when_out_of_space(monkeypatch):
         calls.clear()
         result = ikn.search_tau(n, "all", backend="python")
         assert calls == [2, 8192]
-        (status, found, nodes), rows = old_run(n, ikn.DEFAULT_BUDGET, 1, 1024)
+        (status, found, nodes), rows = new_run(n, ikn.DEFAULT_BUDGET, 1, 1024)
         assert result.nodes == nodes and len(result.certificates) == found > 2
         assert [list(c.tau.img) for c in result.certificates] == [row[1:] for row in rows]
