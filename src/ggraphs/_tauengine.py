@@ -107,22 +107,11 @@ def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, ma
             a0 = p
             break
     if a0 == 0:
-        # n <= 3: nothing to branch on, check the seed assignment directly
-        ok = True
-        for k in range(1, n - 1):
-            e1 = tau[k]
-            e2 = tau[rho[e1]]
-            for p in range(1, n + 1):
-                if tau[sig[k * w + tau[p]]] != sig[e1 * w + tau[sig[e2 * w + p]]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for p in range(w):
-                out[p] = tau[p]
-            found = 1
-        return OK, found, nodes
+        # n = 2: tau is fully seeded and the relation has no row k in
+        # 1..n-2 to check, so the seed itself is the one certificate
+        for p in range(w):
+            out[p] = tau[p]
+        return OK, 1, nodes
 
     depth = 0
     st_a[0] = a0

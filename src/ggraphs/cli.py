@@ -274,17 +274,20 @@ def _cmd_bipartite_test(args, out) -> int:
     ]
     if mode == "sufficient":
         w = sufficient_bipartite_test(grp, s, t)
-        if args.output == "json":
-            _emit_json(
-                out,
-                {
-                    "format": 1,
-                    "test": mode,
-                    "found": w is not None,
-                    "witness": None if w is None else w.to_json(),
-                },
-            )
-            return EXIT_OK if w is not None else EXIT_NEGATIVE
+    else:
+        w = necessary_bipartite_witness(build_phi(grp, [s, t]), budget=args.budget)
+    if args.output == "json":
+        _emit_json(
+            out,
+            {
+                "format": 1,
+                "test": mode,
+                "found": w is not None,
+                "witness": None if w is None else w.to_json(),
+            },
+        )
+        return EXIT_OK if w is not None else EXIT_NEGATIVE
+    if mode == "sufficient":
         if w is None:
             _emit(out, head + ["decision: no endomorphism witness of the form"
                                " f(s) in <t>, f(t) in <s> exists"])
@@ -302,19 +305,6 @@ def _cmd_bipartite_test(args, out) -> int:
             ],
         )
         return EXIT_OK
-    gg = build_phi(grp, [s, t])
-    w = necessary_bipartite_witness(gg, budget=args.budget)
-    if args.output == "json":
-        _emit_json(
-            out,
-            {
-                "format": 1,
-                "test": mode,
-                "found": w is not None,
-                "witness": None if w is None else w.to_json(),
-            },
-        )
-        return EXIT_OK if w is not None else EXIT_NEGATIVE
     if w is None:
         _emit(out, head + ["decision: no level-swapping involution exists;"
                            " the incidence graph is not a G-graph"])
@@ -576,10 +566,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except UsageError as exc:
         stderr.write("usage error: %s\n" % exc)
         return EXIT_USAGE
-    except BudgetExceeded as exc:
-        stderr.write("inconclusive: %s\n" % exc)
-        return EXIT_INCONCLUSIVE
-    except CapExceeded as exc:
+    except (BudgetExceeded, CapExceeded) as exc:
         stderr.write("inconclusive: %s\n" % exc)
         return EXIT_INCONCLUSIVE
     except (ParseError, PreconditionFailed, WitnessInvalid) as exc:

@@ -32,6 +32,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .ggraph import GGraph, ItemReport, build_phi, level_vertices
+from .multigraph import _json_int
 
 DEFAULT_BUDGET = 10_000_000
 SEARCH_MODES = ("first_only", "all", "up_to_conjugacy")
@@ -141,9 +142,9 @@ class TauCertificate:
         if not isinstance(data, dict):
             raise ParseError("certificate must be a JSON object")
         try:
-            n = int(data["n"])
-            img = tuple(int(x) for x in data["tau"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            n = _json_int(data["n"], "'n'")
+            img = tuple(_json_int(x, "a 'tau' entry") for x in data["tau"])
+        except (KeyError, TypeError):
             raise ParseError("certificate needs integer 'n' and integer list 'tau'") from None
         if len(img) != n or sorted(img) != list(range(1, n + 1)):
             raise ParseError("'tau' is not a permutation of 1..%d" % n)
@@ -166,9 +167,9 @@ class Obstruction:
         if not isinstance(data, dict):
             raise ParseError("obstruction must be a JSON object")
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"], "'n'")
             kind = str(data["kind"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+        except KeyError:
             raise ParseError("obstruction needs 'n' and 'kind'") from None
         if kind not in OBSTRUCTION_KINDS:
             raise ParseError("unknown obstruction kind %r" % kind)

@@ -540,7 +540,7 @@ def import_json(data) -> Multigraph:
     if len(set(ids)) != len(ids):
         raise ParseError("duplicate vertex ids")
     remap = {old: new for new, old in enumerate(sorted(ids))}
-    for it in sorted(vspecs, key=lambda it: int(it["id"])):
+    for _, it in sorted(zip(ids, vspecs), key=lambda pair: pair[0]):
         part = it.get("part")
         g.add_vertex(
             str(it.get("label", "")),
@@ -549,25 +549,29 @@ def import_json(data) -> Multigraph:
     if not all(isinstance(it, dict) for it in especs):
         raise ParseError("edge entries must be objects")
     especs = sorted(especs, key=lambda it: _json_int(it.get("id", 0), "edge id"))
-    eids = [int(it.get("id", i)) for i, it in enumerate(especs)]
+    eids = [_json_int(it.get("id", i), "edge id") for i, it in enumerate(especs)]
     if len(set(eids)) != len(eids):
         raise ParseError("duplicate edge ids")
     for it in especs:
         try:
-            u, v = remap[int(it["u"])], remap[int(it["v"])]
+            u = remap[_json_int(it["u"], "edge end")]
+            v = remap[_json_int(it["v"], "edge end")]
         except KeyError:
             raise ParseError("edge references unknown vertex") from None
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError("edge ends must be vertex ids") from None
         g.add_edge(u, v, str(it.get("label", "")))
     return g
 
 
 def _json_int(value, what: str) -> int:
-    try:
+    """The one rule for an integer read from JSON: an int that is no bool,
+    or a float with an integral value (json reads 2.0 and 1e3 as floats).
+    Anything else, a fractional float, inf, nan or a numeric string
+    included, raises ParseError."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
-        raise ParseError("%s must be an integer, got %r" % (what, value)) from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError("%s must be an integer, got %r" % (what, value))
 
 
 def export_dot(g: Multigraph) -> str:

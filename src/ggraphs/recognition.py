@@ -17,7 +17,6 @@ import numpy as np
 from .algebra import (
     FiniteGroup,
     PermClosure,
-    element_order,
     group_from_table,
     orbits,
     perm_closure,
@@ -34,6 +33,7 @@ from .multigraph import (
     GraphAut,
     IsoWitness,
     Multigraph,
+    _json_int,
     _map_rows,
     _permutation_rows,
     map_defect,
@@ -45,25 +45,20 @@ def identity_aut(g: Multigraph) -> GraphAut:
     return GraphAut(tuple(range(g.n_vertices)), tuple(range(g.n_edges)))
 
 
-def _aut_rows(g: Multigraph, auts) -> np.ndarray:
-    """Each automorphism as one permutation of V and E taken together: the
-    vertex map, then the edge map offset by n_vertices."""
-    nv = g.n_vertices
-    rows = [a.vertex_map + tuple(nv + x for x in a.edge_map) for a in auts]
-    return np.array(rows, dtype=np.int32).reshape(len(rows), nv + g.n_edges)
-
-
 def close_under_composition(
     g: Multigraph, gens, cap: int = 20000
 ) -> list[GraphAut]:
     """The subgroup generated by gens, sorted with the identity first.
 
-    Sorting is by (vertex_map, edge_map); the identity is lexicographically
-    minimal so it always lands at index 0.
+    Each automorphism acts as one permutation of V and E taken together:
+    the vertex map, then the edge map offset by n_vertices.  Sorting is by
+    (vertex_map, edge_map); the identity is lexicographically minimal so it
+    always lands at index 0.
     """
     nv = g.n_vertices
+    rows = [a.vertex_map + tuple(nv + x for x in a.edge_map) for a in gens]
     try:
-        closure = perm_closure(_aut_rows(g, gens), nv + g.n_edges, cap)
+        closure = perm_closure(rows, nv + g.n_edges, cap)
     except CapExceeded:
         raise CapExceeded("automorphism closure exceeds cap %d" % cap) from None
     return sorted(
@@ -80,12 +75,6 @@ class RecognitionWitness:
     C: list[int]
 
 
-def witness_from_generators(
-    g: Multigraph, gens, C, cap: int = 20000
-) -> RecognitionWitness:
-    return RecognitionWitness(close_under_composition(g, gens, cap), list(C))
-
-
 def shifts_of(gg: GGraph) -> RecognitionWitness:
     """H = the distinct shifts, C = the colour clique of the identity."""
     H = sorted(set(shifts(gg)))
@@ -96,28 +85,30 @@ def shifts_of(gg: GGraph) -> RecognitionWitness:
 # characterisation checks
 
 
-def vertex_orbits(g: Multigraph, H) -> list[list[int]]:
-    """Orbits of H on vertices, each ascending, ordered by minimum."""
-    maps = [a.vertex_map for a in H]
-    return [orb.tolist() for orb in orbits(maps, g.n_vertices)]
+def vertex_orbits(g: Multigraph, vertex_maps) -> list[list[int]]:
+    """Orbits of H, given by its vertex maps (k rows), on vertices, each
+    ascending, ordered by minimum."""
+    return [orb.tolist() for orb in orbits(vertex_maps, g.n_vertices)]
 
 
-def stabilizer(H, u: int) -> list[GraphAut]:
-    return [a for a in H if a.vertex_map[u] == u]
+def stabilizer(vertex_maps, u: int) -> np.ndarray:
+    """The indices of the rows of vertex_maps (a (k, n_vertices) array or
+    k sequences) that fix u."""
+    return np.flatnonzero(np.asarray(vertex_maps)[:, u] == u)
 
 
-def _aut_order(a: GraphAut) -> int:
-    k = 1
-    b = a
-    while not b.is_identity():
-        b = b.compose(a)
-        k += 1
-    return k
-
-
-def is_cyclic_subgroup(elems) -> bool:
-    n = len(elems)
-    return any(_aut_order(a) == n for a in elems)
+def _cyclic_generator(rows: np.ndarray, stab) -> int | None:
+    """The first of the rows indexed by stab whose order is len(stab), or
+    None.  When the rows form a group, the stabiliser is cyclic exactly when
+    such an element exists, and that element generates it."""
+    k = len(stab)
+    for i in stab:
+        try:
+            if len(perm_closure(rows[i : i + 1], rows.shape[1], k).elems) == k:
+                return int(i)
+        except CapExceeded:  # its order exceeds k
+            pass
+    return None
 
 
 def edges_toward(g: Multigraph, u: int, orbit) -> list[int]:
@@ -129,29 +120,31 @@ def edges_toward(g: Multigraph, u: int, orbit) -> list[int]:
     return sorted(eid for eid, w in g.adj()[u] if w in members)
 
 
-def acts_regularly_on_edges(stab, edge_ids) -> tuple[bool, str]:
-    """Regular = transitive + free; checked by direct orbit enumeration."""
+def acts_regularly_on_edges(edge_maps, edge_ids) -> tuple[bool, str]:
+    """Whether a stabiliser, given by its edge maps (k rows), acts regularly
+    (transitively and freely) on the edge set edge_ids.
+
+    Regular means k edges and one orbit: the orbit of the first edge under
+    the maps is the whole set.  When that orbit leaves the set, the detail
+    names the smallest edge of the set that some map sends outside it.
+    """
     edge_ids = list(edge_ids)
     if not edge_ids:
         return False, "empty edge set"
-    if len(edge_ids) != len(stab):
-        return False, "|edges| = %d but |Stab| = %d" % (len(edge_ids), len(stab))
-    target = set(edge_ids)
-    reached = {edge_ids[0]}
-    stack = [edge_ids[0]]
-    while stack:
-        x = stack.pop()
-        for a in stab:
-            y = a.edge_map[x]
-            if y not in target:
-                return False, "edge %d leaves the set under the action" % x
-            if y not in reached:
-                reached.add(y)
-                stack.append(y)
-    if len(reached) != len(target):
+    if len(edge_ids) != len(edge_maps):
+        return False, "|edges| = %d but |Stab| = %d" % (len(edge_ids), len(edge_maps))
+    edge_maps = np.asarray(edge_maps)
+    inside = np.zeros(edge_maps.shape[1], dtype=bool)
+    inside[edge_ids] = True
+    orbit = orbits(edge_maps, len(inside), edge_ids[:1])[0]
+    if not inside[orbit].all():
+        leaves = ~inside[edge_maps[:, edge_ids]].all(axis=0)
+        x = int(np.asarray(edge_ids)[leaves].min())
+        return False, "edge %d leaves the set under the action" % x
+    if len(orbit) != len(edge_ids):
         return False, "action is not transitive (%d of %d edges reached)" % (
-            len(reached),
-            len(target),
+            len(orbit),
+            len(edge_ids),
         )
     # transitive with |set| == |group| forces freeness (orbit-stabilizer)
     return True, ""
@@ -176,11 +169,15 @@ class RecognitionReport:
         return out
 
 
-def _validate_maps(g: Multigraph, w: RecognitionWitness) -> None:
-    """Hard structural validation; errors here make the checks meaningless."""
+def _validate_maps(g: Multigraph, w: RecognitionWitness):
+    """Hard structural validation; errors here make the checks meaningless.
+    Returns H's vertex maps and edge maps as (|H|, n) int32 arrays, in the
+    order of w.H."""
     nv, ne = g.n_vertices, g.n_edges
-    v_ok = _permutation_rows(_map_rows([a.vertex_map for a in w.H], nv), nv)
-    e_ok = _permutation_rows(_map_rows([a.edge_map for a in w.H], ne), ne)
+    V = _map_rows([a.vertex_map for a in w.H], nv)
+    E = _map_rows([a.edge_map for a in w.H], ne)
+    v_ok = _permutation_rows(V, nv)
+    e_ok = _permutation_rows(E, ne)
     bad = np.flatnonzero(~(v_ok & e_ok))
     if len(bad):
         what = "edge" if v_ok[bad[0]] else "vertex"
@@ -192,35 +189,61 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness) -> None:
         raise WitnessInvalid("C contains repeated vertices")
     if not w.H:
         raise WitnessInvalid("H is empty")
+    return V, E
 
 
-def _witness_defects(g: Multigraph, w: RecognitionWitness, need_loops: bool):
-    defects = []
-    reason = map_defect(
-        g, g, [a.vertex_map for a in w.H], [a.edge_map for a in w.H]
-    )
-    if reason is not None:
-        defects.append("H element is not an automorphism: " + reason)
-    if not any(a.is_identity() for a in w.H):
-        defects.append("H does not contain the identity")
-    if _closure_of(g, w.H) is None:
-        defects.append("H is not closed under composition")
-    for i, u in enumerate(w.C):
-        for v in w.C[i + 1 :]:
-            if g.multiplicity(u, v) == 0:
-                defects.append("C is not a clique: %d and %d not adjacent" % (u, v))
-    if need_loops:
-        for u in w.C:
-            if not g.loops_at(u):
-                defects.append("C vertex %d carries no loop" % u)
-    return defects
+def _closure_of(rows: np.ndarray) -> PermClosure | None:
+    """The group generated by generators picked greedily from the rows, or
+    None when it has more elements than there are distinct rows.  Each row
+    not yet generated joins the generators, so the group contains every
+    row, and it equals the rows exactly when they are closed under
+    composition."""
+    cap = len({row.tobytes() for row in rows})
+    gens: list[np.ndarray] = []
+    closure = perm_closure(gens, rows.shape[1])
+    for row in rows:
+        if row.tobytes() in closure.index:
+            continue
+        gens.append(row)
+        try:
+            closure = perm_closure(gens, rows.shape[1], cap)
+        except CapExceeded:
+            return None
+    return closure
 
 
 def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
-    _validate_maps(g, w)
-    details = _witness_defects(g, w, need_loops=with_loops)
+    """The report, and what reconstruct builds on: H as one int32 array in
+    sorted-H order, each row a permutation of V and E taken together (the
+    vertex map, then the edge map offset by n_vertices); the closure of H,
+    None when H is not closed; and per vertex of C the first element of its
+    stabiliser whose order is |Stab|, None when there is none.
+
+    H is validated and tested for automorphisms in the order given, so that
+    the error or the detail names the first offending element."""
+    V, E = _validate_maps(g, w)
+    details = []
+    reason = map_defect(g, g, V, E)
+    if reason is not None:
+        details.append("H element is not an automorphism: " + reason)
+    order = sorted(range(len(w.H)), key=w.H.__getitem__)
+    V, E = V[order], E[order]
+    rows = np.hstack((V, E + g.n_vertices))
+    if not (rows == np.arange(rows.shape[1])).all(axis=1).any():
+        details.append("H does not contain the identity")
+    closure = _closure_of(rows)
+    if closure is None:
+        details.append("H is not closed under composition")
+    for i, u in enumerate(w.C):
+        for v in w.C[i + 1 :]:
+            if g.multiplicity(u, v) == 0:
+                details.append("C is not a clique: %d and %d not adjacent" % (u, v))
+    if with_loops:
+        for u in w.C:
+            if not g.loops_at(u):
+                details.append("C vertex %d carries no loop" % u)
     witness_ok = not details
-    orbits = vertex_orbits(g, w.H)
+    orbits = vertex_orbits(g, V)
     orbit_of = {}
     for i, orb in enumerate(orbits):
         for v in orb:
@@ -247,21 +270,20 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
         details.append("orbit of vertex %d misses C" % orbits[missed][0])
     conditions["clique_meets_orbits"] = ok
 
-    stabs = {u: stabilizer(w.H, u) for u in w.C}
-    ok = True
-    for u in w.C:
-        if not is_cyclic_subgroup(stabs[u]):
+    stabs = [stabilizer(V, u) for u in w.C]
+    gens = [_cyclic_generator(rows, stab) for stab in stabs]
+    for u, x in zip(w.C, gens):
+        if x is None:
             details.append("Stab_H %d is not cyclic" % u)
-            ok = False
-    conditions["stabilizers_cyclic"] = ok
+    conditions["stabilizers_cyclic"] = None not in gens
 
     ok = True
-    for u in w.C:
+    for u, stab in zip(w.C, stabs):
         for i, orb in enumerate(orbits):
             if not with_loops and orbit_of[u] == i:
                 continue
             regular, reason = acts_regularly_on_edges(
-                stabs[u], edges_toward(g, u, orb)
+                E[stab], edges_toward(g, u, orb)
             )
             if not regular:
                 details.append(
@@ -271,19 +293,20 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
                 ok = False
     conditions["regular_action"] = ok
 
-    return RecognitionReport(with_loops, witness_ok, conditions, details)
+    report = RecognitionReport(with_loops, witness_ok, conditions, details)
+    return report, rows, closure, gens
 
 
 def check_with_loops(g: Multigraph, w: RecognitionWitness) -> RecognitionReport:
     """The three conditions of the with-loops characterisation."""
-    return _run_checks(g, w, with_loops=True)
+    return _run_checks(g, w, with_loops=True)[0]
 
 
 def check_simple(g: Multigraph, w: RecognitionWitness) -> RecognitionReport:
     """The four conditions of the loop-free characterisation."""
     if g.has_loops():
         raise PreconditionFailed("graph has loops; use check_with_loops")
-    return _run_checks(g, w, with_loops=False)
+    return _run_checks(g, w, with_loops=False)[0]
 
 
 def check(g: Multigraph, w: RecognitionWitness) -> RecognitionReport:
@@ -305,34 +328,12 @@ class ReconstructionResult:
     report: RecognitionReport
 
 
-def _closure_of(g: Multigraph, H) -> PermClosure | None:
-    """The group generated by generators picked greedily from H, or None when
-    it has more elements than H.  Each element of H not yet generated joins
-    the generators, so the group contains H, and it equals H exactly when H
-    is closed under composition."""
-    rows = _aut_rows(g, H)
-    cap = len({row.tobytes() for row in rows})
-    gens: list[np.ndarray] = []
-    closure = perm_closure(gens, rows.shape[1])
-    for row in rows:
-        if row.tobytes() in closure.index:
-            continue
-        gens.append(row)
-        try:
-            closure = perm_closure(gens, rows.shape[1], cap)
-        except CapExceeded:
-            return None
-    return closure
-
-
-def _group_of(g: Multigraph, H: list[GraphAut]) -> FiniteGroup:
-    """The multiplication table of H, indexed in the order of the list H."""
-    closure = _closure_of(g, H)
-    if closure is None:
-        raise InternalAssertion("H is not closed under composition")
-    at = np.array([closure.index[row.tobytes()] for row in _aut_rows(g, H)])
+def _group_of(closure: PermClosure, rows: np.ndarray) -> FiniteGroup:
+    """The multiplication table of the closed set of rows, indexed in the
+    order of the rows."""
+    at = np.array([closure.index[row.tobytes()] for row in rows])
     pos = np.empty(len(closure.elems), dtype=np.int32)
-    pos[at] = np.arange(len(H))
+    pos[at] = np.arange(len(rows))
     return group_from_table(pos[closure.table()[np.ix_(at, at)]], name="H")
 
 
@@ -345,23 +346,13 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
     a fixed chosen edge between u and v (the minimal edge id).
     """
     with_loops = g.has_loops()
-    report = check(g, w)
+    report, rows, closure, gens = _run_checks(g, w, with_loops)
     if not report.ok:
         raise WitnessInvalid(
             "characterisation conditions fail: " + "; ".join(report.details)
         )
-    H = sorted(w.H)
-    grp = _group_of(g, H)
+    grp = _group_of(closure, rows)
     C = list(w.C)
-
-    gens = []
-    for u in C:
-        stab = [i for i in range(len(H)) if H[i].vertex_map[u] == u]
-        k = len(stab)
-        cands = [i for i in stab if element_order(grp, i) == k]
-        if not cands:
-            raise InternalAssertion("cyclic stabilizer has no generator")
-        gens.append(min(cands, key=lambda i: H[i]))
     builder = build_psi if with_loops else build_phi
     rebuilt = builder(grp, gens)
 
@@ -377,12 +368,13 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
         if with_loops:
             x0[(i, i)] = g.loops_at(C[i])[0]
 
-    inv_of = [H[int(grp.inv[x])] for x in range(len(H))]
+    # group element x is row x of H
+    nv, inv = g.n_vertices, grp.inv
     vimg = []
     for v in range(rebuilt.graph.n_vertices):
         lvl = rebuilt.vertex_level(v)
         rep = rebuilt.vertex_coset(v).rep
-        vimg.append(inv_of[rep].vertex_map[C[lvl]])
+        vimg.append(int(rows[inv[rep], C[lvl]]))
     eimg = []
     for e in rebuilt.graph.edges:
         x = int(rebuilt.edge_glabel[e.id])
@@ -391,7 +383,7 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
         else:
             i, j = rebuilt.vertex_level(e.u), rebuilt.vertex_level(e.v)
             pair = (min(i, j), max(i, j))
-        eimg.append(inv_of[x].edge_map[x0[pair]])
+        eimg.append(int(rows[inv[x], nv + x0[pair]]) - nv)
 
     iso = IsoWitness(tuple(vimg), tuple(eimg))
     if not verify_iso_witness(
@@ -430,14 +422,11 @@ def witness_to_json(g: Multigraph, w: RecognitionWitness) -> dict:
 
 
 def _int_row(row, what: str) -> tuple:
-    """A JSON array of integers.  Strings and booleans are refused: "120"
-    would iterate as the row (1, 2, 0) and int(True) reads as 1."""
-    if not isinstance(row, list) or any(isinstance(x, (str, bool)) for x in row):
+    """A JSON array of integers, each read by multigraph._json_int.  A
+    string is refused: "120" would iterate as the row (1, 2, 0)."""
+    if not isinstance(row, list):
         raise ParseError("%s is not an integer array" % what)
-    try:
-        return tuple(int(x) for x in row)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: int(inf)
-        raise ParseError("%s is not an integer array" % what) from None
+    return tuple(_json_int(x, what) for x in row)
 
 
 def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitness:
@@ -478,4 +467,4 @@ def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitne
         if sorted(em) != list(range(g.n_edges)):
             raise WitnessInvalid("an H element's edge map is not a permutation")
         gens.append(GraphAut(tuple(vmap), em))
-    return witness_from_generators(g, gens, C, cap=cap)
+    return RecognitionWitness(close_under_composition(g, gens, cap), C)

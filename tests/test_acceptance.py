@@ -276,11 +276,11 @@ def test_criterion_6_recognition_round_trip_and_mutations():
     # primitive level the stabilizer can no longer be regular on the smaller
     # edge set; end to end, the shift family cannot even be realized as
     # automorphisms of the mutated graph.
-    orbits = vertex_orbits(gg.graph, w.H)
+    orbits = vertex_orbits(gg.graph, [a.vertex_map for a in w.H])
     u = w.C[0]
     other = next(o for o in orbits if u not in o)
     full = edges_toward(gg.graph, u, other)
-    stab = stabilizer(w.H, u)
+    stab = [w.H[x].edge_map for x in stabilizer([a.vertex_map for a in w.H], u)]
     assert acts_regularly_on_edges(stab, full)[0]
     regular, reason = acts_regularly_on_edges(stab, full[1:])
     assert not regular and "|Stab|" in reason

@@ -169,6 +169,30 @@ def test_bipartite_test_json_witness_schema():
     assert data["witness"]["f"] == [0, 2, 1, 3]
 
 
+def test_bipartite_necessary_json():
+    code, out, _ = cli(
+        "bipartite-test", "-g", "S3", "-s", "(1,2)", "-t", "(2,3)", "--necessary", "-o", "json"
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "format": 1,
+        "test": "necessary",
+        "found": True,
+        "witness": {"f": [0, 3, 5, 1, 4, 2], "involutive": True, "homomorphism": True},
+    }
+    code, out, _ = cli(
+        "bipartite-test", "-g", "Z6", "-s", "2", "-t", "3", "--necessary", "-o", "json"
+    )
+    assert code == 1
+    assert json.loads(out) == {"format": 1, "test": "necessary", "found": False, "witness": None}
+    code, out, err = cli(
+        "bipartite-test", "-g", "S5", "-s", "(1,2,3,4)", "-t", "(2,3,4,5)",
+        "--necessary", "--budget", "100", "-o", "json",
+    )
+    assert (code, out) == (2, "")
+    assert err == "inconclusive: automorphism search exceeded 100 nodes\n"
+
+
 # ---------------------------------------------------------------------------
 # summary contents
 

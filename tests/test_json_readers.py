@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ggraphs.errors import GGraphError, ParseError
 from ggraphs.ikn import OBSTRUCTION_KINDS, Obstruction, TauCertificate
-from ggraphs.multigraph import Multigraph, import_json
+from ggraphs.multigraph import Multigraph, export_json, import_json
 from ggraphs.recognition import witness_from_json
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None)
@@ -33,8 +33,9 @@ VALUES = st.recursive(
     max_leaves=12,
 )
 # often a small valid integer, so that a reader gets past its first field,
-# and often a number that int() refuses
-INTS = st.integers(-1, 4) | NON_FINITE | VALUES
+# often a number that int() refuses, and often a small float, integral
+# (accepted) or fractional (refused, never truncated)
+INTS = st.integers(-1, 4) | NON_FINITE | st.integers(-2, 9).map(lambda k: k / 2) | VALUES
 
 
 def only_ggraph_errors(read, data):
@@ -143,3 +144,75 @@ def test_infinite_numbers_are_parse_errors():
             TauCertificate.from_json(data)
     with pytest.raises(ParseError):
         Obstruction.from_json({"n": float("-inf"), "kind": "Mod4"})
+
+
+def triangle():
+    g = Multigraph()
+    for _ in range(3):
+        g.add_vertex()
+    for u, v in ((0, 1), (1, 2), (2, 0)):
+        g.add_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize(
+    "read,data",
+    [
+        (TauCertificate.from_json, {"n": 5.7, "tau": [1, 3, 2, 5, 4]}),
+        (TauCertificate.from_json, {"n": 5, "tau": [1, 3, 2, 5, 4.2]}),
+        (TauCertificate.from_json, {"n": True, "tau": [1]}),
+        (TauCertificate.from_json, {"n": 2, "tau": "21"}),
+        (Obstruction.from_json, {"n": 6.5, "kind": "Mod6"}),
+        (Obstruction.from_json, {"n": "6", "kind": "Mod6"}),
+        (lambda d: witness_from_json(triangle(), d), {"H_generators": [[1.5, 2, 0]], "C": [0]}),
+        (lambda d: witness_from_json(triangle(), d), {"H_generators": [[1, 2, 0]], "C": [0.9]}),
+        (import_json, {"vertices": [{"id": 0.5}]}),
+        (import_json, {"vertices": [{"id": True}]}),
+        (import_json, {"vertices": [{"id": "7"}]}),
+        (import_json, {"vertices": [{"id": 0, "part": 0.5}]}),
+        (import_json, {"vertices": [{"id": 0}], "edges": [{"id": 0.5, "u": 0, "v": 0}]}),
+        (import_json, {"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 0.5}]}),
+    ],
+)
+def test_fractional_bool_and_string_numbers_are_parse_errors(read, data):
+    with pytest.raises(ParseError):
+        read(data)
+    with pytest.raises(ParseError):
+        read(json.dumps(data))
+
+
+def test_integral_floats_read_as_integers():
+    cert = TauCertificate.from_json({"n": 5.0, "tau": [1.0, 3, 2, 5, 4e0]})
+    assert cert == TauCertificate.from_json({"n": 5, "tau": [1, 3, 2, 5, 4]})
+    assert Obstruction.from_json({"n": 6.0, "kind": "Mod6"}).n == 6
+    w = witness_from_json(triangle(), {"H_generators": [[1.0, 2, 0]], "C": [0.0]})
+    assert w.C == [0] and len(w.H) == 3
+    g = import_json(
+        {"vertices": [{"id": 2.0}, {"id": 1e1, "part": 1.0}], "edges": [{"id": 3.0, "u": 1e1, "v": 2}]}
+    )
+    assert export_json(g) == export_json(
+        import_json({"vertices": [{"id": 2}, {"id": 10, "part": 1}], "edges": [{"u": 10, "v": 2}]})
+    )
+
+
+@SETTINGS
+@given(CERTIFICATES)
+def test_certificate_reads_numbers_exactly(data):
+    """A certificate that reads back has exactly the numbers of its JSON."""
+    try:
+        cert = TauCertificate.from_json(data)
+    except GGraphError:
+        return
+    assert cert.n == data["n"]
+    assert list(cert.tau.img) == list(data["tau"])
+
+
+@SETTINGS
+@given(WITNESSES)
+def test_witness_reads_c_exactly(data):
+    """A witness that reads back has exactly the C of its JSON."""
+    try:
+        w = witness_from_json(doubled_path(), data)
+    except GGraphError:
+        return
+    assert w.C == list(data["C"])

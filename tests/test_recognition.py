@@ -101,7 +101,7 @@ def test_shifts_of_phi_z6():
     w = shifts_of(gg)
     assert len(w.H) == 6
     assert w.C == [gg.vertex_of(0, 0), gg.vertex_of(1, 0)]
-    orbits = vertex_orbits(gg.graph, w.H)
+    orbits = vertex_orbits(gg.graph, [a.vertex_map for a in w.H])
     assert orbits == [level_vertices(gg, 0), level_vertices(gg, 1)]
 
 
@@ -255,10 +255,10 @@ def test_stab_regular_on_every_vertex_and_level():
     ):
         w = shifts_of(gg)
         for u in range(gg.graph.n_vertices):
-            stab = stabilizer(w.H, u)
+            stab = stabilizer([a.vertex_map for a in w.H], u)
             for i in range(gg.n_levels):
                 ids = edges_toward(gg.graph, u, level_vertices(gg, i))
-                ok, reason = acts_regularly_on_edges(stab, ids)
+                ok, reason = acts_regularly_on_edges([w.H[x].edge_map for x in stab], ids)
                 assert ok, reason
 
 
