@@ -532,9 +532,9 @@ def kmn_build(m: int, n: int, l: int):
     m*l and n*l, intersection size l, level sizes (m, n), and the final
     complete-bipartite shape.
     """
-    plan = kmn_plan(m, n, l)
     if m * n * l > 3000:
         raise PreconditionFailed("m*n*l too large to build a dense table")
+    plan = kmn_plan(m, n, l)
     o1, o2 = m * plan.l1, n * plan.l2
     grp = direct_product(cyclic_group(o1), cyclic_group(o2))
     s = plan.s_coords[0] * o2 + plan.s_coords[1]

@@ -151,7 +151,10 @@ class TauCertificate:
         tau = Perm(img)
         if "cycles" in data and Perm.parse(str(data["cycles"]), n) != tau:
             raise ParseError("'cycles' disagrees with 'tau'")
-        return cls(n, tau, bool(data.get("canonical", False)))
+        canonical = data.get("canonical", False)
+        if not isinstance(canonical, bool):
+            raise ParseError("'canonical' must be true or false, got %r" % (canonical,))
+        return cls(n, tau, canonical)
 
 
 @dataclass(frozen=True)

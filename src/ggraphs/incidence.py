@@ -24,7 +24,6 @@ from .algebra import (
     power,
 )
 from .errors import (
-    BudgetExceeded,
     InternalAssertion,
     PreconditionFailed,
     WitnessInvalid,
@@ -35,6 +34,7 @@ from .multigraph import (
     GraphAut,
     IsoWitness,
     Multigraph,
+    _first_map,
     connected_components,
     induced_edge_map,
     map_defect,
@@ -260,13 +260,15 @@ def necessary_bipartite_witness(
 ) -> IncidenceWitnessMap | None:
     """Search for the f forced by the theorem when I(gg) is a G-graph.
 
-    Backtracks over involutive level-swapping vertex bijections tau that
-    preserve multiplicities and swap the end-points of the multi-edge
-    containing the label e.  Any such tau extends to a graph automorphism
-    (the edge action pairs multi-edges ascending, identity on self-paired
-    ones), and reading f off the edge labels then satisfies f(e) = e,
-    involutivity, and both displacement conditions, which are re-verified
-    exhaustively.  Returning None certifies that I(gg) is not a G-graph.
+    Searches, by individualise and refine, for the lex-first involutive
+    level-swapping vertex bijection tau that preserves multiplicities and
+    swaps the end-points of the multi-edge containing the label e; a node
+    is one individualised pair, the seed pair included.  Any such tau
+    extends to a graph automorphism (the edge action pairs multi-edges
+    ascending, identity on self-paired ones), and reading f off the edge
+    labels then satisfies f(e) = e, involutivity, and both displacement
+    conditions, which are re-verified exhaustively.  Returning None
+    certifies that I(gg) is not a G-graph.
     """
     if gg.with_loops or len(gg.gens) != 2:
         raise PreconditionFailed("need a loop-free G-graph over two occurrences")
@@ -275,58 +277,25 @@ def necessary_bipartite_witness(
     budget = resolve_budget(budget, DEFAULT_NECESSARY_BUDGET)
     grp = gg.group
     graph = gg.graph
-    V0, V1 = level_vertices(gg, 0), level_vertices(gg, 1)
-    if len(V0) != len(V1):
+    if len(level_vertices(gg, 0)) != len(level_vertices(gg, 1)):
         return None
-    k = len(V0)
     u0 = gg.vertex_of(0, grp.identity)
     u1 = gg.vertex_of(1, grp.identity)
 
-    # tau restricted to level 0 determines the involution; the seed pairs
-    # the identity-coset vertices so that f will fix the label e.
-    partner: dict[int, int] = {}
-    nodes = 0
-
-    def compatible(a: int, b: int) -> bool:
-        for a2, b2 in partner.items():
-            if graph.multiplicity(a, b2) != graph.multiplicity(b, a2):
-                return False
-        return True
-
-    def search(i: int):
-        nonlocal nodes
-        if i == k:
-            return dict(partner)
-        a = V0[i]
-        if a == u0:
-            choices = [u1] if u1 not in partner.values() else []
-        else:
-            choices = [b for b in V1 if b != u1 and b not in partner.values()]
-        for b in choices:
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(
-                    "automorphism search exceeded %d nodes" % budget,
-                    nodes=nodes,
-                )
-            if graph.multiplicity(a, b) != graph.multiplicity(b, a):
-                continue
-            if not compatible(a, b):
-                continue
-            partner[a] = b
-            found = search(i + 1)
-            if found is not None:
-                return found
-            del partner[a]
+    # side 1 colours each vertex by its level and side 2 by the other level,
+    # so every colour-preserving map swaps the levels; the seed pairs the
+    # identity-coset vertices so that f will fix the label e.
+    side1 = [gg.vertex_level(v) for v in range(graph.n_vertices)]
+    side2 = [1 - c for c in side1]
+    side1[u0] = side2[u1] = 2
+    side1[u1] = side2[u0] = 3
+    mult = {key: len(ids) for key, ids in graph.multi_edges().items()}
+    vmap = _first_map(
+        graph, graph, side1, side2, mult, mult, involution=True, budget=budget
+    )
+    if vmap is None:
         return None
 
-    match = search(0)
-    if match is None:
-        return None
-
-    vmap = list(range(graph.n_vertices))
-    for a, b in match.items():
-        vmap[a], vmap[b] = b, a
     emap = induced_edge_map(graph, graph, vmap)
     if emap is None or map_defect(graph, graph, [vmap], [emap]) is not None:
         raise InternalAssertion("matched map is not an automorphism")

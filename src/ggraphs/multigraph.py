@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, ParseError, PreconditionFailed
+from .errors import BudgetExceeded, CapExceeded, ParseError, PreconditionFailed
 
 ISO_SIZE_CAP = 2000
 
@@ -247,15 +247,6 @@ class GraphAut:
             tuple(self.edge_map[x] for x in other.edge_map),
         )
 
-    def inverse(self) -> "GraphAut":
-        vm = [0] * len(self.vertex_map)
-        em = [0] * len(self.edge_map)
-        for i, x in enumerate(self.vertex_map):
-            vm[x] = i
-        for i, x in enumerate(self.edge_map):
-            em[x] = i
-        return GraphAut(tuple(vm), tuple(em))
-
 
 IsoWitness = GraphAut
 
@@ -379,36 +370,80 @@ def _initial_colors(g: Multigraph, use_parts: bool, strict: bool):
     return keys, mult
 
 
-def _refine(colors1, colors2, g1, g2, mult1, mult2):
-    """Color refinement rounds; returns None on histogram mismatch."""
-    def neighbors(g, mult):
-        out = [[] for _ in range(g.n_vertices)]
-        for (a, b), m in mult.items():
-            if a != b:
-                out[a].append((b, m))
-                out[b].append((a, m))
-        return out
+def _neighbours(g: Multigraph, mult) -> list[list[tuple]]:
+    """Per vertex: (other end, multiplicity value) of each non-loop multi-edge."""
+    out = [[] for _ in range(g.n_vertices)]
+    for (a, b), m in mult.items():
+        if a != b:
+            out[a].append((b, m))
+            out[b].append((a, m))
+    return out
 
-    nb1, nb2 = neighbors(g1, mult1), neighbors(g2, mult2)
-    c1, c2 = list(colors1), list(colors2)
+
+def _refine(c1, c2, nb1, nb2):
+    """Colour refinement rounds until no class splits; None on a histogram
+    mismatch.  A vertex's next colour is its colour with the sorted (colour,
+    multiplicity) pairs of its neighbours, renumbered in one table shared by
+    both graphs, so the colours returned are 0..k-1 for k classes."""
     while True:
         if Counter(c1) != Counter(c2):
             return None
-        new1 = [
-            (c1[v], tuple(sorted((c1[w], m) for w, m in nb1[v])))
-            for v in range(g1.n_vertices)
-        ]
-        new2 = [
-            (c2[v], tuple(sorted((c2[w], m) for w, m in nb2[v])))
-            for v in range(g2.n_vertices)
-        ]
-        # canonical renumbering shared across both graphs
+        new1 = [(c, tuple(sorted([(c1[w], m) for w, m in nb]))) for c, nb in zip(c1, nb1)]
+        new2 = [(c, tuple(sorted([(c2[w], m) for w, m in nb]))) for c, nb in zip(c2, nb2)]
         table = {k: i for i, k in enumerate(sorted(set(new1) | set(new2)))}
         r1 = [table[k] for k in new1]
         r2 = [table[k] for k in new2]
-        if r1 == c1 and r2 == c2:
-            return c1, c2
+        if len(table) == len(set(c1)):  # no class split: the same partition
+            return r1, r2
         c1, c2 = r1, r2
+
+
+def _first_map(g1, g2, colors1, colors2, mult1, mult2, *, involution=False, budget=None):
+    """The lex-first colour-preserving isomorphism g1 -> g2 as a vertex list,
+    or None, by individualise and refine (McKay & Piperno, "Practical Graph
+    Isomorphism, II", J. Symbolic Comput. 60, 2014).
+
+    It branches on the smallest vertex v of g1 whose colour class is not a
+    single vertex and tries the vertices w of g2 in that class in ascending
+    order: v and w get one fresh colour and the colouring is refined.  A
+    histogram mismatch kills the branch; a colouring whose classes are
+    single vertices is the answer.  Refinement drops only maps that no
+    answer has, so the answer is the lex-first one.  With involution=True
+    (g1 is g2, and the two colourings correspond under an involution of the
+    colours) (w -> v) is individualised along with (v -> w); the refined
+    colourings keep that correspondence, so every map found is an
+    involution.  Every colouring refined is a node, the caller's own
+    included; more than budget nodes raise BudgetExceeded.
+    """
+    n = g1.n_vertices
+    nb1, nb2 = _neighbours(g1, mult1), _neighbours(g2, mult2)
+    nodes = 0
+    frames = []  # per depth: (colours1, colours2, branch vertex, candidates left)
+    todo = (colors1, colors2)
+    while True:
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded("automorphism search exceeded %d nodes" % budget, nodes=nodes)
+        refined = _refine(*todo, nb1, nb2)
+        if refined is not None:
+            c1, c2 = refined
+            size = Counter(c1)
+            v = next((x for x in range(n) if size[c1[x]] > 1), None)
+            if v is None:
+                at = {c: w for w, c in enumerate(c2)}
+                return [at[c] for c in c1]
+            frames.append((c1, c2, v, iter([w for w in range(n) if c2[w] == c1[v]])))
+        while frames and (w := next(frames[-1][3], None)) is None:
+            frames.pop()
+        if not frames:
+            return None
+        c1, c2, v, _ = frames[-1]
+        # refined colours are below n, so n and n + 1 are fresh
+        d1, d2 = list(c1), list(c2)
+        d1[v] = d2[w] = n
+        if involution:
+            d1[w] = d2[v] = n + 1
+        todo = (d1, d2)
 
 
 def isomorphic(
@@ -418,11 +453,10 @@ def isomorphic(
     strict_labels: bool = False,
     cap: int = ISO_SIZE_CAP,
 ) -> GraphAut | None:
-    """Backtracking isomorphism with color refinement.
+    """Isomorphism by colour refinement and individualisation.
 
-    Part tags participate only when both graphs are fully tagged. Candidate
-    vertices are tried in ascending id order, so the returned witness is
-    deterministic.
+    Part tags participate only when both graphs are fully tagged. The
+    witness is the lex-first vertex map, so it is deterministic.
     """
     if g1.n_vertices + g2.n_vertices > cap:
         raise CapExceeded(
@@ -434,54 +468,18 @@ def isomorphic(
     use_parts = g1.fully_part_tagged() and g2.fully_part_tagged()
     k1, mult1 = _initial_colors(g1, use_parts, strict_labels)
     k2, mult2 = _initial_colors(g2, use_parts, strict_labels)
-    table = {k: i for i, k in enumerate(sorted(set(k1) | set(k2)))}
-    refined = _refine([table[k] for k in k1], [table[k] for k in k2],
-                      g1, g2, mult1, mult2)
-    if refined is None:
-        return None
-    c1, c2 = refined
-
     if strict_labels:
-        lab1, lab2 = (
-            {k: sorted(g.edges[i].label for i in ids) for k, ids in g.multi_edges().items()}
+        # a multiplicity becomes (count, sorted labels), so refinement compares labels
+        mult1, mult2 = (
+            {k: (len(ids), tuple(sorted(g.edges[i].label for i in ids)))
+             for k, ids in g.multi_edges().items()}
             for g in (g1, g2)
         )
-
-    n = g1.n_vertices
-    fwd = [-1] * n  # g1 -> g2
-    used = [False] * n
-    order = list(range(n))  # ascending id assignment order
-
-    def feasible(v, w):
-        if c1[v] != c2[w]:
-            return False
-        for u in order:
-            fu = fwd[u]
-            if fu < 0 or u == v:
-                continue
-            if mult1.get(_pair_key(v, u), 0) != mult2.get(_pair_key(w, fu), 0):
-                return False
-            if strict_labels and lab1.get(_pair_key(v, u), []) != lab2.get(
-                _pair_key(w, fu), []
-            ):
-                return False
-        return True
-
-    def search(i):
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(n):
-            if not used[w] and feasible(v, w):
-                fwd[v] = w
-                used[w] = True
-                if search(i + 1):
-                    return True
-                fwd[v] = -1
-                used[w] = False
-        return False
-
-    if not search(0):
+    table = {k: i for i, k in enumerate(sorted(set(k1) | set(k2)))}
+    fwd = _first_map(
+        g1, g2, [table[k] for k in k1], [table[k] for k in k2], mult1, mult2
+    )
+    if fwd is None:
         return None
 
     # pair off edges inside each multi-edge; labels align under strict mode

@@ -41,10 +41,6 @@ from .multigraph import (
 )
 
 
-def identity_aut(g: Multigraph) -> GraphAut:
-    return GraphAut(tuple(range(g.n_vertices)), tuple(range(g.n_edges)))
-
-
 def close_under_composition(
     g: Multigraph, gens, cap: int = 20000
 ) -> list[GraphAut]:

@@ -65,6 +65,8 @@ def test_usage_errors_exit_three():
         ["build", "-g", "Z6", "-s", ""],  # empty generator list
         ["ikn", "verify", "1", "--tau", "(1)"],  # n < 2
         ["kmn", "100", "100", "4"],  # precondition: table too large
+        # too large, refused before factorising 10^18 + 3
+        ["kmn", "1000000000000000003", "1", "1"],
     ):
         code, _, err = cli(*argv)
         assert code == 3, argv
@@ -185,12 +187,13 @@ def test_bipartite_necessary_json():
     )
     assert code == 1
     assert json.loads(out) == {"format": 1, "test": "necessary", "found": False, "witness": None}
-    code, out, err = cli(
-        "bipartite-test", "-g", "S5", "-s", "(1,2,3,4)", "-t", "(2,3,4,5)",
-        "--necessary", "--budget", "100", "-o", "json",
-    )
+    s5 = ("bipartite-test", "-g", "S5", "-s", "(1,2,3,4)", "-t", "(2,3,4,5)", "--necessary")
+    code, out, err = cli(*s5, "--budget", "0", "-o", "json")
     assert (code, out) == (2, "")
-    assert err == "inconclusive: automorphism search exceeded 100 nodes\n"
+    assert err == "inconclusive: automorphism search exceeded 0 nodes\n"
+    code, out, _ = cli(*s5, "-o", "json")
+    assert code == 0
+    assert json.loads(out)["found"] is True
 
 
 # ---------------------------------------------------------------------------

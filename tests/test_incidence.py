@@ -11,7 +11,10 @@ from ggraphs.algebra import (
     dihedral_group,
     direct_product,
     element_order,
+    generated_subgroup,
     parse_element,
+    parse_group,
+    quaternion_group,
     symmetric_group,
 )
 from ggraphs.errors import BudgetExceeded, PreconditionFailed
@@ -26,7 +29,7 @@ from ggraphs.incidence import (
     sufficient_bipartite_test,
     witness_automorphism,
 )
-from ggraphs.multigraph import Multigraph, isomorphic
+from ggraphs.multigraph import Multigraph, induced_edge_map, isomorphic
 from ggraphs.recognition import (
     GraphAut,
     RecognitionWitness,
@@ -339,6 +342,133 @@ def test_necessary_witness_preconditions_and_budget():
     with pytest.raises(BudgetExceeded) as info:
         necessary_bipartite_witness(build_phi(grp, gens), budget=0)
     assert info.value.nodes > 0
+
+
+def oracle_necessary_map(gg):
+    """The necessary test's former search, kept as its oracle: each level-0
+    vertex in turn takes a level-1 partner, tried in ascending order, the
+    identity cosets paired with each other, and every partner pair is
+    checked against the pairs made so far.  Returns (the involution's vertex
+    map or None, the number of partners tried)."""
+    graph, grp = gg.graph, gg.group
+    V0, V1 = level_vertices(gg, 0), level_vertices(gg, 1)
+    if len(V0) != len(V1):
+        return None, 0
+    u0, u1 = gg.vertex_of(0, grp.identity), gg.vertex_of(1, grp.identity)
+    partner = {}
+    nodes = 0
+
+    def compatible(a, b):
+        return all(
+            graph.multiplicity(a, b2) == graph.multiplicity(b, a2)
+            for a2, b2 in partner.items()
+        )
+
+    def search(i):
+        nonlocal nodes
+        if i == len(V0):
+            return True
+        a = V0[i]
+        if a == u0:
+            choices = [u1]
+        else:
+            choices = [b for b in V1 if b != u1 and b not in partner.values()]
+        for b in choices:
+            nodes += 1
+            if compatible(a, b):
+                partner[a] = b
+                if search(i + 1):
+                    return True
+                del partner[a]
+        return False
+
+    if not search(0):
+        return None, nodes
+    vmap = list(range(graph.n_vertices))
+    for a, b in partner.items():
+        vmap[a], vmap[b] = b, a
+    return tuple(vmap), nodes
+
+
+def generating_pairs(grp):
+    everything = tuple(grp.elements())
+    return [
+        (s, t)
+        for s in everything
+        for t in everything
+        if generated_subgroup(grp, [s, t]) == everything
+    ]
+
+
+def small_groups():
+    """S3, Q8, D4-D6 and Z_m x Z_n for m <= n in {2, 3, 4, 6}."""
+    out = [symmetric_group(3), quaternion_group()]
+    out += [dihedral_group(n) for n in (4, 5, 6)]
+    sizes = (2, 3, 4, 6)
+    out += [parse_group("Z%dxZ%d" % (m, n)) for m in sizes for n in sizes if m <= n]
+    return out
+
+
+def test_necessary_witness_is_the_former_searchs():
+    """The same tau and f as the former search on every generating pair, and
+    never more nodes: its node count is always enough budget."""
+    z12 = parse_group("Z12xZ12")
+    cases = [(grp, pair) for grp in small_groups() for pair in generating_pairs(grp)]
+    cases += [(z12, (12, 1)), (z12, (13, 1)), (z12, (1, 61))]
+    found = 0
+    for grp, (s, t) in cases:
+        gg = build_phi(grp, [s, t])
+        want, nodes = oracle_necessary_map(gg)
+        w = necessary_bipartite_witness(gg, budget=nodes)
+        if want is None:
+            assert w is None, (grp.name, s, t)
+            continue
+        found += 1
+        emap = induced_edge_map(gg.graph, gg.graph, want)
+        assert w.tau == GraphAut(want, emap), (grp.name, s, t)
+        edge_of = {int(gg.edge_glabel[e]): e for e in range(gg.graph.n_edges)}
+        f = tuple(int(gg.edge_glabel[emap[edge_of[x]]]) for x in grp.elements())
+        assert w.f == f
+    assert 0 < found < len(cases)
+
+
+def test_sufficient_witness_implies_necessary_witness():
+    # a sufficient witness proves that I(Phi(G,{s,t})) is a G-graph, so the
+    # level-swapping involution the necessary test looks for exists
+    decided = 0
+    for grp in small_groups() + [symmetric_group(4)]:
+        for s, t in generating_pairs(grp):
+            if sufficient_bipartite_test(grp, s, t) is not None:
+                decided += 1
+                assert necessary_bipartite_witness(build_phi(grp, [s, t])) is not None
+    assert decided > 0
+
+
+def test_necessary_witness_for_s5_four_cycles():
+    # the former search gave up on this pair after 2M nodes
+    grp = symmetric_group(5)
+    gens = [parse_element(grp, "(1,2,3,4)"), parse_element(grp, "(2,3,4,5)")]
+    assert sufficient_bipartite_test(grp, *gens) is not None
+    w = necessary_bipartite_witness(build_phi(grp, gens), budget=2)
+    assert w is not None and w.is_homomorphism
+
+
+def test_necessary_search_does_not_recurse_per_vertex(shallow_stack):
+    # D_64 on two reflections: 64 vertices a level, 40 frames of room
+    grp = dihedral_group(64)
+    everything = tuple(grp.elements())
+    involutions = [x for x in everything if element_order(grp, x) == 2]
+    s, t = next(
+        (s, t)
+        for s in involutions
+        for t in involutions
+        if generated_subgroup(grp, [s, t]) == everything
+    )
+    gg = build_phi(grp, [s, t])
+    assert len(level_vertices(gg, 0)) == 64
+    with shallow_stack(40):
+        w = necessary_bipartite_witness(gg)
+        assert w is not None
 
 
 def test_sufficient_witness_feeds_recognition_of_incidence_graph():

@@ -172,6 +172,9 @@ def triangle():
         (import_json, {"vertices": [{"id": 0, "part": 0.5}]}),
         (import_json, {"vertices": [{"id": 0}], "edges": [{"id": 0.5, "u": 0, "v": 0}]}),
         (import_json, {"vertices": [{"id": 0}, {"id": 1}], "edges": [{"u": 0, "v": 0.5}]}),
+        (TauCertificate.from_json, {"n": 3, "tau": [1, 3, 2], "canonical": "false"}),
+        (TauCertificate.from_json, {"n": 3, "tau": [1, 3, 2], "canonical": 0}),
+        (TauCertificate.from_json, {"n": 3, "tau": [1, 3, 2], "canonical": 1}),
     ],
 )
 def test_fractional_bool_and_string_numbers_are_parse_errors(read, data):

@@ -227,6 +227,136 @@ def test_iso_agrees_with_oracle_on_random_pairs():
     assert agree_pos > 0 and agree_neg > 0
 
 
+def oracle_first_iso(g1, g2, strict_labels=False):
+    """isomorphic's former search, kept as its oracle: backtracking over the
+    vertices of g1 in ascending order, each tried against the vertices of g2
+    in ascending order, with the multiplicities (and, under strict_labels,
+    the labels) to every vertex already mapped checked pairwise.  Its colour
+    refinement, which only pruned, is left out: candidates share the
+    initial colour.  Returns the lex-first vertex map, or None."""
+    if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
+        return None
+    use_parts = g1.fully_part_tagged() and g2.fully_part_tagged()
+    k1, mult1 = mg._initial_colors(g1, use_parts, strict_labels)
+    k2, mult2 = mg._initial_colors(g2, use_parts, strict_labels)
+    lab1, lab2 = (
+        {k: sorted(g.edges[i].label for i in ids) for k, ids in g.multi_edges().items()}
+        for g in (g1, g2)
+    )
+    n = g1.n_vertices
+    fwd = [-1] * n
+    used = [False] * n
+
+    def key(a, b):
+        return (a, b) if a <= b else (b, a)
+
+    def feasible(v, w):
+        if k1[v] != k2[w]:
+            return False
+        for u in range(n):
+            fu = fwd[u]
+            if fu < 0 or u == v:
+                continue
+            if mult1.get(key(v, u), 0) != mult2.get(key(w, fu), 0):
+                return False
+            if strict_labels and lab1.get(key(v, u), []) != lab2.get(key(w, fu), []):
+                return False
+        return True
+
+    def search(i):
+        if i == n:
+            return True
+        for w in range(n):
+            if not used[w] and feasible(i, w):
+                fwd[i], used[w] = w, True
+                if search(i + 1):
+                    return True
+                fwd[i], used[w] = -1, False
+        return False
+
+    return tuple(fwd) if search(0) else None
+
+
+def random_multigraph(rng, n, m, tagged, labels):
+    g = mg.Multigraph()
+    for _ in range(n):
+        g.add_vertex(part=rng.randrange(2) if tagged else None)
+    for _ in range(m):
+        g.add_edge(rng.randrange(n), rng.randrange(n), rng.choice(labels))
+    return g
+
+
+def relabelled(rng, g):
+    """g with its vertices permuted and its edges shuffled."""
+    perm = list(range(g.n_vertices))
+    rng.shuffle(perm)
+    h = mg.Multigraph()
+    for v in sorted(range(g.n_vertices), key=perm.__getitem__):
+        h.add_vertex(part=g.vertices[v].part)
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    for e in edges:
+        h.add_edge(perm[e.u], perm[e.v], e.label)
+    return h
+
+
+def test_iso_witness_is_the_former_searchs():
+    """Loops, multi-edges, part tags and labels: the same lex-first witness
+    as the former search, or None from both."""
+    rng = random.Random(7)
+    outcomes = Counter()
+    for _ in range(300):
+        n = rng.randrange(1, 8)
+        tagged = rng.random() < 0.3
+        labels = rng.choice([[""], ["a", "b"]])
+        g1 = random_multigraph(rng, n, rng.randrange(0, 2 * n + 2), tagged, labels)
+        if rng.random() < 0.5:
+            g2 = relabelled(rng, g1)
+        else:
+            g2 = random_multigraph(rng, n, g1.n_edges, tagged, labels)
+        strict = labels != [""] and rng.random() < 0.5
+        want = oracle_first_iso(g1, g2, strict)
+        w = mg.isomorphic(g1, g2, strict_labels=strict)
+        assert (None if w is None else w.vertex_map) == want
+        outcomes[want is not None, strict] += 1
+    assert len(outcomes) == 4  # both decisions, with and without labels
+
+
+def test_iso_witness_on_regular_graphs_is_the_former_searchs():
+    """Regular graphs give refinement nothing, so individualisation does the
+    work: 3-regular graphs on 10 vertices, relabelled and independent."""
+    rng = random.Random(5)
+
+    def cubic(n):
+        while True:
+            ends = [v for v in range(n) for _ in range(3)]
+            rng.shuffle(ends)
+            pairs = {tuple(sorted(ends[i : i + 2])) for i in range(0, len(ends), 2)}
+            if len(pairs) == len(ends) // 2 and all(a != b for a, b in pairs):
+                return build(n, sorted(pairs))
+
+    decided = Counter()
+    for _ in range(12):
+        g1 = cubic(10)
+        for g2 in (relabelled(rng, g1), cubic(10)):
+            want = oracle_first_iso(g1, g2)
+            w = mg.isomorphic(g1, g2)
+            assert (None if w is None else w.vertex_map) == want
+            decided[want is not None] += 1
+    assert decided[True] and decided[False]
+
+
+def test_iso_search_does_not_recurse_per_vertex(shallow_stack):
+    # 40 disjoint triangles: depth 80 in the individualisation tree, while
+    # the stack has room for 40 frames
+    rng = random.Random(3)
+    g1 = build(120, [(3 * i + a, 3 * i + b) for i in range(40) for a, b in ((0, 1), (1, 2), (2, 0))])
+    g2 = relabelled(rng, g1)
+    with shallow_stack(40):
+        w = mg.isomorphic(g1, g2)
+        assert w is not None and mg.verify_iso_witness(g1, g2, w)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -18,7 +18,6 @@ from ggraphs.recognition import (
     RecognitionWitness,
     check,
     close_under_composition,
-    identity_aut,
     infer_edge_map,
     reconstruct,
     shifts_of,
@@ -69,7 +68,7 @@ def oracle_perm_group(degree, gens):
 
 def oracle_close(g, gens):
     """Frontier closure of GraphAut tuples under left multiplication."""
-    ident = identity_aut(g)
+    ident = GraphAut(tuple(range(g.n_vertices)), tuple(range(g.n_edges)))
     seen, frontier = {ident}, [ident]
     while frontier:
         nxt = []

@@ -24,7 +24,6 @@ from ggraphs.recognition import (
     check_with_loops,
     close_under_composition,
     edges_toward,
-    identity_aut,
     reconstruct,
     shifts_of,
     stabilizer,
@@ -76,13 +75,15 @@ def reroute_aut(a, eid):
 
 
 def test_graph_aut_compose_inverse():
-    g = cycle_graph(4)
     r = cycle_aut(4, [1, 2, 3, 0])
     s = cycle_aut(4, [0, 3, 2, 1])
     # right-to-left: (r.compose(s))(v) = r(s(v))
     assert r.compose(s).vertex_map == (1, 0, 3, 2)
-    assert r.compose(r.inverse()) == identity_aut(g)
-    assert identity_aut(g).is_identity()
+    # r has order 4: r^3 is its inverse
+    r3 = r.compose(r).compose(r)
+    assert not r3.is_identity()
+    assert r.compose(r3) == r3.compose(r) == GraphAut(tuple(range(4)), tuple(range(4)))
+    assert r.compose(r3).is_identity()
 
 
 def test_closure_generates_dihedral():
@@ -192,7 +193,7 @@ def test_cycle4_full_rotations_fail_stability():
 def test_complete_graph_trivial_group_passes():
     # K_3 with the trivial group: singleton orbits, C = all vertices.
     g = cycle_graph(3)
-    w = RecognitionWitness([identity_aut(g)], [0, 1, 2])
+    w = RecognitionWitness([GraphAut(tuple(range(3)), tuple(range(3)))], [0, 1, 2])
     assert check_simple(g, w).ok
     result = reconstruct(g, w)
     assert result.group.order == 1
