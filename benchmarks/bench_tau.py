@@ -1,11 +1,14 @@
 """Benchmark the tau-certificate search kernel: JIT backend vs pure Python.
 
-The kernel is the backtracking search over involutions with residue pruning
-and braid/relation propagation.  By default every certificate is enumerated
-(``all`` mode); ``--first`` stops at the first one, as the decision table
-does.  Both backends run the identical body on the same flat layout (Python
-lists for python, int64 arrays for numba), so besides timing, this script
-cross-checks that their status, node counts and solution rows agree exactly.
+The kernel is the backtracking search over involutions with residue pruning,
+braid/relation propagation and the m_a symmetry prune.  By default the
+search runs to the end (``all`` mode); ``--first`` stops at the first
+certificate, as the decision table does.  In ``all`` mode the kernel
+returns orbit representatives, not every certificate (``search_tau``
+expands them), so the column is headed ``reps``.  Both backends run the
+identical body on the same flat layout (Python lists for python, int64
+arrays for numba), so besides timing, this script cross-checks that their
+status, node counts and solution rows agree exactly.
 
 Compilation (first call) is timed separately from steady state; steady
 state is the best of --repeats runs.
@@ -69,7 +72,7 @@ def main():
         print("numba not installed; timing the python backend only")
 
     header = "%4s %6s %12s" + " %12s" * len(backends) + " %9s"
-    cols = ["n", "found", "nodes"] + backends
+    cols = ["n", "found" if args.first else "reps", "nodes"] + backends
     cols.append("speedup" if len(backends) == 2 else "")
     print(header % tuple(cols))
     for n in sizes:

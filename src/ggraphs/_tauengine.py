@@ -13,13 +13,19 @@ body in nopython mode for int64 arrays of the same layout.  ``search_arrays``
 builds the inputs for either backend; pick the variant through
 ``get_kernel``.
 
-Pruning used by the search (each one is a proved consequence of the
-certificate conditions, so nothing valid is ever cut):
+Pruning used by the search.  The first three rules are proved
+consequences of the certificate conditions, so they cut no certificate:
 
 * residues: k -> k - tau(k) (mod n-1) is injective on {1..n-2}; the missed
   residue is 0 for even n and (n-1)/2 for odd n,
 * braid: tau rho tau = rho tau rho,
 * the defining relation itself.
+
+The fourth cuts certificates, but never the leader of an orbit of them:
+
+* symmetry: the search keeps only the lex-leader of each orbit under the
+  conjugations m_a (Crawford, Ginsberg, Luks & Roy, "Symmetry-Breaking
+  Predicates for Search Problems", KR 1996); see the end of this text.
 
 The braid and the relation are propagated, not only checked (forward
 checking, Haralick & Elliott 1980).  Both read tau(s1) = f(tau(s2)) for a
@@ -55,13 +61,34 @@ third, and it is read from each of its pairs:
 So when the last pair a constraint needs is revisited, it is read.
 
 Branching always takes the smallest free point and its candidates in
-ascending order, and propagation cuts no certificate, so the certificates
-and their order are those of plain checking.  ``nodes`` counts branch
+ascending order, with tau(a) = a last, and propagation cuts no
+certificate, so without the symmetry prune the certificates and their
+order would be those of plain checking.  ``nodes`` counts branch
 assignments only; forced ones are free.
+
+The symmetry prune.  Certificates are closed under tau -> m_a tau m_a^-1,
+where m_a: k -> a*k (mod n-1) fixes n, for every unit a.  Order them by
+``key``: compare tau(1), tau(2), ... in turn, reading key(tau(p)) = n+1
+when tau(p) = p and tau(p) otherwise.  This is branch order: two
+certificates first differ at the branch point of the deepest node they
+share, since every smaller point is assigned there, and the candidates at
+a point go up in key.  With c = a^-1 the conjugate maps 1 to c^-1 tau(c) mod
+n-1.  So each point q taken off the propagation queue that is a unit
+(``uinv[q]`` != 0) is checked: if key(q^-1 tau(q)) < key(tau(1)), a
+conjugate comes earlier in branch order and the node dies.  The key-least
+member of an orbit has the least key(tau'(1)) in it, so it always
+survives; the first certificate in branch order is key-least in its orbit,
+so ``want_all = 0`` finds the same certificate as without the prune,
+through a subset of the same nodes.  The comparison must use ``key``, not
+plain numbers: these would rank the fixed point tau'(1) = 1 first where
+branch order tries it last, and the first certificate could then be cut
+for a later conjugate.  With ``want_all`` the output is the survivors: at
+least one member of each orbit, in branch order; the caller expands them.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -77,13 +104,17 @@ except ImportError:  # pragma: no cover - exercised only without numba
     HAVE_NUMBA = False
 
 
+# bumped whenever the search changes its node counts: 1 plain checking,
+# 2 braid and relation propagation, 3 the m_a symmetry prune
+KERNEL_VERSION = 3
+
 # status codes returned by the kernel
 OK = 0
 OUT_OF_BUDGET = 1
 OUT_OF_SPACE = 2
 
 
-def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, mark, out):
+def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, mark, uinv, out):
     """Enumerate certificate involutions; see module docstring.
 
     Every sequence is flat and 1-D, and point arrays are 1-indexed (index 0
@@ -91,7 +122,8 @@ def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, ma
     assignment tau(n) = n-1 and ``used`` the residue pre-marks; both, the
     branch stacks ``st_a``/``st_b``, the ``trail`` of assigned points and its
     per-depth ``mark`` are working state changed in place, so every call
-    needs fresh ones from ``search_arrays``.  Solutions are written to
+    needs fresh ones from ``search_arrays``.  ``uinv[c]`` is c^-1 mod n-1
+    for a unit c >= 2 and 0 for every other point.  Solutions are written to
     ``out`` as rows of n+1 entries, ``out[row*(n+1) + p]`` = tau(p), at most
     ``len(out) // (n+1)`` of them.  Returns (status, found, nodes).
     """
@@ -161,6 +193,14 @@ def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, ma
         while good and head < tlen:
             q = trail[head]
             head += 1
+            # symmetry: the conjugate by m_a, a = q^-1, maps 1 to
+            # q^-1 tau(q); a smaller key than tau(1)'s puts that conjugate
+            # first in branch order, so this node holds no orbit leader
+            if uinv[q] != 0:
+                r = uinv[q] * tau[q] % m
+                if (n + 1 if r == 1 else r) < (n + 1 if tau[1] == 1 else tau[1]):
+                    good = False
+                    break
             # braid tau(rho(tau(p))) = rho(tau(rho(p))), f = rho, at p = q
             s1 = rho[tau[q]]
             s2 = rho[q]
@@ -288,18 +328,24 @@ def resolve_backend(backend: str | None = None) -> str:
 
 
 def resolve_budget(budget: int | None, default: int) -> int:
-    """Explicit budget, else $GGRAPH_BUDGET, else the caller's default."""
+    """Explicit budget, else $GGRAPH_BUDGET, else the caller's default.
+
+    A negative budget from either source is refused with ParseError."""
     if budget is not None:
-        return int(budget)
-    env = os.environ.get("GGRAPH_BUDGET", "")
-    if env:
+        value, source = int(budget), "budget"
+    else:
+        env = os.environ.get("GGRAPH_BUDGET", "")
+        if not env:
+            return default
         try:
-            return int(env)
+            value, source = int(env), "GGRAPH_BUDGET"
         except ValueError:
             raise ParseError(
                 "GGRAPH_BUDGET must be an integer, got %r" % env
             ) from None
-    return default
+    if value < 0:
+        raise ParseError("%s must be >= 0, got %d" % (source, value))
+    return value
 
 
 def get_kernel(backend: str | None = None):
@@ -313,7 +359,7 @@ def get_kernel(backend: str | None = None):
 def search_arrays(n: int, cap: int, backend: str = "python"):
     """Fresh flat inputs for one degree-n kernel call.
 
-    Returns (rho, sig, used, tau, st_a, st_b, trail, mark, out) in the layout
+    Returns (rho, sig, used, tau, st_a, st_b, trail, mark, uinv, out) in the layout
     ``_search_body`` documents, with room in ``out`` for ``cap`` solutions:
     Python lists for the python backend, int64 arrays for numba, which
     compiles the same body for them.
@@ -340,7 +386,11 @@ def search_arrays(n: int, cap: int, backend: str = "python"):
     tau[n] = m
     tau[m] = n
     stack = [[0] * (n + 2) for _ in range(4)]  # st_a, st_b, trail, mark
-    flat = (rho, sig, used, tau, *stack, [0] * (cap * w))
+    uinv = [0] * w
+    for c in range(2, m):
+        if math.gcd(c, m) == 1:
+            uinv[c] = pow(c, -1, m)
+    flat = (rho, sig, used, tau, *stack, uinv, [0] * (cap * w))
     if backend == "numba":
         return tuple(np.array(xs, dtype=np.int64) for xs in flat)
     return flat

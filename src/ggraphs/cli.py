@@ -33,7 +33,8 @@ from .ggraph import (
     kmn_build,
     verify_structure,
 )
-from .ikn import search_tau, verify_tau
+from ._tauengine import resolve_budget
+from .ikn import DEFAULT_BUDGET, search_tau, verify_tau
 from .incidence import (
     incidence_graph,
     incidence_preimage,
@@ -429,11 +430,12 @@ def _cmd_ikn_search(args, out) -> int:
 def _cmd_ikn_table(args, out) -> int:
     if args.nmax < 2:
         raise UsageError("nmax must be >= 2")
+    budget = resolve_budget(args.budget, DEFAULT_BUDGET)  # refused before any row
     _emit(out, ["format: 1"])
     code = EXIT_OK
     for n in range(2, args.nmax + 1):  # each row goes out once decided
         try:
-            result = search_tau(n, budget=args.budget)
+            result = search_tau(n, budget=budget)
         except BudgetExceeded as exc:
             row = "inconclusive after %d nodes" % exc.nodes
             args.stderr.write("inconclusive: %s\n" % exc)

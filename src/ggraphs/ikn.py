@@ -13,7 +13,13 @@ This module verifies such certificates, searches for them (see _tauengine
 for the kernel), derives modular obstructions that rule them out, and checks
 the structural consequences every certificate must satisfy: the <rho,tau>
 orbit profile, injectivity of k -> k - tau(k) (mod n-1), and closure of the
-certificate set under the conjugations m_a: k -> a*k (mod n-1)."""
+certificate set under the conjugations m_a: k -> a*k (mod n-1).
+
+That closure is what the search exploits: the kernel searches only for the
+leader of each m_a orbit, and the "all" mode of ``search_tau`` is the orbit
+expansion of the kernel's survivors, deduplicated and sorted back into the
+kernel's branch order, so it lists every certificate exactly as a search
+without the symmetry prune would."""
 
 from __future__ import annotations
 
@@ -417,14 +423,29 @@ class SearchResult:
         return bool(self.certificates) or self.complete
 
 
-def _certificate(n: int, row) -> TauCertificate:
-    tau = Perm(tuple(int(row[p]) for p in range(1, n + 1)))
+def _certificate(n: int, img) -> TauCertificate:
+    tau = Perm(tuple(img))
     report = verify_tau(n, tau)
     if not report.ok:
         raise InternalAssertion(
             "search produced an invalid tau for n=%d: %s" % (n, report.failures[0])
         )
     return TauCertificate(n, tau, canonical=(canonical_tau(n, tau) == tau))
+
+
+def _branch_key(img) -> tuple[int, ...]:
+    """The kernel's branch order as a sort key: tau(p) per point, with the
+    fixed point tau(p) = p, the last candidate, read as n+1."""
+    return tuple(len(img) + 1 if x == p else x for p, x in enumerate(img, 1))
+
+
+def _orbit_expansion(n: int, imgs) -> list[tuple[int, ...]]:
+    """Every m_a conjugate of every tau in ``imgs``, once each, in branch
+    order."""
+    orbit = {
+        conjugate_tau(n, Perm(img), a).img for img in imgs for a in _units(n - 1)
+    }
+    return sorted(orbit, key=_branch_key)
 
 
 def search_tau(
@@ -437,13 +458,18 @@ def search_tau(
 ) -> SearchResult:
     """Search for certificate involutions for I(K_n).
 
-    Modes: "first_only" stops at the first certificate in branch order,
-    "all" enumerates every certificate, "up_to_conjugacy" enumerates all and
-    keeps one canonical representative per m_a conjugacy class.  When
-    ``short_circuit`` is set, a modular obstruction skips the search
+    The kernel searches for m_a orbit leaders only (see _tauengine's
+    symmetry prune), and each mode reads its survivors.  "first_only" stops
+    at the first certificate in branch order, which is a leader, so it is
+    the first certificate of the unpruned search.  "all" returns the orbit
+    expansion of the survivors: every certificate, once, in branch order.
+    "up_to_conjugacy" keeps the canonical conjugate of each survivor, one
+    per m_a conjugacy class.  Every certificate returned is re-verified.
+    When ``short_circuit`` is set, a modular obstruction skips the search
     entirely; disable it to confirm emptiness by exhaustion.  Budget is a
     node count (DEFAULT_BUDGET, or $GGRAPH_BUDGET); running out raises
-    BudgetExceeded with any certificates found so far attached.
+    BudgetExceeded with the certificates found so far attached, in "all"
+    mode the orbit expansion of the survivors so far.
     """
     if n < 2:
         raise PreconditionFailed("need n >= 2")
@@ -468,7 +494,10 @@ def search_tau(
         cap *= 8
 
     out, w = arrays[-1], n + 1
-    certs = tuple(_certificate(n, out[i * w:(i + 1) * w]) for i in range(found))
+    rows = [tuple(int(x) for x in out[i * w + 1:(i + 1) * w]) for i in range(found)]
+    if mode == "all":
+        rows = _orbit_expansion(n, rows)
+    certs = tuple(_certificate(n, img) for img in rows)
     if status == _tauengine.OUT_OF_BUDGET:
         raise BudgetExceeded(
             "tau search for n=%d stopped inconclusive after %d nodes" % (n, nodes),

@@ -98,6 +98,30 @@ def test_budget_env_override(monkeypatch):
     assert "certificate found" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("ikn", "search", "5", "--budget", "-3"),
+    ("ikn", "search", "2", "--all", "--budget", "-3"),
+    ("ikn", "search", "6", "--budget", "-1"),
+    ("ikn", "table", "5", "--budget", "-1"),
+    ("bipartite-test", "-g", "Z2xZ2", "-s", "(1,0)", "-t", "(0,1)",
+     "--necessary", "--budget", "-2"),
+])
+def test_negative_budget_is_a_usage_error(argv):
+    code, out, err = cli(*argv)
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: budget must be >= 0, got -\d\n", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ikn", "search", "5"),
+    ("ikn", "table", "5"),
+    ("bipartite-test", "-g", "Z2xZ2", "-s", "(1,0)", "-t", "(0,1)", "--necessary"),
+])
+def test_negative_budget_from_the_environment_is_a_usage_error(monkeypatch, argv):
+    monkeypatch.setenv("GGRAPH_BUDGET", "-7")
+    assert cli(*argv) == (3, "", "error: GGRAPH_BUDGET must be >= 0, got -7\n")
+
+
 # ---------------------------------------------------------------------------
 # determinism and JSON round-trips
 

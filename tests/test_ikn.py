@@ -1,6 +1,8 @@
 """Certificate verification, obstructions, and the tau search for I(K_n)."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -217,6 +219,51 @@ def test_budget_is_inconclusive(monkeypatch):
     monkeypatch.setenv("GGRAPH_BUDGET", "plenty")
     with pytest.raises(ParseError):
         search_tau(13, backend="python")
+    # a negative budget is refused from either source; zero is a budget,
+    # and n = 2 needs no branch node
+    monkeypatch.setenv("GGRAPH_BUDGET", "-7")
+    with pytest.raises(ParseError, match="GGRAPH_BUDGET must be >= 0, got -7"):
+        search_tau(13, backend="python")
+    with pytest.raises(ParseError, match="budget must be >= 0, got -3"):
+        search_tau(2, "all", budget=-3)
+    assert search_tau(2, budget=0).certificates
+
+
+def test_budget_stop_in_all_mode_keeps_the_orbits_of_the_survivors():
+    """n = 13: the kernel finds its one survivor at node 52 of 221, and the
+    survivor's orbit holds all four certificates."""
+    every = search_tau(13, "all", backend="python").certificates
+    assert len(every) == 4
+    for budget, want in ((51, ()), (52, every), (220, every)):
+        with pytest.raises(BudgetExceeded) as info:
+            search_tau(13, "all", budget=budget, backend="python")
+        assert info.value.partial == want
+        assert all(verify_tau(13, c.tau).ok for c in info.value.partial)
+
+
+def test_decision_table_file():
+    """benchmarks/ikn_table.json, written by benchmarks/ikn_table.py: every
+    certificate re-verifies and builds I(K_n), and every row carries the
+    modular obstructions of its n."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "ikn_table.json"
+    rows = json.loads(path.read_text(encoding="utf-8"))["rows"]
+    assert [row["n"] for row in rows] == list(range(2, 41))
+    for row in rows:
+        n, kinds = row["n"], row["obstructions"]
+        assert [k for k in kinds if k != "ExhaustiveSearch"] == [
+            o.kind for o in obstructions(n)
+        ], n
+        if row["decision"] == "certificate":
+            cert = TauCertificate.from_json(row["certificate"])
+            assert cert.n == n and kinds == []
+            assert verify_tau(n, cert.tau).ok, n
+            assert build_and_verify(n, cert.tau).ok, n
+        elif row["decision"] == "none":
+            assert row["certificate"] is None and kinds, n
+            assert obstructions(n) or kinds == ["ExhaustiveSearch"], n
+        else:
+            assert row["decision"] == "inconclusive", n
+            assert row["certificate"] is None and row["nodes"] > row["budget"], n
 
 
 def test_conjugation_action():
