@@ -3,12 +3,14 @@
 The kernel is the backtracking search over involutions with residue pruning,
 braid/relation propagation and the m_a symmetry prune.  By default the
 search runs to the end (``all`` mode); ``--first`` stops at the first
-certificate, as the decision table does.  In ``all`` mode the kernel
-returns orbit representatives, not every certificate (``search_tau``
-expands them), so the column is headed ``reps``.  Both backends run the
+certificate, as the decision table does.  The kernel stops at each
+survivor and is resumed from the position it returns, as ``search_tau``
+drives it.  In ``all`` mode the survivors are orbit representatives, not
+every certificate (``search_tau`` expands them), so the column counting the
+stops is headed ``reps``.  Both backends run the
 identical body on the same flat layout (Python lists for python, int64
 arrays for numba), so besides timing, this script cross-checks that their
-status, node counts and solution rows agree exactly.
+status, node counts and survivors agree exactly.
 
 Compilation (first call) is timed separately from steady state; steady
 state is the best of --repeats runs.
@@ -22,25 +24,31 @@ Usage:
 import argparse
 import time
 
-from ggraphs._tauengine import HAVE_NUMBA, get_kernel, search_arrays
+from ggraphs._tauengine import FOUND, HAVE_NUMBA, OUT_OF_BUDGET, get_kernel, search_arrays
 from ggraphs.ikn import DEFAULT_BUDGET
 
 
-def run_once(backend, n, budget, want_all):
+def run_once(backend, n, budget, first):
     kernel, _ = get_kernel(backend)
-    arrays = search_arrays(n, 1024 if want_all else 1, backend)
+    arrays = search_arrays(n, backend)
+    tau, rows, nodes, depth, tlen = arrays[3], [], 0, 0, 0
     t0 = time.perf_counter()
-    status, found, nodes = kernel(n, budget, want_all, *arrays)
+    while True:
+        status, nodes, depth, tlen = kernel(n, budget, nodes, depth, tlen, *arrays)
+        if status != FOUND:
+            break
+        rows.append(tuple(int(x) for x in tau))
+        if first:
+            break
     dt = time.perf_counter() - t0
-    rows = tuple(int(x) for x in arrays[-1][: int(found) * (n + 1)])
-    return dt, (int(status), int(found), int(nodes), rows)
+    return dt, (int(status), len(rows), int(nodes), tuple(rows))
 
 
-def best_of(backend, n, budget, want_all, repeats):
+def best_of(backend, n, budget, first, repeats):
     times = []
     result = None
     for _ in range(repeats):
-        dt, res = run_once(backend, n, budget, want_all)
+        dt, res = run_once(backend, n, budget, first)
         if result is None:
             result = res
         elif res != result:
@@ -59,13 +67,12 @@ def main():
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = ap.parse_args()
     sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    want_all = 0 if args.first else 1
     print("mode: %s" % ("first" if args.first else "all"))
 
     backends = ["python"]
     if HAVE_NUMBA:
         t0 = time.perf_counter()
-        run_once("numba", min(sizes), args.budget, want_all)
+        run_once("numba", min(sizes), args.budget, args.first)
         print("numba warmup (compile + first run): %.3fs" % (time.perf_counter() - t0))
         backends.append("numba")
     else:
@@ -79,13 +86,13 @@ def main():
         times = []
         results = []
         for backend in backends:
-            dt, res = best_of(backend, n, args.budget, want_all, args.repeats)
+            dt, res = best_of(backend, n, args.budget, args.first, args.repeats)
             times.append(dt)
             results.append(res)
         if len(results) == 2 and results[0] != results[1]:
             raise AssertionError("backends disagree for n=%d" % n)
         status, found, nodes = results[0][:3]
-        if status != 0:
+        if status == OUT_OF_BUDGET:
             raise AssertionError("n=%d stopped with status %d after %d nodes" % (n, status, nodes))
         row = [n, found, nodes] + ["%.6f" % t for t in times]
         row.append("%8.1fx" % (times[0] / times[1]) if len(times) == 2 else "")

@@ -78,12 +78,16 @@ n-1.  So each point q taken off the propagation queue that is a unit
 conjugate comes earlier in branch order and the node dies.  The key-least
 member of an orbit has the least key(tau'(1)) in it, so it always
 survives; the first certificate in branch order is key-least in its orbit,
-so ``want_all = 0`` finds the same certificate as without the prune,
+so the first survivor is the first certificate without the prune, reached
 through a subset of the same nodes.  The comparison must use ``key``, not
 plain numbers: these would rank the fixed point tau'(1) = 1 first where
 branch order tries it last, and the first certificate could then be cut
-for a later conjugate.  With ``want_all`` the output is the survivors: at
-least one member of each orbit, in branch order; the caller expands them.
+for a later conjugate.
+
+The kernel stops at each survivor, with ``tau`` holding it, and returns
+its position; called again from there, it goes on to the next survivor.
+The survivors are at least one member of each orbit, in branch order; the
+caller expands them.
 """
 
 from __future__ import annotations
@@ -109,47 +113,36 @@ except ImportError:  # pragma: no cover - exercised only without numba
 KERNEL_VERSION = 3
 
 # status codes returned by the kernel
-OK = 0
+DONE = 0
 OUT_OF_BUDGET = 1
-OUT_OF_SPACE = 2
+FOUND = 2
+OK = DONE  # a run that ended without running out of budget
 
 
-def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, mark, uinv, out):
-    """Enumerate certificate involutions; see module docstring.
+def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b, trail, mark, uinv):
+    """Run the search from a position to the next survivor; see module
+    docstring.
 
     Every sequence is flat and 1-D, and point arrays are 1-indexed (index 0
     unused); ``sig[k*(n+1) + p]`` is sigma^k(p).  ``tau`` carries the seed
     assignment tau(n) = n-1 and ``used`` the residue pre-marks; both, the
     branch stacks ``st_a``/``st_b``, the ``trail`` of assigned points and its
-    per-depth ``mark`` are working state changed in place, so every call
-    needs fresh ones from ``search_arrays``.  ``uinv[c]`` is c^-1 mod n-1
-    for a unit c >= 2 and 0 for every other point.  Solutions are written to
-    ``out`` as rows of n+1 entries, ``out[row*(n+1) + p]`` = tau(p), at most
-    ``len(out) // (n+1)`` of them.  Returns (status, found, nodes).
+    per-depth ``mark`` are working state changed in place.  ``uinv[c]`` is
+    c^-1 mod n-1 for a unit c >= 2 and 0 for every other point.
+
+    The position (nodes, depth, tlen) is the branch assignments so far, the
+    depth and the trail length; a fresh ``search_arrays`` starts at
+    (0, 0, 0).  Returns (status, nodes, depth, tlen).  On FOUND ``tau`` is a
+    survivor, and the returned position, with the same arrays, resumes the
+    search; DONE ends it.  OUT_OF_BUDGET stops at node budget + 1, which it
+    has marked as tried, so that stop does not resume.
     """
     m = n - 1
     w = n + 1
-    cap = len(out) // w
-    nodes = 0
-    found = 0
-
-    a0 = 0
-    for p in range(1, n - 1):
-        if tau[p] == 0:
-            a0 = p
-            break
-    if a0 == 0:
-        # n = 2: tau is fully seeded and the relation has no row k in
-        # 1..n-2 to check, so the seed itself is the one certificate
-        for p in range(w):
-            out[p] = tau[p]
-        return OK, 1, nodes
-
-    depth = 0
-    st_a[0] = a0
-    st_b[0] = 0
-    mark[0] = 0
-    tlen = 0
+    if n == 2 and depth == 0:
+        # tau is fully seeded and the relation has no row k in 1..n-2 to
+        # check, so the seed itself is the one certificate
+        return FOUND, nodes, -1, tlen
 
     while depth >= 0:
         a = st_a[depth]
@@ -173,7 +166,7 @@ def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, ma
         st_b[depth] = nb
         nodes += 1
         if nodes > budget:
-            return OUT_OF_BUDGET, found, nodes
+            return OUT_OF_BUDGET, nodes, depth, tlen
         v = a if nb == m else nb
         tau[a] = v
         tau[v] = a
@@ -291,20 +284,12 @@ def _search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, ma
         if na == 0:
             # complete: every constraint was read, and so checked, when the
             # last pair it needs was revisited
-            base = found * w
-            for p in range(w):
-                out[base + p] = tau[p]
-            found += 1
-            if want_all == 0:
-                return OK, found, nodes
-            if found == cap:
-                return OUT_OF_SPACE, found, nodes
-            continue
+            return FOUND, nodes, depth, tlen
         depth += 1
         st_a[depth] = na
         st_b[depth] = 0
         mark[depth] = tlen
-    return OK, found, nodes
+    return DONE, nodes, depth, tlen
 
 
 _search_python = _search_body
@@ -356,13 +341,13 @@ def get_kernel(backend: str | None = None):
     return _search_python, "python"
 
 
-def search_arrays(n: int, cap: int, backend: str = "python"):
-    """Fresh flat inputs for one degree-n kernel call.
+def search_arrays(n: int, backend: str = "python"):
+    """Fresh flat inputs for one degree-n search, at position (0, 0, 0).
 
-    Returns (rho, sig, used, tau, st_a, st_b, trail, mark, uinv, out) in the layout
-    ``_search_body`` documents, with room in ``out`` for ``cap`` solutions:
-    Python lists for the python backend, int64 arrays for numba, which
-    compiles the same body for them.
+    Returns (rho, sig, used, tau, st_a, st_b, trail, mark, uinv) in the
+    layout ``_search_body`` documents, with ``st_a[0]`` = 1, the first branch
+    point, for n > 2: Python lists for the python backend, int64 arrays for
+    numba, which compiles the same body for them.
     """
     if n < 2:
         raise PreconditionFailed("need n >= 2")
@@ -386,11 +371,13 @@ def search_arrays(n: int, cap: int, backend: str = "python"):
     tau[n] = m
     tau[m] = n
     stack = [[0] * (n + 2) for _ in range(4)]  # st_a, st_b, trail, mark
+    if n > 2:
+        stack[0][0] = 1
     uinv = [0] * w
     for c in range(2, m):
         if math.gcd(c, m) == 1:
             uinv[c] = pow(c, -1, m)
-    flat = (rho, sig, used, tau, *stack, uinv, [0] * (cap * w))
+    flat = (rho, sig, used, tau, *stack, uinv)
     if backend == "numba":
         return tuple(np.array(xs, dtype=np.int64) for xs in flat)
     return flat

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .algebra import Perm, element_order, parse_element, parse_group, split_top_level
+from .algebra import Perm, _check_degree, element_order, parse_element, parse_group, split_top_level
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -357,6 +357,7 @@ def _cmd_recognize(args, out) -> int:
 def _cmd_ikn_verify(args, out) -> int:
     if args.n < 2:
         raise UsageError("n must be >= 2")
+    _check_degree(args.n)
     tau = Perm.parse(args.tau, args.n)
     report = verify_tau(args.n, tau)
     lines = [
@@ -430,6 +431,7 @@ def _cmd_ikn_search(args, out) -> int:
 def _cmd_ikn_table(args, out) -> int:
     if args.nmax < 2:
         raise UsageError("nmax must be >= 2")
+    _check_degree(args.nmax)
     budget = resolve_budget(args.budget, DEFAULT_BUDGET)  # refused before any row
     _emit(out, ["format: 1"])
     code = EXIT_OK

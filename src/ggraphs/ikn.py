@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tauengine
-from .algebra import FiniteGroup, Perm, orbits, perm_closure, perm_group
+from .algebra import FiniteGroup, Perm, _check_degree, orbits, perm_closure, perm_group
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -59,8 +59,7 @@ class RhoSigma:
 def make_rho_sigma(n: int) -> RhoSigma:
     """The cycle sigma = (1,...,n-1) fixing n, and the involution rho with
     rho(k) = n-1-k on {1..n-2} and rho(n-1) = n."""
-    if n < 2:
-        raise PreconditionFailed("need n >= 2")
+    _check_n(n)
     m = n - 1
     sigma = Perm.from_cycles([list(range(1, n))], n)
     img = [0] * n
@@ -71,9 +70,16 @@ def make_rho_sigma(n: int) -> RhoSigma:
     return RhoSigma(n, sigma, Perm(tuple(img)))
 
 
-def _check_tau_arg(n: int, tau: Perm) -> None:
+def _check_n(n: int) -> None:
+    """Refuse n < 2, and n above DEFAULT_CLOSURE_CAP before any table of
+    n^2 entries is built."""
     if n < 2:
         raise PreconditionFailed("need n >= 2")
+    _check_degree(n)
+
+
+def _check_tau_arg(n: int, tau: Perm) -> None:
+    _check_n(n)
     if tau.degree != n:
         raise PreconditionFailed(
             "tau has degree %d, expected %d" % (tau.degree, n)
@@ -471,8 +477,7 @@ def search_tau(
     BudgetExceeded with the certificates found so far attached, in "all"
     mode the orbit expansion of the survivors so far.
     """
-    if n < 2:
-        raise PreconditionFailed("need n >= 2")
+    _check_n(n)
     if mode not in SEARCH_MODES:
         raise PreconditionFailed(
             "mode must be one of %s" % ", ".join(SEARCH_MODES)
@@ -483,18 +488,16 @@ def search_tau(
         return SearchResult(n, mode, (), modular, 0, True, "none")
 
     kernel, backend_name = _tauengine.get_kernel(backend)
-    want_all = 0 if mode == "first_only" else 1
-    cap = 1 if mode == "first_only" else 1024
-    while True:
-        arrays = _tauengine.search_arrays(n, cap, backend_name)
-        status, found, nodes = kernel(n, node_budget, want_all, *arrays)
-        status, found, nodes = int(status), int(found), int(nodes)
-        if status != _tauengine.OUT_OF_SPACE:
+    arrays = _tauengine.search_arrays(n, backend_name)
+    tau, rows, nodes, depth, tlen = arrays[3], [], 0, 0, 0
+    while True:  # from one survivor to the next
+        status, nodes, depth, tlen = kernel(n, node_budget, nodes, depth, tlen, *arrays)
+        if status != _tauengine.FOUND:
             break
-        cap *= 8
-
-    out, w = arrays[-1], n + 1
-    rows = [tuple(int(x) for x in out[i * w + 1:(i + 1) * w]) for i in range(found)]
+        rows.append(tuple(int(x) for x in tau[1:]))
+        if mode == "first_only":
+            break
+    nodes = int(nodes)
     if mode == "all":
         rows = _orbit_expansion(n, rows)
     certs = tuple(_certificate(n, img) for img in rows)

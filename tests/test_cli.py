@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from ggraphs import _tauengine
 from ggraphs import cli as cli_module
 from ggraphs.algebra import parse_group
 from ggraphs.cli import run
@@ -333,6 +334,22 @@ def test_build_refuses_huge_permutation_degree(no_permutations):
     code, out, err = cli("build", "-g", "perm:99999999:(1,2)", "-s", "(1,2)")
     assert code == 2 and out == ""
     assert err.startswith("inconclusive: permutation degree 99999999 exceeds cap")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ikn", "verify", "1000000000000", "--tau", "(1,2)"),
+    ("ikn", "search", "100001"),
+    ("ikn", "search", "20001", "--budget", "0"),
+    ("ikn", "table", "8193"),
+])
+def test_ikn_refuses_n_above_the_cap(argv, no_permutations, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel arrays were built before the n check")
+
+    monkeypatch.setattr(_tauengine, "search_arrays", forbidden)
+    code, out, err = cli(*argv)
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"inconclusive: permutation degree \d+ exceeds cap 8192\n", err)
 
 
 def test_build_overlong_group_number_is_a_parse_error(no_permutations):

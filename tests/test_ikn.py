@@ -8,7 +8,7 @@ import pytest
 
 from ggraphs import _tauengine
 from ggraphs.algebra import Perm
-from ggraphs.errors import BudgetExceeded, ParseError, PreconditionFailed
+from ggraphs.errors import BudgetExceeded, CapExceeded, ParseError, PreconditionFailed
 from ggraphs.ikn import (
     Obstruction,
     TauCertificate,
@@ -193,6 +193,24 @@ def test_backends_agree():
             c.tau.img for c in nb.certificates
         ]
         assert pa.nodes == nb.nodes
+
+
+def test_n_above_the_cap_is_refused_first(no_permutations, monkeypatch):
+    """n is checked against DEFAULT_CLOSURE_CAP before any permutation or
+    kernel array of n^2 entries is built; n = 8192 passes the check."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kernel arrays were built")
+
+    monkeypatch.setattr(_tauengine, "search_arrays", forbidden)
+    for call in (make_rho_sigma, lambda n: search_tau(n, budget=0),
+                 lambda n: verify_tau(n, None), lambda n: canonical_tau(n, None)):
+        with pytest.raises(CapExceeded, match="degree 8193 exceeds cap 8192"):
+            call(8193)
+    with pytest.raises(AssertionError, match="kernel arrays"):
+        search_tau(8192)
+    with pytest.raises(AssertionError, match="permutation was built"):
+        make_rho_sigma(8192)
 
 
 def test_backend_resolution(monkeypatch):

@@ -1,7 +1,8 @@
 """The tau-search kernel against the two bodies it grew from.
 
 The first oracle is the original checking kernel, kept verbatim apart from
-its name and the status constants: it indexed a 2-D ``sig_pow`` and a 2-D
+its name and the status constants (its own ``OK``, ``OUT_OF_BUDGET`` and
+``OUT_OF_SPACE``, the statuses of its output buffer): it indexed a 2-D ``sig_pow`` and a 2-D
 ``out`` as numpy arrays, allocated its own working copies and stacks, and
 only checked the braid and the defining relation where the current kernel
 also forces values from them.  The second is the propagating kernel as it
@@ -13,17 +14,26 @@ symmetry prune keeps the leader of every m_a orbit, so the kernel's
 survivors, expanded to their orbits and sorted back into branch order
 (``ikn._orbit_expansion``), are the oracles' solution rows, in the same
 order; its first certificate is theirs, and it never takes more nodes.  This
-holds for a full search, a search cut by its node budget (a prefix of the
-full run), and one that fills its output buffer.
+holds for a full search and for a search cut by its node budget (a prefix of
+the full run).  The kernel stops at each survivor and is resumed from the
+position it returns, and a copy of its state resumes the same way.
 """
 
+import copy
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ggraphs import _tauengine, ikn
 from ggraphs.algebra import Perm
+
+# the oracles' statuses: they fill an output buffer and stop when it is full
+OK, OUT_OF_BUDGET, OUT_OF_SPACE = 0, 1, 2
 
 
 def old_search_arrays(n):
@@ -87,7 +97,7 @@ def old_search_body(n, rho, sig_pow, used0, tau0, budget, want_all, out):
             for p in range(n + 1):
                 out[0, p] = tau[p]
             found = 1
-        return _tauengine.OK, found, nodes
+        return OK, found, nodes
 
     depth = 0
     st_a[0] = a0
@@ -119,7 +129,7 @@ def old_search_body(n, rho, sig_pow, used0, tau0, budget, want_all, out):
             if can:
                 nodes += 1
                 if nodes > budget:
-                    return _tauengine.OUT_OF_BUDGET, found, nodes
+                    return OUT_OF_BUDGET, found, nodes
                 if nb == m:
                     tau[a] = a
                     used[0] = 1
@@ -187,9 +197,9 @@ def old_search_body(n, rho, sig_pow, used0, tau0, budget, want_all, out):
                             out[found, p] = tau[p]
                         found += 1
                         if want_all == 0:
-                            return _tauengine.OK, found, nodes
+                            return OK, found, nodes
                         if found == cap:
-                            return _tauengine.OUT_OF_SPACE, found, nodes
+                            return OUT_OF_SPACE, found, nodes
                         if nb == m:
                             tau[a] = 0
                             used[0] = 0
@@ -218,7 +228,7 @@ def old_search_body(n, rho, sig_pow, used0, tau0, budget, want_all, out):
         if not advanced:
             st_b[depth] = 0
             depth -= 1
-    return _tauengine.OK, found, nodes
+    return OK, found, nodes
 
 
 def old_run(n, budget, want_all, cap):
@@ -230,11 +240,28 @@ def old_run(n, budget, want_all, cap):
     return (status, found, nodes), out[:found].tolist()
 
 
+def resume(n, budget, arrays, position, limit):
+    """Drive the kernel from ``position`` as ``search_tau`` does, until it is
+    done, out of budget or stopped at ``limit`` survivors.  Returns the last
+    status, the position and the survivors as rows of n+1 entries."""
+    rows = []
+    status = _tauengine.FOUND
+    while status == _tauengine.FOUND and len(rows) < limit:
+        status, *position = _tauengine._search_body(n, budget, *position, *arrays)
+        if status == _tauengine.FOUND:
+            rows.append([int(x) for x in arrays[3]])
+    return status, position, rows
+
+
 def new_run(n, budget, want_all, cap):
-    arrays = _tauengine.search_arrays(n, cap)
-    status, found, nodes = _tauengine._search_body(n, budget, want_all, *arrays)
-    out, w = arrays[-1], n + 1
-    return (status, found, nodes), [out[i * w:(i + 1) * w] for i in range(found)]
+    """The kernel as the oracles are called: the first survivor without
+    ``want_all``, else at most ``cap`` of them; status OK unless the budget
+    ran out."""
+    arrays = _tauengine.search_arrays(n)
+    status, (nodes, _, _), rows = resume(n, budget, arrays, (0, 0, 0), cap if want_all else 1)
+    if status != _tauengine.OUT_OF_BUDGET:
+        status = OK
+    return (status, len(rows), nodes), rows
 
 
 def unpruned_search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, trail, mark, out):
@@ -266,7 +293,7 @@ def unpruned_search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, t
         # 1..n-2 to check, so the seed itself is the one certificate
         for p in range(w):
             out[p] = tau[p]
-        return _tauengine.OK, 1, nodes
+        return OK, 1, nodes
 
     depth = 0
     st_a[0] = a0
@@ -296,7 +323,7 @@ def unpruned_search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, t
         st_b[depth] = nb
         nodes += 1
         if nodes > budget:
-            return _tauengine.OUT_OF_BUDGET, found, nodes
+            return OUT_OF_BUDGET, found, nodes
         v = a if nb == m else nb
         tau[a] = v
         tau[v] = a
@@ -411,19 +438,20 @@ def unpruned_search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, t
                 out[base + p] = tau[p]
             found += 1
             if want_all == 0:
-                return _tauengine.OK, found, nodes
+                return OK, found, nodes
             if found == cap:
-                return _tauengine.OUT_OF_SPACE, found, nodes
+                return OUT_OF_SPACE, found, nodes
             continue
         depth += 1
         st_a[depth] = na
         st_b[depth] = 0
         mark[depth] = tlen
-    return _tauengine.OK, found, nodes
+    return OK, found, nodes
 
 
 def unpruned_run(n, budget, want_all, cap):
-    *arrays, uinv, out = _tauengine.search_arrays(n, cap)
+    *arrays, uinv = _tauengine.search_arrays(n)
+    out = [0] * (cap * (n + 1))
     status, found, nodes = unpruned_search_body(n, budget, want_all, *arrays, out)
     w = n + 1
     return (status, found, nodes), [out[i * w:(i + 1) * w] for i in range(found)]
@@ -437,32 +465,35 @@ def expand(n, rows):
 def test_flat_inputs_are_the_old_arrays_flattened():
     for n in range(2, 26):
         m = n - 1
-        arrays = _tauengine.search_arrays(n, 3)
-        rho, sig, used, tau, st_a, st_b, trail, mark, uinv, out = arrays
+        arrays = _tauengine.search_arrays(n)
+        rho, sig, used, tau, st_a, st_b, trail, mark, uinv = arrays
         assert all(type(xs) is list for xs in arrays)
         old = old_search_arrays(n)
         assert [rho, sig, used, tau] == [a.ravel().tolist() for a in old]
-        assert st_a == st_b == trail == mark == [0] * (n + 2)
+        # the first branch point, the oracle's a0, is 1 whenever there is one
+        assert st_a == [1 if n > 2 else 0] + [0] * (n + 1)
+        assert st_b == trail == mark == [0] * (n + 2)
         for c in range(n + 1):
             if 2 <= c < m and math.gcd(c, m) == 1:
                 assert 1 <= uinv[c] < m and c * uinv[c] % m == 1, (n, c)
             else:
                 assert uinv[c] == 0, (n, c)
-        assert out == [0] * (3 * (n + 1))
-        numba_layout = _tauengine.search_arrays(n, 3, "numba")
+        numba_layout = _tauengine.search_arrays(n, "numba")
         assert all(a.dtype == np.int64 and a.ndim == 1 for a in numba_layout)
         assert [a.tolist() for a in numba_layout] == list(arrays)
 
 
 def test_body_on_numba_layout_matches_lists():
     """The arrays handed to the compiled kernel drive the same search when
-    the body runs on them as plain Python."""
-    for n in (5, 8, 13, 17):
-        want, rows = new_run(n, 10**7, 1, 64)
-        arrays = _tauengine.search_arrays(n, 64, "numba")
-        got = _tauengine._search_body(n, 10**7, 1, *arrays)
-        assert got == want
-        assert arrays[-1][: got[1] * (n + 1)].tolist() == [x for row in rows for x in row]
+    the body runs on them as plain Python, through the same resume loop."""
+    for n in (2, 5, 7, 8, 13, 17):
+        lists = _tauengine.search_arrays(n)
+        want = resume(n, 10**7, lists, (0, 0, 0), math.inf)
+        arrays = _tauengine.search_arrays(n, "numba")
+        got = resume(n, 10**7, arrays, (0, 0, 0), math.inf)
+        assert got == want, n
+        assert want[0] == _tauengine.DONE and want[2], n
+        assert [a.tolist() for a in arrays] == list(lists), n
 
 
 @pytest.mark.parametrize("want_all", [0, 1])
@@ -528,42 +559,42 @@ def test_budget_stop_matches_oracle(budget):
     assert stopped > 0
 
 
-@pytest.mark.parametrize("cap", [1, 2])
-def test_full_buffer_matches_oracle(cap):
-    """The kernel stops once ``cap`` survivors fill its buffer.  The first
-    certificate always survives; n = 7 is the one n <= 25 with a second
-    survivor, and its two certificates are both their orbits' leaders."""
-    for n in (7, 8, 9, 11, 13, 16, 17, 19) if cap == 1 else (7,):
-        (status, found, nodes), rows = new_run(n, 10**7, 1, cap)
-        (o_status, o_found, _), o_rows = old_run(n, 10**7, 1, cap)
-        assert status == o_status == _tauengine.OUT_OF_SPACE
-        assert (found, rows) == (o_found, o_rows), n
+@pytest.mark.parametrize("n", [7, 13, 17, 19, 25])
+def test_resume_from_a_copy(n):
+    """The arrays and the returned position are the whole state: stopped at
+    any survivor, a deep copy resumes to the same remaining survivors and
+    the same node total as the original resumed after it."""
+    nodes_all = {7: 10, 13: 221, 17: 1362, 19: 5335, 25: 252463}[n]
+    arrays, position, survivors, copies = _tauengine.search_arrays(n), (0, 0, 0), [], []
+    while True:
+        status, position, rows = resume(n, 10**7, arrays, position, 1)
+        if not rows:
+            break
+        survivors += rows
+        copies.append((len(survivors), resume(
+            n, 10**7, copy.deepcopy(arrays), copy.deepcopy(position), math.inf)))
+    assert (status, position[0]) == (_tauengine.DONE, nodes_all)
+    assert len(copies) == len(survivors) == (2 if n == 7 else 1)
+    for seen, (c_status, c_position, c_rows) in copies:
+        assert (c_status, c_position[0]) == (_tauengine.DONE, nodes_all)
+        assert c_rows == survivors[seen:]
 
 
-def test_search_tau_retries_with_fresh_state_when_out_of_space(monkeypatch):
-    """search_tau grows its buffer and restarts the search from the seed.
-
-    The first kernel call gets a one-row buffer, so it stops with
-    OUT_OF_SPACE at the first survivor after dirtying its working state;
-    the retry must still give the certificates and node count of one
-    uninterrupted run."""
-    kernel, _ = _tauengine.get_kernel("python")
-    calls = []
-
-    def one_row_first(n, budget, want_all, *arrays):
-        out = arrays[-1]
-        if not calls:
-            arrays = arrays[:-1] + (out[: n + 1],)
-        calls.append(len(arrays[-1]) // (n + 1))
-        status, found, nodes = kernel(n, budget, want_all, *arrays)
-        out[: len(arrays[-1])] = arrays[-1]
-        return status, found, nodes
-
-    monkeypatch.setattr(_tauengine, "get_kernel", lambda backend=None: (one_row_first, "python"))
-    for n in (13, 17, 19):
-        calls.clear()
-        result = ikn.search_tau(n, "all", backend="python")
-        assert calls == [1, 8192]
-        (status, found, nodes), rows = new_run(n, ikn.DEFAULT_BUDGET, 1, 1024)
-        assert result.nodes == nodes and len(result.certificates) > found
-        assert [[0, *c.tau.img] for c in result.certificates] == expand(n, rows)
+@pytest.mark.parametrize("flags, rows", [
+    ((), {13: ("1", "221"), 17: ("1", "1362")}),
+    (("--first",), {13: ("1", "52"), 17: ("1", "405")}),
+])
+def test_bench_tau_runs(flags, rows):
+    """benchmarks/bench_tau.py drives the resume loop and prints, per n, the
+    survivors (``reps``, or ``found`` with --first) and the nodes."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_tau.py"), *flags,
+         "--sizes", "13,17", "--repeats", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    assert ["n", "found" if flags else "reps", "nodes", "python"] in [row[:4] for row in lines]
+    assert {int(row[0]): tuple(row[1:3]) for row in lines if row[0].isdigit()} == rows
