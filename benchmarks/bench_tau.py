@@ -25,7 +25,7 @@ import argparse
 import time
 
 from ggraphs._tauengine import FOUND, HAVE_NUMBA, OUT_OF_BUDGET, get_kernel, search_arrays
-from ggraphs.ikn import DEFAULT_BUDGET
+from ggraphs.errors import DEFAULT_BUDGET
 
 
 def run_once(backend, n, budget, first):

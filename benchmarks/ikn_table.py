@@ -21,7 +21,7 @@ from pathlib import Path
 
 from ggraphs import ikn
 from ggraphs._tauengine import KERNEL_VERSION
-from ggraphs.errors import BudgetExceeded
+from ggraphs.errors import DEFAULT_BUDGET, BudgetExceeded
 
 OUT = Path(__file__).resolve().parent / "ikn_table.json"
 
@@ -49,7 +49,7 @@ def decide(n, budget):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--nmax", type=int, default=40)
-    ap.add_argument("--budget", type=int, default=ikn.DEFAULT_BUDGET)
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ap.add_argument("--out", type=Path, default=OUT)
     args = ap.parse_args()
     rows = []

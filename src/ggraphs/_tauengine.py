@@ -97,7 +97,7 @@ import os
 
 import numpy as np
 
-from .errors import ParseError, PreconditionFailed
+from .errors import PreconditionFailed
 
 try:
     from numba import njit
@@ -116,7 +116,6 @@ KERNEL_VERSION = 3
 DONE = 0
 OUT_OF_BUDGET = 1
 FOUND = 2
-OK = DONE  # a run that ended without running out of budget
 
 
 def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b, trail, mark, uinv):
@@ -312,27 +311,6 @@ def resolve_backend(backend: str | None = None) -> str:
     return choice
 
 
-def resolve_budget(budget: int | None, default: int) -> int:
-    """Explicit budget, else $GGRAPH_BUDGET, else the caller's default.
-
-    A negative budget from either source is refused with ParseError."""
-    if budget is not None:
-        value, source = int(budget), "budget"
-    else:
-        env = os.environ.get("GGRAPH_BUDGET", "")
-        if not env:
-            return default
-        try:
-            value, source = int(env), "GGRAPH_BUDGET"
-        except ValueError:
-            raise ParseError(
-                "GGRAPH_BUDGET must be an integer, got %r" % env
-            ) from None
-    if value < 0:
-        raise ParseError("%s must be >= 0, got %d" % (source, value))
-    return value
-
-
 def get_kernel(backend: str | None = None):
     """Return (search_callable, resolved_backend_name)."""
     resolved = resolve_backend(backend)
@@ -358,10 +336,10 @@ def search_arrays(n: int, backend: str = "python"):
         rho[k] = m - k
     rho[m] = n
     rho[n] = m
-    sig = [0] * (max(m, 1) * w)
+    cycle = list(range(1, n)) * 2  # row j is sigma^j: p -> cycle[p - 1 + j]
+    sig = []
     for j in range(max(m, 1)):
-        for p in range(1, n + 1):
-            sig[j * w + p] = n if p == n else (p - 1 + j) % m + 1
+        sig += [0, *cycle[j : j + m], n]
     used = [0] * max(m, 1)
     if n % 2 == 0:
         used[0] = 1  # no fixed points allowed

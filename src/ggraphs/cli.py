@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     WitnessInvalid,
+    resolve_budget,
 )
 from .ggraph import (
     build_phi,
@@ -33,8 +34,7 @@ from .ggraph import (
     kmn_build,
     verify_structure,
 )
-from ._tauengine import resolve_budget
-from .ikn import DEFAULT_BUDGET, search_tau, verify_tau
+from .ikn import search_tau, verify_tau
 from .incidence import (
     incidence_graph,
     incidence_preimage,
@@ -432,7 +432,7 @@ def _cmd_ikn_table(args, out) -> int:
     if args.nmax < 2:
         raise UsageError("nmax must be >= 2")
     _check_degree(args.nmax)
-    budget = resolve_budget(args.budget, DEFAULT_BUDGET)  # refused before any row
+    budget = resolve_budget(args.budget)  # refused before any row
     _emit(out, ["format: 1"])
     code = EXIT_OK
     for n in range(2, args.nmax + 1):  # each row goes out once decided

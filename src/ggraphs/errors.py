@@ -1,6 +1,12 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the one
+search budget policy of the tau search and the necessary test."""
 
 from __future__ import annotations
+
+import os
+
+# the default node budget of both searches
+DEFAULT_BUDGET = 10_000_000
 
 
 class GGraphError(Exception):
@@ -34,6 +40,27 @@ class BudgetExceeded(GGraphError):
         super().__init__(message)
         self.partial = partial
         self.nodes = nodes
+
+
+def resolve_budget(budget: int | None) -> int:
+    """Explicit budget, else $GGRAPH_BUDGET, else DEFAULT_BUDGET.
+
+    A negative budget from either source is refused with ParseError."""
+    if budget is not None:
+        value, source = int(budget), "budget"
+    else:
+        env = os.environ.get("GGRAPH_BUDGET", "")
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            value, source = int(env), "GGRAPH_BUDGET"
+        except ValueError:
+            raise ParseError(
+                "GGRAPH_BUDGET must be an integer, got %r" % env
+            ) from None
+    if value < 0:
+        raise ParseError("%s must be >= 0, got %d" % (source, value))
+    return value
 
 
 class WitnessInvalid(GGraphError):

@@ -36,11 +36,11 @@ from .errors import (
     InternalAssertion,
     ParseError,
     PreconditionFailed,
+    resolve_budget,
 )
 from .ggraph import GGraph, ItemReport, build_phi, level_vertices
 from .multigraph import _json_int
 
-DEFAULT_BUDGET = 10_000_000
 SEARCH_MODES = ("first_only", "all", "up_to_conjugacy")
 OBSTRUCTION_KINDS = ("Mod4", "Mod6", "Mod24", "ExhaustiveSearch")
 
@@ -473,7 +473,7 @@ def search_tau(
     per m_a conjugacy class.  Every certificate returned is re-verified.
     When ``short_circuit`` is set, a modular obstruction skips the search
     entirely; disable it to confirm emptiness by exhaustion.  Budget is a
-    node count (DEFAULT_BUDGET, or $GGRAPH_BUDGET); running out raises
+    node count (errors.DEFAULT_BUDGET, or $GGRAPH_BUDGET); running out raises
     BudgetExceeded with the certificates found so far attached, in "all"
     mode the orbit expansion of the survivors so far.
     """
@@ -482,7 +482,7 @@ def search_tau(
         raise PreconditionFailed(
             "mode must be one of %s" % ", ".join(SEARCH_MODES)
         )
-    node_budget = _tauengine.resolve_budget(budget, DEFAULT_BUDGET)
+    node_budget = resolve_budget(budget)
     modular = obstructions(n)
     if modular and short_circuit:
         return SearchResult(n, mode, (), modular, 0, True, "none")
@@ -512,11 +512,8 @@ def search_tau(
             "n=%d has a modular obstruction yet the search found a certificate" % n
         )
     if mode == "up_to_conjugacy":
-        reps = {}
-        for cert in certs:
-            canon = canonical_tau(n, cert.tau)
-            reps.setdefault(canon.img, TauCertificate(n, canon, canonical=True))
-        certs = tuple(reps[key] for key in sorted(reps))
+        reps = {canonical_tau(n, cert.tau).img for cert in certs}
+        certs = tuple(_certificate(n, img) for img in sorted(reps))
     if not certs:
         return SearchResult(
             n, mode, (), modular + (Obstruction(n, "ExhaustiveSearch"),),

@@ -27,14 +27,15 @@ from .errors import (
     InternalAssertion,
     PreconditionFailed,
     WitnessInvalid,
+    resolve_budget,
 )
-from ._tauengine import resolve_budget
 from .ggraph import GGraph, level_vertices
 from .multigraph import (
     GraphAut,
     IsoWitness,
     Multigraph,
     _first_map,
+    _multiplicities,
     connected_components,
     induced_edge_map,
     map_defect,
@@ -252,9 +253,6 @@ def _extend_by_words(g: FiniteGroup, s: int, t: int, fs: int, ft: int):
     return f
 
 
-DEFAULT_NECESSARY_BUDGET = 10_000_000
-
-
 def necessary_bipartite_witness(
     gg: GGraph, budget: int | None = None
 ) -> IncidenceWitnessMap | None:
@@ -274,7 +272,7 @@ def necessary_bipartite_witness(
         raise PreconditionFailed("need a loop-free G-graph over two occurrences")
     if len(connected_components(gg.graph)) != 1:
         raise PreconditionFailed("G-graph is not connected")
-    budget = resolve_budget(budget, DEFAULT_NECESSARY_BUDGET)
+    budget = resolve_budget(budget)
     grp = gg.group
     graph = gg.graph
     if len(level_vertices(gg, 0)) != len(level_vertices(gg, 1)):
@@ -282,17 +280,17 @@ def necessary_bipartite_witness(
     u0 = gg.vertex_of(0, grp.identity)
     u1 = gg.vertex_of(1, grp.identity)
 
-    # side 1 colours each vertex by its level and side 2 by the other level,
-    # so every colour-preserving map swaps the levels; the seed pairs the
-    # identity-coset vertices so that f will fix the label e.
-    side1 = [gg.vertex_level(v) for v in range(graph.n_vertices)]
-    side2 = [1 - c for c in side1]
-    side1[u0] = side2[u1] = 2
-    side1[u1] = side2[u0] = 3
-    mult = {key: len(ids) for key, ids in graph.multi_edges().items()}
-    vmap = _first_map(
-        graph, graph, side1, side2, mult, mult, involution=True, budget=budget
-    )
+    # the first copy of the graph colours each vertex by its level and the
+    # second by the other level, so every colour-preserving map swaps the
+    # levels; the seed pairs the identity-coset vertices so that f will fix
+    # the label e.
+    n = graph.n_vertices
+    level = [gg.vertex_level(v) for v in range(n)]
+    colors = level + [1 - c for c in level]
+    colors[u0] = colors[n + u1] = 2
+    colors[u1] = colors[n + u0] = 3
+    mult = _multiplicities(graph, False)
+    vmap = _first_map(graph, graph, colors, mult, mult, involution=True, budget=budget)
     if vmap is None:
         return None
 

@@ -349,101 +349,86 @@ def _pair_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-def _initial_colors(g: Multigraph, use_parts: bool, strict: bool):
-    mult = {key: len(ids) for key, ids in g.multi_edges().items()}
-    keys = []
-    for v in range(g.n_vertices):
-        nonloop = sorted(
-            m for (a, b), m in mult.items() if a != b and v in (a, b)
-        )
-        key = (
-            g.vertices[v].part if use_parts else 0,
-            g.degree(v),
-            len(g.loops_at(v)),
-            tuple(nonloop),
-        )
-        if strict:
-            key = key + (
-                tuple(sorted(e.label for e in g.edges if v in (e.u, e.v))),
-            )
-        keys.append(key)
-    return keys, mult
+def _multiplicities(g: Multigraph, strict: bool) -> dict:
+    """Each multi-edge's count, keyed by its end pair, or under strict its
+    (count, sorted labels), so refinement compares labels too."""
+    return {
+        key: (len(ids), tuple(sorted(g.edges[i].label for i in ids))) if strict else len(ids)
+        for key, ids in g.multi_edges().items()
+    }
 
 
-def _neighbours(g: Multigraph, mult) -> list[list[tuple]]:
-    """Per vertex: (other end, multiplicity value) of each non-loop multi-edge."""
-    out = [[] for _ in range(g.n_vertices)]
-    for (a, b), m in mult.items():
-        if a != b:
-            out[a].append((b, m))
-            out[b].append((a, m))
-    return out
-
-
-def _refine(c1, c2, nb1, nb2):
-    """Colour refinement rounds until no class splits; None on a histogram
-    mismatch.  A vertex's next colour is its colour with the sorted (colour,
-    multiplicity) pairs of its neighbours, renumbered in one table shared by
-    both graphs, so the colours returned are 0..k-1 for k classes."""
+def _refine(c, nb):
+    """Colour refinement rounds on a colouring c of the disjoint union of two
+    graphs of n vertices each, the first graph's colours then the second's,
+    until no class splits; None when the two halves' colour histograms
+    differ.  A vertex's next colour is its colour with the sorted (colour,
+    multiplicity) pairs of its neighbours, renumbered, so the colours
+    returned are 0..k-1 for k classes."""
+    n = len(c) // 2
     while True:
-        if Counter(c1) != Counter(c2):
+        size = Counter(c[:n])
+        if size != Counter(c[n:]):
             return None
-        new1 = [(c, tuple(sorted([(c1[w], m) for w, m in nb]))) for c, nb in zip(c1, nb1)]
-        new2 = [(c, tuple(sorted([(c2[w], m) for w, m in nb]))) for c, nb in zip(c2, nb2)]
-        table = {k: i for i, k in enumerate(sorted(set(new1) | set(new2)))}
-        r1 = [table[k] for k in new1]
-        r2 = [table[k] for k in new2]
-        if len(table) == len(set(c1)):  # no class split: the same partition
-            return r1, r2
-        c1, c2 = r1, r2
+        new = [(x, tuple(sorted([(c[w], m) for w, m in row]))) for x, row in zip(c, nb)]
+        table = {k: i for i, k in enumerate(sorted(set(new)))}
+        refined = [table[k] for k in new]
+        if len(table) == len(size):  # no class split: the same partition
+            return refined
+        c = refined
 
 
-def _first_map(g1, g2, colors1, colors2, mult1, mult2, *, involution=False, budget=None):
+def _first_map(g1, g2, colors, mult1, mult2, *, involution=False, budget=None):
     """The lex-first colour-preserving isomorphism g1 -> g2 as a vertex list,
     or None, by individualise and refine (McKay & Piperno, "Practical Graph
     Isomorphism, II", J. Symbolic Comput. 60, 2014).
 
-    It branches on the smallest vertex v of g1 whose colour class is not a
-    single vertex and tries the vertices w of g2 in that class in ascending
-    order: v and w get one fresh colour and the colouring is refined.  A
-    histogram mismatch kills the branch; a colouring whose classes are
-    single vertices is the answer.  Refinement drops only maps that no
-    answer has, so the answer is the lex-first one.  With involution=True
-    (g1 is g2, and the two colourings correspond under an involution of the
-    colours) (w -> v) is individualised along with (v -> w); the refined
-    colourings keep that correspondence, so every map found is an
-    involution.  Every colouring refined is a node, the caller's own
-    included; more than budget nodes raise BudgetExceeded.
+    One colouring covers the disjoint union of g1 and g2, with vertex w of
+    g2 at index n + w.  The search branches on the smallest vertex v of g1
+    whose colour class is not a single vertex per graph and tries the
+    vertices w of g2 in that class in ascending order: v and w get one
+    fresh colour and the colouring is refined.  A histogram mismatch kills
+    the branch; a colouring whose classes are single vertices is the
+    answer.  Refinement drops only maps that no answer has, so the answer
+    is the lex-first one.  With involution=True (g1 is g2, and the two
+    halves of the colouring correspond under an involution of the colours)
+    (w -> v) is individualised along with (v -> w); the refined colouring
+    keeps that correspondence, so every map found is an involution.  Every
+    colouring refined is a node, the caller's own included; more than
+    budget nodes raise BudgetExceeded.
     """
     n = g1.n_vertices
-    nb1, nb2 = _neighbours(g1, mult1), _neighbours(g2, mult2)
+    nb = [[] for _ in range(2 * n)]  # (other end, multiplicity) per non-loop multi-edge
+    for at, mult in ((0, mult1), (n, mult2)):
+        for (a, b), m in mult.items():
+            if a != b:
+                nb[at + a].append((at + b, m))
+                nb[at + b].append((at + a, m))
     nodes = 0
-    frames = []  # per depth: (colours1, colours2, branch vertex, candidates left)
-    todo = (colors1, colors2)
+    frames = []  # per depth: (colours, branch vertex, candidates left)
+    todo = colors
     while True:
         nodes += 1
         if budget is not None and nodes > budget:
             raise BudgetExceeded("automorphism search exceeded %d nodes" % budget, nodes=nodes)
-        refined = _refine(*todo, nb1, nb2)
-        if refined is not None:
-            c1, c2 = refined
-            size = Counter(c1)
-            v = next((x for x in range(n) if size[c1[x]] > 1), None)
+        c = _refine(todo, nb)
+        if c is not None:
+            size = Counter(c[:n])
+            v = next((x for x in range(n) if size[c[x]] > 1), None)
             if v is None:
-                at = {c: w for w, c in enumerate(c2)}
-                return [at[c] for c in c1]
-            frames.append((c1, c2, v, iter([w for w in range(n) if c2[w] == c1[v]])))
-        while frames and (w := next(frames[-1][3], None)) is None:
+                at = {c[n + w]: w for w in range(n)}
+                return [at[x] for x in c[:n]]
+            frames.append((c, v, iter([w for w in range(n) if c[n + w] == c[v]])))
+        while frames and (w := next(frames[-1][2], None)) is None:
             frames.pop()
         if not frames:
             return None
-        c1, c2, v, _ = frames[-1]
-        # refined colours are below n, so n and n + 1 are fresh
-        d1, d2 = list(c1), list(c2)
-        d1[v] = d2[w] = n
+        c, v, _ = frames[-1]
+        # refined colours are below 2n, so 2n and 2n + 1 are fresh
+        todo = list(c)
+        todo[v] = todo[n + w] = 2 * n
         if involution:
-            d1[w] = d2[v] = n + 1
-        todo = (d1, d2)
+            todo[w] = todo[n + v] = 2 * n + 1
 
 
 def isomorphic(
@@ -466,19 +451,15 @@ def isomorphic(
     if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
         return None
     use_parts = g1.fully_part_tagged() and g2.fully_part_tagged()
-    k1, mult1 = _initial_colors(g1, use_parts, strict_labels)
-    k2, mult2 = _initial_colors(g2, use_parts, strict_labels)
-    if strict_labels:
-        # a multiplicity becomes (count, sorted labels), so refinement compares labels
-        mult1, mult2 = (
-            {k: (len(ids), tuple(sorted(g.edges[i].label for i in ids)))
-             for k, ids in g.multi_edges().items()}
-            for g in (g1, g2)
-        )
-    table = {k: i for i, k in enumerate(sorted(set(k1) | set(k2)))}
-    fwd = _first_map(
-        g1, g2, [table[k] for k in k1], [table[k] for k in k2], mult1, mult2
-    )
+    mult1, mult2 = (_multiplicities(g, strict_labels) for g in (g1, g2))
+    # refinement derives degrees and neighbour multiplicities, not parts or loops
+    seeds = [
+        (v.part if use_parts else 0, mult.get((v.id, v.id), 0))
+        for g, mult in ((g1, mult1), (g2, mult2))
+        for v in g.vertices
+    ]
+    table = {k: i for i, k in enumerate(dict.fromkeys(seeds))}
+    fwd = _first_map(g1, g2, [table[k] for k in seeds], mult1, mult2)
     if fwd is None:
         return None
 

@@ -41,9 +41,11 @@ from .multigraph import (
 )
 
 
-def close_under_composition(
-    g: Multigraph, gens, cap: int = 20000
-) -> list[GraphAut]:
+# the largest automorphism subgroup close_under_composition builds
+CLOSURE_CAP = 20000
+
+
+def close_under_composition(g: Multigraph, gens) -> list[GraphAut]:
     """The subgroup generated by gens, sorted with the identity first.
 
     Each automorphism acts as one permutation of V and E taken together:
@@ -54,9 +56,9 @@ def close_under_composition(
     nv = g.n_vertices
     rows = [a.vertex_map + tuple(nv + x for x in a.edge_map) for a in gens]
     try:
-        closure = perm_closure(rows, nv + g.n_edges, cap)
+        closure = perm_closure(rows, nv + g.n_edges, CLOSURE_CAP)
     except CapExceeded:
-        raise CapExceeded("automorphism closure exceeds cap %d" % cap) from None
+        raise CapExceeded("automorphism closure exceeds cap %d" % CLOSURE_CAP) from None
     return sorted(
         GraphAut(tuple(row[:nv]), tuple(x - nv for x in row[nv:]))
         for row in closure.elems.tolist()
@@ -425,7 +427,7 @@ def _int_row(row, what: str) -> tuple:
     return tuple(_json_int(x, what) for x in row)
 
 
-def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitness:
+def witness_from_json(g: Multigraph, data) -> RecognitionWitness:
     """Parse the witness format and close the generators into H.
 
     Edge maps are inferred per generator when every multi-edge has
@@ -463,4 +465,4 @@ def witness_from_json(g: Multigraph, data, cap: int = 20000) -> RecognitionWitne
         if sorted(em) != list(range(g.n_edges)):
             raise WitnessInvalid("an H element's edge map is not a permutation")
         gens.append(GraphAut(tuple(vmap), em))
-    return RecognitionWitness(close_under_composition(g, gens, cap), C)
+    return RecognitionWitness(close_under_composition(g, gens), C)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ggraphs import _tauengine
+from ggraphs import _tauengine, ikn
 from ggraphs.algebra import Perm
 from ggraphs.errors import BudgetExceeded, CapExceeded, ParseError, PreconditionFailed
 from ggraphs.ikn import (
@@ -182,6 +182,24 @@ def test_search_modes_are_consistent():
             if math.gcd(a, n - 1) == 1
         }
         assert {c.tau.img for c in every.certificates} == orbit
+
+
+def test_conjugacy_class_representatives_are_verified(monkeypatch):
+    """Each up_to_conjugacy representative is the canonical conjugate of a
+    survivor, often not the survivor itself; it goes through verify_tau."""
+    checked = []
+
+    def recording(n, tau):
+        checked.append((n, tau.img))
+        return verify_tau(n, tau)
+
+    monkeypatch.setattr(ikn, "verify_tau", recording)
+    for n in (5, 11, 13, 19):
+        checked.clear()
+        classes = search_tau(n, "up_to_conjugacy", backend="python")
+        assert classes.certificates, n
+        for cert in classes.certificates:
+            assert (n, cert.tau.img) in checked, n
 
 
 @pytest.mark.skipif(not _tauengine.HAVE_NUMBA, reason="numba unavailable")

@@ -237,8 +237,30 @@ def oracle_first_iso(g1, g2, strict_labels=False):
     if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
         return None
     use_parts = g1.fully_part_tagged() and g2.fully_part_tagged()
-    k1, mult1 = mg._initial_colors(g1, use_parts, strict_labels)
-    k2, mult2 = mg._initial_colors(g2, use_parts, strict_labels)
+
+    def initial_colors(g):
+        # the former multigraph._initial_colors
+        mult = {key: len(ids) for key, ids in g.multi_edges().items()}
+        keys = []
+        for v in range(g.n_vertices):
+            nonloop = sorted(
+                m for (a, b), m in mult.items() if a != b and v in (a, b)
+            )
+            key = (
+                g.vertices[v].part if use_parts else 0,
+                g.degree(v),
+                len(g.loops_at(v)),
+                tuple(nonloop),
+            )
+            if strict_labels:
+                key = key + (
+                    tuple(sorted(e.label for e in g.edges if v in (e.u, e.v))),
+                )
+            keys.append(key)
+        return keys, mult
+
+    k1, mult1 = initial_colors(g1)
+    k2, mult2 = initial_colors(g2)
     lab1, lab2 = (
         {k: sorted(g.edges[i].label for i in ids) for k, ids in g.multi_edges().items()}
         for g in (g1, g2)

@@ -502,7 +502,7 @@ def test_full_search_matches_oracle(want_all):
         cap = 1024 if want_all else 1
         (status, found, nodes), rows = new_run(n, 10**7, want_all, cap)
         (o_status, o_found, o_nodes), o_rows = old_run(n, 10**7, want_all, cap)
-        assert status == o_status == _tauengine.OK
+        assert status == o_status == _tauengine.DONE
         if want_all:
             rows = expand(n, rows)
         assert rows == o_rows, n
@@ -537,7 +537,7 @@ def test_exhaustive_node_counts():
     symmetry prune and the checking body's 282,709."""
     counts = {n: new_run(n, 10**7, 1, 1024)[0][2] for n in range(17, 23)}
     assert counts == {17: 1362, 18: 1381, 19: 5335, 20: 4008, 21: 15855, 22: 17577}
-    assert new_run(6, 10**7, 1, 1024)[0] == (_tauengine.OK, 0, 4)
+    assert new_run(6, 10**7, 1, 1024)[0] == (_tauengine.DONE, 0, 4)
 
 
 @pytest.mark.parametrize("budget", [0, 1, 2, 7, 50, 400, 3000])
