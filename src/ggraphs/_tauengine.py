@@ -6,7 +6,8 @@ The search looks for involutions tau of {1..n} with tau(n) = n-1 satisfying
 
 for every k in {1..n-2}, where sigma = (1,...,n-1) fixes n and rho is the
 involution k -> n-1-k on {1..n-2} that swaps n-1 and n.  The kernel is one
-function that indexes only flat 1-D sequences and allocates nothing.  The
+function that indexes only flat 1-D sequences and allocates nothing; one
+list of 4n-2 entries serves every power of sigma (see ``_search_body``).  The
 python backend runs it on Python lists, because indexing a numpy array from
 Python costs several times a list index; the numba backend compiles the same
 body in nopython mode for int64 arrays of the same layout.  ``search_arrays``
@@ -123,11 +124,14 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
     docstring.
 
     Every sequence is flat and 1-D, and point arrays are 1-indexed (index 0
-    unused); ``sig[k*(n+1) + p]`` is sigma^k(p).  ``tau`` carries the seed
-    assignment tau(n) = n-1 and ``used`` the residue pre-marks; both, the
-    branch stacks ``st_a``/``st_b``, the ``trail`` of assigned points and its
-    per-depth ``mark`` are working state changed in place.  ``uinv[c]`` is
-    c^-1 mod n-1 for a unit c >= 2 and 0 for every other point.
+    unused).  ``sig`` holds the cycle 1..n-1 twice from index n+1, then n-1
+    copies of n, and ``sig[p]`` is where p's run starts in it, so
+    ``sig[sig[p] + k]`` is sigma^k(p) for 0 <= k < n-1.  ``tau`` carries
+    the seed assignment tau(n) = n-1 and ``used`` the residue pre-marks;
+    both, the branch stacks ``st_a``/``st_b``, the ``trail`` of assigned
+    points and its per-depth ``mark`` are working state changed in place.
+    ``uinv[c]`` is c^-1 mod n-1 for a unit c >= 2 and 0 for every other
+    point.
 
     The position (nodes, depth, tlen) is the branch assignments so far, the
     depth and the trail length; a fresh ``search_arrays`` starts at
@@ -137,7 +141,6 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
     has marked as tried, so that stop does not resume.
     """
     m = n - 1
-    w = n + 1
     if n == 2 and depth == 0:
         # tau is fully seeded and the relation has no row k in 1..n-2 to
         # check, so the seed itself is the one certificate
@@ -240,19 +243,19 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
                     tp = tau[p]
                     if tp == 0:
                         continue
-                    s1 = sig[k * w + tp]
-                    s2 = sig[e2 * w + p]
+                    s1 = sig[sig[tp] + k]
+                    s2 = sig[sig[p] + e2]
                     x = tau[s1]
                     y = tau[s2]
                     u = 0
                     if x != 0 and y != 0:
-                        good = x == sig[e1 * w + y]
+                        good = x == sig[sig[y] + e1]
                     elif x != 0:
                         u = s2
-                        v = sig[(m - e1) * w + x]
+                        v = sig[sig[x] + m - e1]
                     elif y != 0:
                         u = s1
-                        v = sig[e1 * w + y]
+                        v = sig[sig[y] + e1]
                     if u != 0:
                         if u == v:
                             good = used[0] == 0
@@ -336,10 +339,7 @@ def search_arrays(n: int, backend: str = "python"):
         rho[k] = m - k
     rho[m] = n
     rho[n] = m
-    cycle = list(range(1, n)) * 2  # row j is sigma^j: p -> cycle[p - 1 + j]
-    sig = []
-    for j in range(max(m, 1)):
-        sig += [0, *cycle[j : j + m], n]
+    sig = [0, *range(w, w + m), w + 2 * m, *range(1, n), *range(1, n), *[n] * m]
     used = [0] * max(m, 1)
     if n % 2 == 0:
         used[0] = 1  # no fixed points allowed

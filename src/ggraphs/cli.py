@@ -262,6 +262,7 @@ def _cmd_incidence_preimage(args, out) -> int:
 
 
 def _cmd_bipartite_test(args, out) -> int:
+    budget = resolve_budget(args.budget)  # refused in either mode
     grp = parse_group(args.group)
     s = parse_element(grp, args.s)
     t = parse_element(grp, args.t)
@@ -276,7 +277,7 @@ def _cmd_bipartite_test(args, out) -> int:
     if mode == "sufficient":
         w = sufficient_bipartite_test(grp, s, t)
     else:
-        w = necessary_bipartite_witness(build_phi(grp, [s, t]), budget=args.budget)
+        w = necessary_bipartite_witness(build_phi(grp, [s, t]), budget=budget)
     if args.output == "json":
         _emit_json(
             out,

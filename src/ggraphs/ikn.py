@@ -71,8 +71,10 @@ def make_rho_sigma(n: int) -> RhoSigma:
 
 
 def _check_n(n: int) -> None:
-    """Refuse n < 2, and n above DEFAULT_CLOSURE_CAP before any table of
-    n^2 entries is built."""
+    """Refuse n < 2, and n above DEFAULT_CLOSURE_CAP, the package's cap on a
+    permutation degree, before any permutation or kernel array is built.
+    The search and verify_tau keep O(n) state, so the cap bounds time, not
+    memory: verify_tau takes O(n^2) steps, and so can one search node."""
     if n < 2:
         raise PreconditionFailed("need n >= 2")
     _check_degree(n)
@@ -109,14 +111,13 @@ def verify_tau(n: int, tau: Perm) -> TauReport:
         failures.append("tau(%d) = %d, expected %d" % (n, tau(n), n - 1))
     if not failures:
         rs = make_rho_sigma(n)
-        pw = [Perm.identity(n)]
-        for _ in range(n - 2):
-            pw.append(rs.sigma * pw[-1])
+        row = rs.sigma.img[: n - 1] * 2  # sigma^j(p) = row[p + j - 2], 0 < j < n-1
         for k in range(1, n - 1):
             e1 = tau(k)
             e2 = tau(rs.rho(tau(k)))
-            lhs = tau * pw[k] * tau
-            rhs = pw[e1] * tau * pw[e2]
+            sk, se1, se2 = (Perm((*row[j - 1 : j + n - 2], n)) for j in (k, e1, e2))
+            lhs = tau * sk * tau
+            rhs = se1 * tau * se2
             if lhs != rhs:
                 p = next(q for q in range(1, n + 1) if lhs(q) != rhs(q))
                 failures.append(
@@ -158,6 +159,8 @@ class TauCertificate:
             img = tuple(_json_int(x, "a 'tau' entry") for x in data["tau"])
         except (KeyError, TypeError):
             raise ParseError("certificate needs integer 'n' and integer list 'tau'") from None
+        if n < 2:
+            raise ParseError("certificate needs n >= 2, got %d" % n)
         if len(img) != n or sorted(img) != list(range(1, n + 1)):
             raise ParseError("'tau' is not a permutation of 1..%d" % n)
         tau = Perm(img)
@@ -188,6 +191,12 @@ class Obstruction:
             raise ParseError("obstruction needs 'n' and 'kind'") from None
         if kind not in OBSTRUCTION_KINDS:
             raise ParseError("unknown obstruction kind %r" % kind)
+        if n < 2:
+            raise ParseError("obstruction needs n >= 2, got %d" % n)
+        # a modular kind must hold for its n; an exhaustive search is only
+        # checked by running it again
+        if kind != "ExhaustiveSearch" and cls(n, kind) not in obstructions(n):
+            raise ParseError("%s does not hold for n = %d" % (kind, n))
         return cls(n, kind)
 
     def describe(self) -> str:
@@ -474,8 +483,9 @@ def search_tau(
     When ``short_circuit`` is set, a modular obstruction skips the search
     entirely; disable it to confirm emptiness by exhaustion.  Budget is a
     node count (errors.DEFAULT_BUDGET, or $GGRAPH_BUDGET); running out raises
-    BudgetExceeded with the certificates found so far attached, in "all"
-    mode the orbit expansion of the survivors so far.
+    BudgetExceeded with the certificates found so far attached: in "all"
+    mode the orbit expansion of the survivors so far, in "up_to_conjugacy"
+    their canonical conjugates.
     """
     _check_n(n)
     if mode not in SEARCH_MODES:
@@ -500,6 +510,8 @@ def search_tau(
     nodes = int(nodes)
     if mode == "all":
         rows = _orbit_expansion(n, rows)
+    elif mode == "up_to_conjugacy":
+        rows = sorted({canonical_tau(n, Perm(img)).img for img in rows})
     certs = tuple(_certificate(n, img) for img in rows)
     if status == _tauengine.OUT_OF_BUDGET:
         raise BudgetExceeded(
@@ -511,9 +523,6 @@ def search_tau(
         raise InternalAssertion(
             "n=%d has a modular obstruction yet the search found a certificate" % n
         )
-    if mode == "up_to_conjugacy":
-        reps = {canonical_tau(n, cert.tau).img for cert in certs}
-        certs = tuple(_certificate(n, img) for img in sorted(reps))
     if not certs:
         return SearchResult(
             n, mode, (), modular + (Obstruction(n, "ExhaustiveSearch"),),

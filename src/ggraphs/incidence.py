@@ -21,6 +21,7 @@ from .algebra import (
     cyclic_subgroup,
     element_order,
     generated_subgroup,
+    generating_set,
     power,
 )
 from .errors import (
@@ -188,8 +189,17 @@ class IncidenceWitnessMap:
 
 
 def _is_homomorphism(g: FiniteGroup, f) -> bool:
-    mul = g.mul
-    return bool((np.asarray(f)[mul] == mul[np.ix_(f, f)]).all())
+    """Whether f(xy) = f(x)f(y) for all x, y, checked on generators only:
+    f(e) = e and f(xt) = f(x)f(t) for every x and each t of a generating
+    set.  Every y is a product of generators (``generating_set``), and
+    induction on its length gives the rest: f(xe) = f(x)f(e), and if
+    f(xy) = f(x)f(y) for all x, then f(xyt) = f(xy)f(t) = f(x)f(y)f(t) =
+    f(x)f(yt).  Conversely a homomorphism fixes e, as f(e) = f(e)f(e)."""
+    mul, f = g.mul, np.asarray(f)
+    if f[g.identity] != g.identity:
+        return False
+    gens = list(generating_set(mul, g.identity))
+    return bool((f[mul[:, gens]] == mul[np.ix_(f, f[gens])]).all())
 
 
 def sufficient_bipartite_test(

@@ -187,6 +187,8 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
         raise WitnessInvalid("C contains repeated vertices")
     if not w.H:
         raise WitnessInvalid("H is empty")
+    if not w.C:
+        raise WitnessInvalid("C is empty")
     return V, E
 
 

@@ -106,6 +106,7 @@ def test_budget_env_override(monkeypatch):
     ("ikn", "table", "5", "--budget", "-1"),
     ("bipartite-test", "-g", "Z2xZ2", "-s", "(1,0)", "-t", "(0,1)",
      "--necessary", "--budget", "-2"),
+    ("bipartite-test", "-g", "Z6", "-s", "2", "-t", "3", "--budget", "-1"),
 ])
 def test_negative_budget_is_a_usage_error(argv):
     code, out, err = cli(*argv)
@@ -117,6 +118,7 @@ def test_negative_budget_is_a_usage_error(argv):
     ("ikn", "search", "5"),
     ("ikn", "table", "5"),
     ("bipartite-test", "-g", "Z2xZ2", "-s", "(1,0)", "-t", "(0,1)", "--necessary"),
+    ("bipartite-test", "-g", "Z6", "-s", "2", "-t", "3"),
 ])
 def test_negative_budget_from_the_environment_is_a_usage_error(monkeypatch, argv):
     monkeypatch.setenv("GGRAPH_BUDGET", "-7")
@@ -463,6 +465,14 @@ def test_recognize_bad_witness_exit_one(hexagon_files):
     assert code == 1
     assert "not verified" in out
     assert "FAIL" in out
+
+
+def test_recognize_empty_clique_exit_three():
+    """A G-graph has a nonempty S, so a witness with C empty is malformed."""
+    argv = ("recognize", "--graph", '{"vertices": []}',
+            "--witness", '{"H_generators": [], "C": []}')
+    for extra in ((), ("--reconstruct",)):
+        assert cli(*argv, *extra) == (3, "", "error: C is empty\n")
 
 
 def test_recognize_missing_file_exit_three(tmp_path):

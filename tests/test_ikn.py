@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -114,6 +116,85 @@ def test_verify_failure_details():
     assert any("relation fails at k=" in f for f in rep.failures)
     with pytest.raises(PreconditionFailed):
         verify_tau(6, known_tau(5))
+
+
+def stored_powers_verify_tau(n, tau):
+    """Oracle: verify_tau as it was, with every power of sigma stored."""
+    failures = []
+    for p in range(1, n + 1):
+        if tau(tau(p)) != p:
+            failures.append("tau is not an involution: tau(tau(%d)) = %d" % (p, tau(tau(p))))
+            break
+    if tau(n) != n - 1:
+        failures.append("tau(%d) = %d, expected %d" % (n, tau(n), n - 1))
+    if not failures:
+        rs = make_rho_sigma(n)
+        pw = [Perm.identity(n)]
+        for _ in range(n - 2):
+            pw.append(rs.sigma * pw[-1])
+        for k in range(1, n - 1):
+            e1 = tau(k)
+            e2 = tau(rs.rho(tau(k)))
+            lhs = tau * pw[k] * tau
+            rhs = pw[e1] * tau * pw[e2]
+            if lhs != rhs:
+                p = next(q for q in range(1, n + 1) if lhs(q) != rhs(q))
+                failures.append(
+                    "relation fails at k=%d: (tau sigma^%d tau)(%d) = %d but "
+                    "(sigma^%d tau sigma^%d)(%d) = %d"
+                    % (k, k, p, lhs(p), e1, e2, p, rhs(p))
+                )
+    return ikn.TauReport(n, not failures, tuple(failures))
+
+
+def random_involution(n, rng):
+    """tau(n) = n-1 four times in five, so that the relation rows are read."""
+    seeded = rng.random() < 0.8
+    points = list(range(1, n - 1 if seeded else n + 1))
+    rng.shuffle(points)
+    img = list(range(1, n + 1))
+    if seeded:
+        img[n - 2], img[n - 1] = n, n - 1
+    pairs = rng.randrange(len(points) // 2 + 1)
+    for a, b in zip(points[0 : 2 * pairs : 2], points[1 : 2 * pairs : 2]):
+        img[a - 1], img[b - 1] = b, a
+    return Perm(tuple(img))
+
+
+def test_verify_matches_the_stored_powers_oracle():
+    rng = random.Random(11)
+    for n in range(2, 41):
+        taus = [random_involution(n, rng) for _ in range(30)]
+        taus.append(Perm(tuple(rng.sample(range(1, n + 1), n))))
+        if n in KNOWN_TAUS:
+            taus.append(known_tau(n))
+        for tau in taus:
+            assert verify_tau(n, tau) == stored_powers_verify_tau(n, tau), (n, tau)
+
+
+def peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+    except BudgetExceeded:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_search_keeps_no_table_of_sigma_powers():
+    """The kernel reads sigma^k from one list of 4n-2 entries: a search
+    stopped at node 0 for n = 4001 peaks below 5 MiB (an n^2 table of
+    powers would be 128 MB)."""
+    assert peak_bytes(lambda: search_tau(4001, budget=0, backend="python")) < 5 * 2**20
+
+
+def test_verify_keeps_no_list_of_sigma_powers():
+    """verify_tau builds the three powers of sigma each row needs and keeps
+    none: n = 601 peaks below 1 MiB (the n-2 stored powers took 3 MiB)."""
+    assert peak_bytes(lambda: verify_tau(601, Perm.parse("(600,601)", 601))) < 2**20
 
 
 def test_obstruction_kinds():
@@ -275,6 +356,43 @@ def test_budget_stop_in_all_mode_keeps_the_orbits_of_the_survivors():
             search_tau(13, "all", budget=budget, backend="python")
         assert info.value.partial == want
         assert all(verify_tau(13, c.tau).ok for c in info.value.partial)
+
+
+def test_budget_stop_up_to_conjugacy_keeps_canonical_representatives():
+    """A stopped search attaches the canonical conjugates of its survivors
+    so far: canonical, distinct, and among the classes a full search finds."""
+    seen = 0
+    for n in (11, 13, 16, 17, 19):
+        classes = search_tau(n, "up_to_conjugacy", backend="python")
+        done = {c.tau.img for c in classes.certificates}
+        for budget in sorted({52, 742, *range(0, classes.nodes, classes.nodes // 7)}):
+            if budget >= classes.nodes:
+                continue
+            with pytest.raises(BudgetExceeded) as info:
+                search_tau(n, "up_to_conjugacy", budget=budget, backend="python")
+            partial = [c.tau.img for c in info.value.partial]
+            assert all(c.canonical for c in info.value.partial), (n, budget)
+            assert all(canonical_tau(n, Perm(img)).img == img for img in partial), (n, budget)
+            assert len(set(partial)) == len(partial) and set(partial) <= done, (n, budget)
+            seen += len(partial)
+    assert seen
+
+
+def test_readers_refuse_what_no_function_produces():
+    """n < 2, and a modular obstruction that does not hold for its n, are
+    parse errors; every obstruction of the decision table still reads."""
+    for read, data in (
+        (Obstruction.from_json, {"n": 7, "kind": "Mod4"}),
+        (Obstruction.from_json, {"n": -3, "kind": "Mod6"}),
+        (TauCertificate.from_json, {"n": 0, "tau": []}),
+        (TauCertificate.from_json, {"n": 1, "tau": [1]}),
+    ):
+        with pytest.raises(ParseError):
+            read(data)
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "ikn_table.json"
+    for row in json.loads(path.read_text(encoding="utf-8"))["rows"]:
+        for kind in row["obstructions"]:
+            assert Obstruction.from_json({"n": row["n"], "kind": kind}) == Obstruction(row["n"], kind)
 
 
 def test_decision_table_file():

@@ -305,6 +305,13 @@ def test_mutation_shrunk_clique_misses_orbit():
         reconstruct(gg.graph, RecognitionWitness(w.H, w.C[:1]))
 
 
+def test_empty_clique_is_refused():
+    gg = build_phi(cyclic_group(6), [2, 3])
+    w = shifts_of(gg)
+    with pytest.raises(WitnessInvalid, match="C is empty"):
+        check(gg.graph, RecognitionWitness(w.H, []))
+
+
 def test_witness_json_inferred_edge_maps():
     gg = build_phi(cyclic_group(6), [2, 3])
     w = shifts_of(gg)

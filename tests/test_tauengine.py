@@ -451,6 +451,7 @@ def unpruned_search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, t
 
 def unpruned_run(n, budget, want_all, cap):
     *arrays, uinv = _tauengine.search_arrays(n)
+    arrays[1] = old_search_arrays(n)[1].ravel().tolist()  # the oracle's layout
     out = [0] * (cap * (n + 1))
     status, found, nodes = unpruned_search_body(n, budget, want_all, *arrays, out)
     w = n + 1
@@ -469,7 +470,8 @@ def test_flat_inputs_are_the_old_arrays_flattened():
         rho, sig, used, tau, st_a, st_b, trail, mark, uinv = arrays
         assert all(type(xs) is list for xs in arrays)
         old = old_search_arrays(n)
-        assert [rho, sig, used, tau] == [a.ravel().tolist() for a in old]
+        assert [rho, used, tau] == [old[i].ravel().tolist() for i in (0, 2, 3)]
+        assert [[sig[sig[p] + k] for p in range(1, n + 1)] for k in range(m)] == old[1][:, 1:].tolist()
         # the first branch point, the oracle's a0, is 1 whenever there is one
         assert st_a == [1 if n > 2 else 0] + [0] * (n + 1)
         assert st_b == trail == mark == [0] * (n + 2)
@@ -481,6 +483,17 @@ def test_flat_inputs_are_the_old_arrays_flattened():
         numba_layout = _tauengine.search_arrays(n, "numba")
         assert all(a.dtype == np.int64 and a.ndim == 1 for a in numba_layout)
         assert [a.tolist() for a in numba_layout] == list(arrays)
+
+
+def test_sig_is_one_list_of_every_power():
+    """4n-2 entries, and sig[sig[p] + k] = sigma^k(p) for every k and p."""
+    for n in range(2, 41):
+        m = n - 1
+        sig = _tauengine.search_arrays(n)[1]
+        assert len(sig) == 4 * n - 2, n
+        for k in range(m):
+            want = [(p - 1 + k) % m + 1 for p in range(1, n)] + [n]
+            assert [sig[sig[p] + k] for p in range(1, n + 1)] == want, (n, k)
 
 
 def test_body_on_numba_layout_matches_lists():
