@@ -12,7 +12,9 @@ python backend runs it on Python lists, because indexing a numpy array from
 Python costs several times a list index; the numba backend compiles the same
 body in nopython mode for int64 arrays of the same layout.  ``search_arrays``
 builds the inputs for either backend; pick the variant through
-``get_kernel``.
+``get_kernel``.  numpy is used only for that numba layout and is imported
+there, so the python backend, and with it the ``ikn`` commands of the CLI,
+run without it.
 
 Pruning used by the search.  The first three rules are proved
 consequences of the certificate conditions, so they cut no certificate:
@@ -95,8 +97,6 @@ from __future__ import annotations
 
 import math
 import os
-
-import numpy as np
 
 from .errors import PreconditionFailed
 
@@ -357,5 +357,7 @@ def search_arrays(n: int, backend: str = "python"):
             uinv[c] = pow(c, -1, m)
     flat = (rho, sig, used, tau, *stack, uinv)
     if backend == "numba":
+        import numpy as np
+
         return tuple(np.array(xs, dtype=np.int64) for xs in flat)
     return flat

@@ -1,4 +1,5 @@
-"""Finite groups as dense multiplication tables, plus permutation arithmetic.
+"""Finite groups as dense multiplication tables, plus permutation arithmetic
+(``Perm`` lives in the numpy-free ``perm`` module and is re-exported here).
 
 Conventions used across the package:
 
@@ -13,127 +14,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .errors import CapExceeded, NotAGroup, ParseError, PreconditionFailed
-
-# Largest group order built: its int32 table takes 256 MiB (twice that
-# while PermClosure.table builds it).
-DEFAULT_CLOSURE_CAP = 8192
-
-
-# ---------------------------------------------------------------------------
-# permutations
-
-
-@dataclass(frozen=True)
-class Perm:
-    """A permutation of {1..n}; img[i] is the image of point i+1."""
-
-    img: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.img)
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def from_cycles(cls, cycles, degree: int | None = None) -> "Perm":
-        pts = [p for c in cycles for p in c]
-        if any(p < 1 for p in pts):
-            raise ParseError("permutation points must be >= 1")
-        if len(set(pts)) != len(pts):
-            raise ParseError("repeated point in cycle list: %r" % (cycles,))
-        n = degree if degree is not None else (max(pts) if pts else 1)
-        if pts and max(pts) > n:
-            raise ParseError("point %d exceeds degree %d" % (max(pts), n))
-        img = list(range(1, n + 1))
-        for c in cycles:
-            for a, b in zip(c, c[1:] + c[:1]):
-                img[a - 1] = b
-        return cls(tuple(img))
-
-    @classmethod
-    def parse(cls, text: str, degree: int | None = None) -> "Perm":
-        """Parse cycle notation: "(1 2 3)(4 5)"; separators may be spaces or
-        commas, and commas between cycles are tolerated."""
-        s = text.strip()
-        if s in ("", "()"):
-            return cls.identity(degree or 1)
-        body = re.fullmatch(r"\s*(\([^()]*\)[\s,]*)+", s)
-        if not body:
-            raise ParseError("bad cycle notation: %r" % text)
-        cycles = []
-        for grp in re.findall(r"\(([^()]*)\)", s):
-            pts = [t for t in re.split(r"[\s,]+", grp.strip()) if t]
-            try:
-                cyc = [int(t) for t in pts]
-            except ValueError:
-                raise ParseError("bad cycle entry in %r" % text) from None
-            if cyc:
-                cycles.append(cyc)
-        return cls.from_cycles(cycles, degree)
-
-    def __call__(self, point: int) -> int:
-        return self.img[point - 1]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        # (p*q)(x) = p(q(x))
-        if self.degree != other.degree:
-            raise PreconditionFailed("degree mismatch in composition")
-        return Perm(tuple(self.img[j - 1] for j in other.img))
-
-    def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.img):
-            inv[j - 1] = i + 1
-        return Perm(tuple(inv))
-
-    def cycles(self, include_fixed: bool = True) -> list[tuple[int, ...]]:
-        """Disjoint cycles sorted by smallest moved point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            c = [start]
-            seen[start - 1] = True
-            nxt = self(start)
-            while nxt != start:
-                c.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self(nxt)
-            if len(c) > 1 or include_fixed:
-                out.append(tuple(c))
-        return out
-
-    @property
-    def order(self) -> int:
-        return reduce(math.lcm, (len(c) for c in self.cycles()), 1)
-
-    @property
-    def sign(self) -> int:
-        return -1 if (self.degree - len(self.cycles())) % 2 else 1
-
-    def cycle_string(self) -> str:
-        """Canonical cycle form; fixed points are always written out."""
-        return "".join(
-            "(%s)" % ",".join(str(p) for p in c) for c in self.cycles()
-        )
-
-    def __str__(self) -> str:
-        return self.cycle_string()
-
-
-def conjugate(p: Perm, q: Perm) -> Perm:
-    """q * p * q^-1."""
-    return q * p * q.inverse()
-
+# re-exported: the same objects as in perm
+from .perm import DEFAULT_CLOSURE_CAP, Perm, _check_degree, conjugate
 
 # ---------------------------------------------------------------------------
 # permutation-group core: integer permutation arrays of points 0..degree-1,
@@ -146,14 +32,6 @@ def _check_order(n: int) -> None:
         raise CapExceeded(
             "group order %d exceeds cap %d" % (n, DEFAULT_CLOSURE_CAP)
         )
-
-
-def _check_degree(degree: int) -> int:
-    """Refuse a permutation degree above DEFAULT_CLOSURE_CAP: a closure's
-    order x degree element array then stays within the table bound."""
-    if degree > DEFAULT_CLOSURE_CAP:
-        raise CapExceeded("permutation degree %d exceeds cap %d" % (degree, DEFAULT_CLOSURE_CAP))
-    return degree
 
 
 @dataclass
@@ -506,14 +384,33 @@ def generated_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:
 def generating_set(mul: np.ndarray, identity: int = 0) -> tuple[int, ...]:
     """Generators picked greedily from the table mul: each element in index
     order joins unless the earlier picks already reach it by right
-    multiplication from the identity, so every element is a product of them."""
+    multiplication from the identity, so every element is a product of them.
+
+    The reached elements form the subgroup H of the picks so far, grown as
+    one orbit: a new pick g lies outside H, so the coset Hg is all new, and
+    the queue goes on from there by every pick.  Elements of H need only
+    g, because H is closed under the others; each element is visited once."""
     n = mul.shape[0]
     gens: list[int] = []
-    reached = np.zeros(n, dtype=bool)
+    cols: list[list[int]] = []  # cols[i][x] = x * gens[i]
+    reached = [False] * n
     reached[identity] = True
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        reached[orbits(mul[:, gens].T, n, [identity])[0]] = True
+    found = [identity]  # H, as a queue from the identity
+    while len(found) < n:
+        gens.append(reached.index(False))
+        cols.append(mul[:, gens[-1]].tolist())
+        i = len(found)
+        found.extend(cols[-1][x] for x in found[:i])
+        for x in found[i:]:
+            reached[x] = True
+        while i < len(found):  # found grows behind i: a queue
+            x = found[i]
+            i += 1
+            for col in cols:
+                y = col[x]
+                if not reached[y]:
+                    reached[y] = True
+                    found.append(y)
     return tuple(gens)
 
 

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 
-from .algebra import Perm, _check_degree, element_order, parse_element, parse_group, split_top_level
 from .errors import (
     BudgetExceeded,
     CapExceeded,
@@ -26,23 +25,10 @@ from .errors import (
     WitnessInvalid,
     resolve_budget,
 )
-from .ggraph import (
-    build_phi,
-    build_psi,
-    component_analysis,
-    export_ggraph_json,
-    kmn_build,
-    verify_structure,
-)
-from .ikn import search_tau, verify_tau
-from .incidence import (
-    incidence_graph,
-    incidence_preimage,
-    necessary_bipartite_witness,
-    sufficient_bipartite_test,
-)
-from .multigraph import connected_components, export_dot, export_json, import_json
-from .recognition import check, check_with_loops, reconstruct, witness_from_json
+from .perm import Perm, _check_degree
+
+# Each command imports the layers it calls in its own body, so a process
+# loads only those: the ikn commands run without numpy.
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -75,6 +61,9 @@ def _emit_json(out, data) -> None:
 
 
 def _load_ggraph(args):
+    from .algebra import parse_element, parse_group, split_top_level
+    from .ggraph import build_phi, build_psi
+
     grp = parse_group(args.group)
     parts = [t for t in split_top_level(args.gens) if t.strip()]
     if not parts:
@@ -111,6 +100,10 @@ def _read_payload(value: str) -> str:
 
 
 def _cmd_build(args, out) -> int:
+    from .algebra import element_order
+    from .ggraph import export_ggraph_json
+    from .multigraph import connected_components, export_dot
+
     gg = _load_ggraph(args)
     if args.output == "json":
         _emit_json(out, export_ggraph_json(gg))
@@ -144,6 +137,8 @@ def _cmd_build(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
+    from .ggraph import verify_structure
+
     gg = _load_ggraph(args)
     report = verify_structure(gg)
     lines = ["format: 1", "graph: %s" % _graph_name(gg)]
@@ -162,6 +157,8 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_components(args, out) -> int:
+    from .ggraph import component_analysis
+
     gg = _load_ggraph(args)
     report = component_analysis(gg)
     sub = "{%s}" % ", ".join(gg.group.elem_name(x) for x in report.subgroup)
@@ -184,6 +181,9 @@ def _cmd_components(args, out) -> int:
 
 
 def _cmd_kmn(args, out) -> int:
+    from .ggraph import export_ggraph_json, kmn_build
+    from .multigraph import export_dot
+
     gg, plan = kmn_build(args.m, args.n, args.l)
     if args.output == "json":
         data = export_ggraph_json(gg)
@@ -210,6 +210,9 @@ def _cmd_kmn(args, out) -> int:
 
 
 def _cmd_incidence_build(args, out) -> int:
+    from .incidence import incidence_graph
+    from .multigraph import export_dot, export_json
+
     gg = _load_ggraph(args)
     ig = incidence_graph(gg.graph)
     if args.output == "json":
@@ -238,6 +241,9 @@ def _cmd_incidence_build(args, out) -> int:
 
 
 def _cmd_incidence_preimage(args, out) -> int:
+    from .incidence import incidence_preimage
+    from .multigraph import export_dot, export_json
+
     gg = _load_ggraph(args)
     result = incidence_preimage(gg)
     pre = result.preimage
@@ -262,6 +268,10 @@ def _cmd_incidence_preimage(args, out) -> int:
 
 
 def _cmd_bipartite_test(args, out) -> int:
+    from .algebra import element_order, parse_element, parse_group
+    from .ggraph import build_phi
+    from .incidence import necessary_bipartite_witness, sufficient_bipartite_test
+
     budget = resolve_budget(args.budget)  # refused in either mode
     grp = parse_group(args.group)
     s = parse_element(grp, args.s)
@@ -326,6 +336,10 @@ def _cmd_bipartite_test(args, out) -> int:
 
 
 def _cmd_recognize(args, out) -> int:
+    from .algebra import element_order
+    from .multigraph import import_json
+    from .recognition import check, check_with_loops, reconstruct, witness_from_json
+
     g = import_json(_read_payload(args.graph))
     w = witness_from_json(g, _read_payload(args.witness))
     report = check_with_loops(g, w) if args.loops else check(g, w)
@@ -356,6 +370,8 @@ def _cmd_recognize(args, out) -> int:
 
 
 def _cmd_ikn_verify(args, out) -> int:
+    from .ikn import verify_tau
+
     if args.n < 2:
         raise UsageError("n must be >= 2")
     _check_degree(args.n)
@@ -384,6 +400,8 @@ def _cert_lines(cert) -> list[str]:
 
 
 def _cmd_ikn_search(args, out) -> int:
+    from .ikn import search_tau
+
     if args.n < 2:
         raise UsageError("n must be >= 2")
     if args.all:
@@ -430,6 +448,8 @@ def _cmd_ikn_search(args, out) -> int:
 
 
 def _cmd_ikn_table(args, out) -> int:
+    from .ikn import search_tau
+
     if args.nmax < 2:
         raise UsageError("nmax must be >= 2")
     _check_degree(args.nmax)

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by every module in the package, and the one
-search budget policy of the tau search and the necessary test."""
+"""Exception hierarchy shared by every module in the package, the one
+search budget policy of the tau search and the necessary test, and the one
+rule for an integer read from JSON."""
 
 from __future__ import annotations
 
+import operator
 import os
 
 # the default node budget of both searches
@@ -45,9 +47,13 @@ class BudgetExceeded(GGraphError):
 def resolve_budget(budget: int | None) -> int:
     """Explicit budget, else $GGRAPH_BUDGET, else DEFAULT_BUDGET.
 
-    A negative budget from either source is refused with ParseError."""
+    A budget that is not an integer, or is negative, is refused with
+    ParseError, whichever the source."""
     if budget is not None:
-        value, source = int(budget), "budget"
+        try:
+            value, source = operator.index(budget), "budget"
+        except TypeError:
+            raise ParseError("budget must be an integer, got %r" % (budget,)) from None
     else:
         env = os.environ.get("GGRAPH_BUDGET", "")
         if not env:
@@ -69,3 +75,15 @@ class WitnessInvalid(GGraphError):
 
 class InternalAssertion(GGraphError):
     """A guaranteed-by-theorem property failed; indicates a bug."""
+
+
+def _json_int(value, what: str) -> int:
+    """The one rule for an integer read from JSON: an int that is no bool,
+    or a float with an integral value (json reads 2.0 and 1e3 as floats).
+    Anything else, a fractional float, inf, nan or a numeric string
+    included, raises ParseError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ParseError("%s must be an integer, got %r" % (what, value))

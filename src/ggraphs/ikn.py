@@ -24,22 +24,25 @@ without the symmetry prune would."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _tauengine
-from .algebra import FiniteGroup, Perm, _check_degree, orbits, perm_closure, perm_group
 from .errors import (
     BudgetExceeded,
     CapExceeded,
     InternalAssertion,
     ParseError,
     PreconditionFailed,
+    _json_int,
     resolve_budget,
 )
-from .ggraph import GGraph, ItemReport, build_phi, level_vertices
-from .multigraph import _json_int
+from .perm import Perm, _check_degree
+
+if TYPE_CHECKING:  # the numpy layers load only when a group is built
+    from .algebra import FiniteGroup
+    from .ggraph import GGraph, ItemReport
 
 SEARCH_MODES = ("first_only", "all", "up_to_conjugacy")
 OBSTRUCTION_KINDS = ("Mod4", "Mod6", "Mod24", "ExhaustiveSearch")
@@ -71,10 +74,15 @@ def make_rho_sigma(n: int) -> RhoSigma:
 
 
 def _check_n(n: int) -> None:
-    """Refuse n < 2, and n above DEFAULT_CLOSURE_CAP, the package's cap on a
-    permutation degree, before any permutation or kernel array is built.
-    The search and verify_tau keep O(n) state, so the cap bounds time, not
-    memory: verify_tau takes O(n^2) steps, and so can one search node."""
+    """Refuse an n that is no integer, n < 2, and n above
+    DEFAULT_CLOSURE_CAP, the package's cap on a permutation degree, before
+    any permutation or kernel array is built.  The search and verify_tau
+    keep O(n) state, so the cap bounds time, not memory: verify_tau takes
+    O(n^2) steps, and so can one search node."""
+    try:
+        operator.index(n)
+    except TypeError:
+        raise PreconditionFailed("n must be an integer, got %r" % (n,)) from None
     if n < 2:
         raise PreconditionFailed("need n >= 2")
     _check_degree(n)
@@ -152,6 +160,9 @@ class TauCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "TauCertificate":
+        """Read what ``to_json`` writes.  Only a certificate reads: a 'tau'
+        that fails verify_tau, or a 'canonical' flag that disagrees with
+        canonical_tau, is refused; an absent flag is computed."""
         if not isinstance(data, dict):
             raise ParseError("certificate must be a JSON object")
         try:
@@ -166,9 +177,16 @@ class TauCertificate:
         tau = Perm(img)
         if "cycles" in data and Perm.parse(str(data["cycles"]), n) != tau:
             raise ParseError("'cycles' disagrees with 'tau'")
-        canonical = data.get("canonical", False)
-        if not isinstance(canonical, bool):
-            raise ParseError("'canonical' must be true or false, got %r" % (canonical,))
+        flag = data.get("canonical", False)
+        if not isinstance(flag, bool):
+            raise ParseError("'canonical' must be true or false, got %r" % (flag,))
+        report = verify_tau(n, tau)
+        if not report.ok:
+            raise ParseError("'tau' is not a certificate: %s" % report.failures[0])
+        canonical = canonical_tau(n, tau) == tau
+        if "canonical" in data and flag != canonical:
+            raise ParseError("'canonical' disagrees with canonical_tau: tau is %s"
+                             "its canonical conjugate" % ("" if canonical else "not "))
         return cls(n, tau, canonical)
 
 
@@ -311,9 +329,11 @@ class OrbitReport:
 
 
 def orbit_structure(n: int, tau: Perm) -> OrbitReport:
+    from .algebra import orbits, perm_closure
+
     _check_tau_arg(n, tau)
     rs = make_rho_sigma(n)
-    maps = [np.array(p.img) - 1 for p in (rs.rho, tau)]
+    maps = [[x - 1 for x in p.img] for p in (rs.rho, tau)]
     orbit_list = [tuple(x + 1 for x in orb.tolist()) for orb in orbits(maps, n)]
     try:
         order: int | None = len(perm_closure(maps, n, cap=720).elems)
@@ -366,6 +386,9 @@ def build_and_verify(n: int, tau: Perm) -> BuildReport:
     with one part of n vertices of degree n-1, the other of n(n-1)/2 vertices
     of degree 2, whose neighbour pairs enumerate every 2-subset of the first
     part (equivalently: the graph is simple with no 4-cycle)."""
+    from .algebra import perm_group
+    from .ggraph import ItemReport, build_phi, level_vertices
+
     _check_tau_arg(n, tau)
     rs = make_rho_sigma(n)
     grp = perm_group(n, [rs.sigma, tau], name="IK%d" % n)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, CapExceeded, ParseError, PreconditionFailed
+from .errors import BudgetExceeded, CapExceeded, ParseError, PreconditionFailed, _json_int
 
 ISO_SIZE_CAP = 2000
 
@@ -539,18 +539,6 @@ def import_json(data) -> Multigraph:
             raise ParseError("edge references unknown vertex") from None
         g.add_edge(u, v, str(it.get("label", "")))
     return g
-
-
-def _json_int(value, what: str) -> int:
-    """The one rule for an integer read from JSON: an int that is no bool,
-    or a float with an integral value (json reads 2.0 and 1e3 as floats).
-    Anything else, a fractional float, inf, nan or a numeric string
-    included, raises ParseError."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ParseError("%s must be an integer, got %r" % (what, value))
 
 
 def export_dot(g: Multigraph) -> str:

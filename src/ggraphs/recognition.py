@@ -27,13 +27,13 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     WitnessInvalid,
+    _json_int,
 )
 from .ggraph import GGraph, build_phi, build_psi, colour_clique, shifts
 from .multigraph import (
     GraphAut,
     IsoWitness,
     Multigraph,
-    _json_int,
     _map_rows,
     _permutation_rows,
     map_defect,
@@ -422,7 +422,7 @@ def witness_to_json(g: Multigraph, w: RecognitionWitness) -> dict:
 
 
 def _int_row(row, what: str) -> tuple:
-    """A JSON array of integers, each read by multigraph._json_int.  A
+    """A JSON array of integers, each read by errors._json_int.  A
     string is refused: "120" would iterate as the row (1, 2, 0)."""
     if not isinstance(row, list):
         raise ParseError("%s is not an integer array" % what)

@@ -242,6 +242,45 @@ def test_generating_set_generates_greedily():
             assert x not in al.generated_subgroup(g, gens[:k])
 
 
+def former_generating_set(mul, identity=0):
+    """generating_set as it was: the identity's orbit under the picks is
+    rebuilt from scratch with orbits after each pick."""
+    n = mul.shape[0]
+    gens = []
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        reached[al.orbits(mul[:, gens].T, n, [identity])[0]] = True
+    return tuple(gens)
+
+
+def relabelled(g, seed):
+    """g's table with its elements renamed by a random permutation, so the
+    identity is at some other index and the greedy picks change."""
+    rng = np.random.default_rng(seed)
+    new = rng.permutation(g.order)  # element x is called new[x]
+    mul = np.empty_like(g.mul)
+    mul[np.ix_(new, new)] = new[g.mul]
+    return mul, int(new[g.identity])
+
+
+def test_generating_set_matches_the_former_implementation():
+    groups = [al.cyclic_group(n) for n in (1, 2, 6, 13, 64)]
+    groups += [al.parse_group(s) for s in ("Z2xZ2xZ2xZ2", "Z12xZ12", "Z4xZ6xZ10")]
+    groups += [al.symmetric_group(n) for n in (1, 2, 3, 4, 5)]
+    groups += [al.dihedral_group(n) for n in (3, 8, 15)]
+    groups += [al.quaternion_group(), al.parse_group("perm:6:(1,2,3)(4,5),(1,4)")]
+    s4 = al.symmetric_group(4)
+    groups.append(al.subgroup_group(s4, al.generated_subgroup(s4, [1, 2]))[0])
+    for g in groups:
+        assert al.generating_set(g.mul, g.identity) == former_generating_set(g.mul, g.identity), g.name
+        for seed in range(3):
+            mul, identity = relabelled(g, seed)
+            al.check_group_axioms(mul, identity)
+            assert al.generating_set(mul, identity) == former_generating_set(mul, identity), g.name
+
+
 # ---------------------------------------------------------------------------
 # subgroups and cosets
 

@@ -503,3 +503,64 @@ def test_certificate_json_round_trip():
     assert Obstruction.from_json(obs.to_json()) == obs
     with pytest.raises(ParseError):
         Obstruction.from_json({"n": 12, "kind": "Nope"})
+
+
+def test_certificate_reader_refuses_what_is_no_certificate():
+    """A permutation that fails verify_tau, or a 'canonical' flag that
+    disagrees with canonical_tau, is a parse error; an absent flag is
+    computed, and every certificate of the decision table still reads."""
+    for img in ([1, 2, 3, 5, 4], [2, 3, 1, 5, 4], [1, 3, 2, 4, 5]):
+        # the relation fails; tau is no involution; tau(n) != n-1
+        assert not verify_tau(5, Perm(tuple(img))).ok
+        with pytest.raises(ParseError, match="not a certificate"):
+            TauCertificate.from_json({"n": 5, "tau": img})
+    for n in sorted(KNOWN_TAUS):
+        tau = known_tau(n)
+        canonical = canonical_tau(n, tau) == tau
+        data = {"n": n, "tau": list(tau.img)}
+        assert TauCertificate.from_json(data) == TauCertificate(n, tau, canonical)
+        with pytest.raises(ParseError, match="disagrees with canonical_tau"):
+            TauCertificate.from_json(dict(data, canonical=not canonical))
+        if not canonical:
+            rep = canonical_tau(n, tau)
+            cert = TauCertificate.from_json({"n": n, "tau": list(rep.img), "canonical": True})
+            assert cert == TauCertificate(n, rep, True)
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "ikn_table.json"
+    read = 0
+    for row in json.loads(path.read_text(encoding="utf-8"))["rows"]:
+        if row["certificate"] is not None:
+            cert = TauCertificate.from_json(row["certificate"])
+            assert cert.to_json() == row["certificate"]
+            read += 1
+    assert read == 18
+
+
+@pytest.mark.parametrize("call", [
+    lambda: search_tau(5.0),
+    lambda: search_tau(5.5, "all"),
+    lambda: make_rho_sigma(5.0),
+    lambda: verify_tau(5.0, known_tau(5)),
+    lambda: canonical_tau("5", known_tau(5)),
+    lambda: search_tau(None),
+], ids=["search", "search-all", "rho-sigma", "verify", "canonical", "none"])
+def test_non_integer_n_is_a_precondition_failure(call):
+    with pytest.raises(PreconditionFailed, match="n must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("budget", [1.5, 1.0, "x", "5", [3]])
+def test_non_integer_budget_is_a_parse_error(budget):
+    from ggraphs.errors import resolve_budget
+
+    with pytest.raises(ParseError, match="budget must be an integer"):
+        resolve_budget(budget)
+    with pytest.raises(ParseError, match="budget must be an integer"):
+        search_tau(5, budget=budget)
+
+
+def test_integer_budget_types_are_accepted():
+    import numpy as np
+    from ggraphs.errors import resolve_budget
+
+    assert resolve_budget(np.int64(7)) == 7
+    assert search_tau(9, budget=np.int32(10_000)).certificates
