@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, NotAGroup, ParseError, PreconditionFailed
+from .errors import CapExceeded, NotAGroup, ParseError, PreconditionFailed, _index
 # re-exported: the same objects as in perm
 from .perm import DEFAULT_CLOSURE_CAP, Perm, _check_degree, conjugate
 
@@ -195,9 +195,16 @@ def group_from_table(
     factor_orders: tuple[int, ...] | None = None,
     perms: tuple[Perm, ...] | None = None,
 ) -> FiniteGroup:
-    """Validate a raw table and wrap it."""
-    mul = np.asarray(mul, dtype=np.int32)
+    """Validate a raw table and wrap it.  Entries must be integers: a float
+    is refused, not truncated."""
+    try:
+        mul = np.asarray(mul)
+    except ValueError:  # a ragged table
+        raise NotAGroup("table is not a square array") from None
+    if mul.size and mul.dtype.kind not in "iu":
+        raise NotAGroup("table entries are not integers")
     check_group_axioms(mul, identity)
+    mul = mul.astype(np.int32, copy=False)
     n = mul.shape[0]
     if elem_names is None:
         elem_names = tuple(str(i) for i in range(n))
@@ -214,6 +221,7 @@ def group_from_table(
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    n = _index(n, "n")
     if n < 1:
         raise PreconditionFailed("cyclic_group needs n >= 1")
     _check_order(n)
@@ -286,6 +294,7 @@ def perm_group(
 
 
 def symmetric_group(n: int) -> FiniteGroup:
+    n = _index(n, "n")
     if n < 1:
         raise PreconditionFailed("symmetric_group needs n >= 1")
     gens = []
@@ -298,6 +307,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of a regular n-gon (order 2n), as permutations of 1..n."""
+    n = _index(n, "n")
     if n < 3:
         raise PreconditionFailed("dihedral_group needs n >= 3")
     rot = Perm.from_cycles([list(range(1, n + 1))], n)

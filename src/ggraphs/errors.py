@@ -44,6 +44,16 @@ class BudgetExceeded(GGraphError):
         self.nodes = nodes
 
 
+def _index(value, what: str) -> int:
+    """value as an int by operator.index, so that a count or an element
+    given as a float or a string is refused with PreconditionFailed rather
+    than truncated.  Integer types such as numpy ints pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionFailed("%s must be an integer, got %r" % (what, value)) from None
+
+
 def resolve_budget(budget: int | None) -> int:
     """Explicit budget, else $GGRAPH_BUDGET, else DEFAULT_BUDGET.
 

@@ -31,15 +31,15 @@ from .algebra import (
     factorize,
     generated_subgroup,
     generating_set,
-    right_coset,
     subgroup_group,
 )
-from .errors import InternalAssertion, PreconditionFailed
+from .errors import InternalAssertion, PreconditionFailed, _index
 from .multigraph import (
     GraphAut,
     IsoWitness,
     Multigraph,
     connected_components,
+    export_json,
     induced_subgraph_with_maps,
     is_complete_bipartite_multi,
     isomorphic,
@@ -93,7 +93,7 @@ class GGraph:
 
 
 def _check_gens(group: FiniteGroup, gens) -> tuple[int, ...]:
-    out = tuple(int(s) for s in gens)
+    out = tuple(_index(s, "generator") for s in gens)
     if not out:
         raise PreconditionFailed("generator multiset must be nonempty")
     for s in out:
@@ -114,12 +114,13 @@ def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
         membership = np.full(n, -1, dtype=np.int32)
         cosets = []
         offset = graph.n_vertices
+        sub = list(cyclic_subgroup(group, s))
         for x in range(n):
             if membership[x] >= 0:
                 continue
-            c = right_coset(group, s, x)
-            membership[list(c.elems)] = len(cosets)
-            cosets.append(c)
+            elems = sorted(group.mul[sub, x].tolist())  # the right coset <s>x
+            membership[elems] = len(cosets)
+            cosets.append(Coset(gen=s, rep=elems[0], elems=tuple(elems)))
         for c in cosets:
             graph.add_vertex(label="%d:%d" % (i, c.rep), part=i)
         levels.append(
@@ -297,9 +298,9 @@ def verify_structure(gg: GGraph) -> StructureReport:
         if not (S_v[gp][C] == C[grp.mul[:, gp]]).all():
             ok3 = False
             break
-    adjacent = g.multi_edges()
+    by_pair = g.multi_edges()
     clique_ok = all(
-        (min(a, b), max(a, b)) in adjacent
+        (min(a, b), max(a, b)) in by_pair
         for row in C.tolist() for i, a in enumerate(row) for b in row[i + 1:]
     )
     ok3 = ok3 and clique_ok
@@ -329,16 +330,13 @@ def verify_structure(gg: GGraph) -> StructureReport:
     )
 
     # 5. the label set of each multi-edge is a right coset of <s> inter <t>
-    by_pair = g.multi_edges()
+    subs = [set(cyclic_subgroup(grp, lvl.gen)) for lvl in gg.levels]
+    meet = {(i, j): sorted(a & b) for i, a in enumerate(subs) for j, b in enumerate(subs)}
     ok5 = True
     bad = ""
     for (u, v), ids in by_pair.items():
         labels = gg.edge_glabel[ids].tolist()
-        su = gg.levels[int(parts[u])].gen
-        sv = gg.levels[int(parts[v])].gen
-        inter = sorted(
-            set(cyclic_subgroup(grp, su)) & set(cyclic_subgroup(grp, sv))
-        )
+        inter = meet[int(parts[u]), int(parts[v])]
         # labels must be exactly the coset intersection, which in turn must
         # be the right coset (<s> inter <t>) * min
         cosets_meet = sorted(
@@ -429,6 +427,7 @@ def component_analysis(gg: GGraph) -> ComponentReport:
 
 def replicate_components(gg: GGraph, k: int) -> GGraph:
     """Extend a connected G-graph to G x Z/kZ, yielding k isomorphic copies."""
+    k = _index(k, "k")
     if k < 1:
         raise PreconditionFailed("k must be >= 1")
     if len(connected_components(gg.graph)) != 1:
@@ -494,10 +493,16 @@ class KmnPlan:
         }
 
 
-def kmn_plan(m: int, n: int, l: int) -> KmnPlan:
-    """Split l's primes by valuation comparison and derive the realization."""
+def _check_mnl(m, n, l) -> tuple[int, int, int]:
+    m, n, l = (_index(x, what) for x, what in ((m, "m"), (n, "n"), (l, "l")))
     if m < 1 or n < 1 or l < 1:
         raise PreconditionFailed("m, n, l must all be >= 1")
+    return m, n, l
+
+
+def kmn_plan(m: int, n: int, l: int) -> KmnPlan:
+    """Split l's primes by valuation comparison and derive the realization."""
+    m, n, l = _check_mnl(m, n, l)
     fl = factorize(l)
     fm = factorize(m)
     fn = factorize(n)
@@ -532,6 +537,7 @@ def kmn_build(m: int, n: int, l: int):
     m*l and n*l, intersection size l, level sizes (m, n), and the final
     complete-bipartite shape.
     """
+    m, n, l = _check_mnl(m, n, l)
     if m * n * l > 3000:
         raise PreconditionFailed("m*n*l too large to build a dense table")
     plan = kmn_plan(m, n, l)
@@ -565,7 +571,10 @@ def kmn_build(m: int, n: int, l: int):
 def export_ggraph_json(gg: GGraph) -> dict:
     """Multigraph JSON extended with levels and group labels; re-imports
     through the plain multigraph reader (extra keys are ignored there)."""
-    data = {
+    graph = export_json(gg.graph)
+    for e, x in zip(graph["edges"], gg.edge_glabel.tolist()):
+        e["glabel"] = x
+    return {
         "format": 1,
         "group": gg.group.name,
         "with_loops": gg.with_loops,
@@ -577,19 +586,6 @@ def export_ggraph_json(gg: GGraph) -> dict:
             }
             for lvl in gg.levels
         ],
-        "vertices": [
-            {"id": v.id, "label": v.label, "part": v.part}
-            for v in gg.graph.vertices
-        ],
-        "edges": [
-            {
-                "id": e.id,
-                "u": e.u,
-                "v": e.v,
-                "label": e.label,
-                "glabel": int(gg.edge_glabel[e.id]),
-            }
-            for e in gg.graph.edges
-        ],
+        "vertices": graph["vertices"],
+        "edges": graph["edges"],
     }
-    return data

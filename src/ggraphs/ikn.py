@@ -24,7 +24,6 @@ without the symmetry prune would."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -35,10 +34,11 @@ from .errors import (
     InternalAssertion,
     ParseError,
     PreconditionFailed,
+    _index,
     _json_int,
     resolve_budget,
 )
-from .perm import Perm, _check_degree
+from .perm import Perm, _check_degree, conjugate
 
 if TYPE_CHECKING:  # the numpy layers load only when a group is built
     from .algebra import FiniteGroup
@@ -79,10 +79,7 @@ def _check_n(n: int) -> None:
     any permutation or kernel array is built.  The search and verify_tau
     keep O(n) state, so the cap bounds time, not memory: verify_tau takes
     O(n^2) steps, and so can one search node."""
-    try:
-        operator.index(n)
-    except TypeError:
-        raise PreconditionFailed("n must be an integer, got %r" % (n,)) from None
+    _index(n, "n")
     if n < 2:
         raise PreconditionFailed("need n >= 2")
     _check_degree(n)
@@ -268,8 +265,7 @@ def conjugate_tau(n: int, tau: Perm, a: int) -> Perm:
     m = n - 1
     if math.gcd(a, m) != 1 or a < 1:
         raise PreconditionFailed("a = %d is not a unit mod %d" % (a, m))
-    ma = _mult_perm(n, a)
-    return ma * tau * ma.inverse()
+    return conjugate(tau, _mult_perm(n, a))
 
 
 def canonical_tau(n: int, tau: Perm) -> Perm:

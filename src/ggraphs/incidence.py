@@ -36,7 +36,6 @@ from .multigraph import (
     IsoWitness,
     Multigraph,
     _first_map,
-    _multiplicities,
     connected_components,
     induced_edge_map,
     map_defect,
@@ -299,8 +298,7 @@ def necessary_bipartite_witness(
     colors = level + [1 - c for c in level]
     colors[u0] = colors[n + u1] = 2
     colors[u1] = colors[n + u0] = 3
-    mult = _multiplicities(graph, False)
-    vmap = _first_map(graph, graph, colors, mult, mult, involution=True, budget=budget)
+    vmap = _first_map(graph, graph, colors, involution=True, budget=budget)
     if vmap is None:
         return None
 
@@ -311,12 +309,7 @@ def necessary_bipartite_witness(
     if not tau.compose(tau).is_identity():
         raise InternalAssertion("matched automorphism is not an involution")
 
-    edge_of = [-1] * grp.order
-    for e in graph.edges:
-        x = int(gg.edge_glabel[e.id])
-        if edge_of[x] >= 0:
-            raise InternalAssertion("edge labels are not unique")
-        edge_of[x] = e.id
+    edge_of = _edge_of_element(gg)
     f = [int(gg.edge_glabel[emap[edge_of[x]]]) for x in range(grp.order)]
 
     if f[grp.identity] != grp.identity:
@@ -341,6 +334,17 @@ def necessary_bipartite_witness(
     )
 
 
+def _edge_of_element(gg: GGraph) -> list[int]:
+    """The edge labelled x, per group element x: over two occurrences and
+    without loops every element labels exactly one edge."""
+    edge_of = [-1] * gg.group.order
+    for e, x in enumerate(gg.edge_glabel.tolist()):
+        if edge_of[x] >= 0:
+            raise InternalAssertion("edge labels are not unique")
+        edge_of[x] = e
+    return edge_of
+
+
 def witness_automorphism(gg: GGraph, w: IncidenceWitnessMap) -> GraphAut:
     """The level-swapping automorphism <s>x -> <t>f(x), <t>x -> <s>f(x).
 
@@ -357,10 +361,8 @@ def witness_automorphism(gg: GGraph, w: IncidenceWitnessMap) -> GraphAut:
         vmap[v] = gg.vertex_of(1, f[gg.vertex_coset(v).rep])
     for v in level_vertices(gg, 1):
         vmap[v] = gg.vertex_of(0, f[gg.vertex_coset(v).rep])
-    edge_of = {}
-    for e in gg.graph.edges:
-        edge_of[int(gg.edge_glabel[e.id])] = e.id
-    emap = [edge_of[f[int(gg.edge_glabel[e.id])]] for e in gg.graph.edges]
+    edge_of = _edge_of_element(gg)
+    emap = [edge_of[f[x]] for x in gg.edge_glabel.tolist()]
     out = GraphAut(tuple(vmap), tuple(emap))
     if map_defect(gg.graph, gg.graph, [vmap], [emap]) is not None:
         raise WitnessInvalid("witness map does not induce an automorphism")

@@ -39,13 +39,14 @@ class Multigraph:
         self.vertices: list[Vertex] = []
         self.edges: list[Edge] = []
         self._adj = None
+        self._multi = None
 
     # -- construction -----------------------------------------------------
 
     def add_vertex(self, label: str = "", part: int | None = None) -> int:
         vid = len(self.vertices)
         self.vertices.append(Vertex(vid, label, part))
-        self._adj = None
+        self._adj = self._multi = None
         return vid
 
     def add_edge(self, u: int, v: int, label: str = "") -> int:
@@ -54,7 +55,7 @@ class Multigraph:
             raise PreconditionFailed("edge endpoint out of range")
         eid = len(self.edges)
         self.edges.append(Edge(eid, u, v, label))
-        self._adj = None
+        self._adj = self._multi = None
         return eid
 
     # -- views ------------------------------------------------------------
@@ -85,26 +86,26 @@ class Multigraph:
         return d
 
     def loops_at(self, v: int) -> list[int]:
-        return [eid for eid, w in self.adj()[v] if w == v]
+        return self.edges_between(v, v)
 
     def multiplicity(self, u: int, v: int) -> int:
-        if u == v:
-            return len(self.loops_at(u))
-        return sum(1 for _, w in self.adj()[u] if w == v)
+        return len(self.multi_edges().get(_pair_key(u, v), ()))
 
     def edges_between(self, u: int, v: int) -> list[int]:
-        """Edge ids of the multi-edge (u, v), ascending."""
-        if u == v:
-            return self.loops_at(u)
-        return sorted(eid for eid, w in self.adj()[u] if w == v)
+        """Edge ids of the multi-edge (u, v), ascending, as a new list."""
+        return list(self.multi_edges().get(_pair_key(u, v), ()))
 
     def multi_edges(self) -> dict[tuple[int, int], list[int]]:
         """Edge ids of each multi-edge, ascending, keyed by its end pair
-        (smaller end first)."""
-        out: dict = {}
-        for e in self.edges:
-            out.setdefault(_pair_key(e.u, e.v), []).append(e.id)
-        return out
+        (smaller end first).  The dict is built once and kept until the next
+        add_vertex or add_edge; it is shared, so callers must not change it
+        or its lists."""
+        if self._multi is None:
+            out: dict = {}
+            for e in self.edges:
+                out.setdefault(_pair_key(e.u, e.v), []).append(e.id)
+            self._multi = out
+        return self._multi
 
     def has_loops(self) -> bool:
         return any(e.u == e.v for e in self.edges)
@@ -181,13 +182,8 @@ def is_complete_bipartite_multi(g: Multigraph):
         b = [v for v in range(g.n_vertices) if color[v] == 1]
     if not a or not b:
         return None
-    mult = {key: len(ids) for key, ids in g.multi_edges().items()}
     sa = set(a)
-    ls = set()
-    for u in a:
-        for v in b:
-            key = (u, v) if u <= v else (v, u)
-            ls.add(mult.get(key, 0))
+    ls = {g.multiplicity(u, v) for u in a for v in b}
     # any within-class edge breaks it
     for e in g.edges:
         if (e.u in sa) == (e.v in sa):
@@ -314,19 +310,14 @@ def verify_iso_witness(
     g2: Multigraph,
     w: GraphAut,
     *,
-    strict_labels: bool = False,
     respect_parts: bool = True,
 ) -> bool:
     """Independent validation of an isomorphism witness."""
     if map_defect(g1, g2, [w.vertex_map], [w.edge_map]) is not None:
         return False
     use_parts = respect_parts and g1.fully_part_tagged() and g2.fully_part_tagged()
-    if use_parts and any(
-        v.part != g2.vertices[w.vertex_map[v.id]].part for v in g1.vertices
-    ):
-        return False
-    return not strict_labels or all(
-        e.label == g2.edges[w.edge_map[e.id]].label for e in g1.edges
+    return not use_parts or all(
+        v.part == g2.vertices[w.vertex_map[v.id]].part for v in g1.vertices
     )
 
 
@@ -349,15 +340,6 @@ def _pair_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-def _multiplicities(g: Multigraph, strict: bool) -> dict:
-    """Each multi-edge's count, keyed by its end pair, or under strict its
-    (count, sorted labels), so refinement compares labels too."""
-    return {
-        key: (len(ids), tuple(sorted(g.edges[i].label for i in ids))) if strict else len(ids)
-        for key, ids in g.multi_edges().items()
-    }
-
-
 def _refine(c, nb):
     """Colour refinement rounds on a colouring c of the disjoint union of two
     graphs of n vertices each, the first graph's colours then the second's,
@@ -378,7 +360,7 @@ def _refine(c, nb):
         c = refined
 
 
-def _first_map(g1, g2, colors, mult1, mult2, *, involution=False, budget=None):
+def _first_map(g1, g2, colors, *, involution=False, budget=None):
     """The lex-first colour-preserving isomorphism g1 -> g2 as a vertex list,
     or None, by individualise and refine (McKay & Piperno, "Practical Graph
     Isomorphism, II", J. Symbolic Comput. 60, 2014).
@@ -399,11 +381,11 @@ def _first_map(g1, g2, colors, mult1, mult2, *, involution=False, budget=None):
     """
     n = g1.n_vertices
     nb = [[] for _ in range(2 * n)]  # (other end, multiplicity) per non-loop multi-edge
-    for at, mult in ((0, mult1), (n, mult2)):
-        for (a, b), m in mult.items():
+    for at, g in ((0, g1), (n, g2)):
+        for (a, b), ids in g.multi_edges().items():
             if a != b:
-                nb[at + a].append((at + b, m))
-                nb[at + b].append((at + a, m))
+                nb[at + a].append((at + b, len(ids)))
+                nb[at + b].append((at + a, len(ids)))
     nodes = 0
     frames = []  # per depth: (colours, branch vertex, candidates left)
     todo = colors
@@ -435,13 +417,13 @@ def isomorphic(
     g1: Multigraph,
     g2: Multigraph,
     *,
-    strict_labels: bool = False,
     cap: int = ISO_SIZE_CAP,
 ) -> GraphAut | None:
     """Isomorphism by colour refinement and individualisation.
 
     Part tags participate only when both graphs are fully tagged. The
-    witness is the lex-first vertex map, so it is deterministic.
+    witness is the lex-first vertex map, so it is deterministic, with the
+    edge map that induced_edge_map gives it.
     """
     if g1.n_vertices + g2.n_vertices > cap:
         raise CapExceeded(
@@ -451,30 +433,21 @@ def isomorphic(
     if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
         return None
     use_parts = g1.fully_part_tagged() and g2.fully_part_tagged()
-    mult1, mult2 = (_multiplicities(g, strict_labels) for g in (g1, g2))
     # refinement derives degrees and neighbour multiplicities, not parts or loops
     seeds = [
-        (v.part if use_parts else 0, mult.get((v.id, v.id), 0))
-        for g, mult in ((g1, mult1), (g2, mult2))
+        (v.part if use_parts else 0, g.multiplicity(v.id, v.id))
+        for g in (g1, g2)
         for v in g.vertices
     ]
     table = {k: i for i, k in enumerate(dict.fromkeys(seeds))}
-    fwd = _first_map(g1, g2, [table[k] for k in seeds], mult1, mult2)
+    fwd = _first_map(g1, g2, [table[k] for k in seeds])
     if fwd is None:
         return None
-
-    # pair off edges inside each multi-edge; labels align under strict mode
-    emap = [-1] * g1.n_edges
-    for (a, b) in mult1:
-        e1 = g1.edges_between(a, b)
-        e2 = g2.edges_between(fwd[a], fwd[b])
-        if strict_labels:
-            e1 = sorted(e1, key=lambda i: (g1.edges[i].label, i))
-            e2 = sorted(e2, key=lambda i: (g2.edges[i].label, i))
-        for x, y in zip(e1, e2):
-            emap[x] = y
-    w = GraphAut(tuple(fwd), tuple(emap))
-    if not verify_iso_witness(g1, g2, w, strict_labels=strict_labels):
+    emap = induced_edge_map(g1, g2, fwd)
+    if emap is None:
+        return None
+    w = GraphAut(tuple(fwd), emap)
+    if not verify_iso_witness(g1, g2, w):
         return None
     return w
 

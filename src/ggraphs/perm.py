@@ -88,8 +88,8 @@ class Perm:
             inv[j - 1] = i + 1
         return Perm(tuple(inv))
 
-    def cycles(self, include_fixed: bool = True) -> list[tuple[int, ...]]:
-        """Disjoint cycles sorted by smallest moved point."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Disjoint cycles, fixed points included, sorted by smallest point."""
         seen = [False] * self.degree
         out = []
         for start in range(1, self.degree + 1):
@@ -102,8 +102,7 @@ class Perm:
                 c.append(nxt)
                 seen[nxt - 1] = True
                 nxt = self(nxt)
-            if len(c) > 1 or include_fixed:
-                out.append(tuple(c))
+            out.append(tuple(c))
         return out
 
     @property

@@ -386,9 +386,7 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
         eimg.append(int(rows[inv[x], nv + x0[pair]]) - nv)
 
     iso = IsoWitness(tuple(vimg), tuple(eimg))
-    if not verify_iso_witness(
-        rebuilt.graph, g, iso, strict_labels=False, respect_parts=False
-    ):
+    if not verify_iso_witness(rebuilt.graph, g, iso, respect_parts=False):
         raise InternalAssertion("reconstruction isomorphism failed verification")
     return ReconstructionResult(grp, tuple(gens), rebuilt, iso, report)
 

@@ -258,7 +258,7 @@ def test_criterion_6_recognition_round_trip_and_mutations():
         assert res.group.order == gg.group.order
         assert verify_iso_witness(
             res.rebuilt.graph, gg.graph, res.iso,
-            strict_labels=False, respect_parts=False,
+            respect_parts=False,
         )
     # the same round trip through the command line on one representative
     gg = build_phi(cyclic_group(6), [2, 3])
@@ -362,7 +362,7 @@ def test_criterion_7_incidence_suite():
         assert rebuilt.graph.n_vertices == gg.graph.n_vertices
         assert verify_iso_witness(
             gg.graph, res.incidence.graph, res.iso,
-            strict_labels=False, respect_parts=False,
+            respect_parts=False,
         )
 
     # every certificate with n <= 13 builds a graph with the structural

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ggraphs import algebra as al
-from ggraphs.errors import CapExceeded, NotAGroup, ParseError
+from ggraphs.errors import CapExceeded, NotAGroup, ParseError, PreconditionFailed
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +207,41 @@ def test_group_axioms_reject_non_groups():
             z300[r, c] = (z300[r, c] + 150) % 300
     with pytest.raises(NotAGroup):
         al.check_group_axioms(z300)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1], [1, 0.7]],  # 0.7 truncated to 0 gave Z2
+        [[0, 1], [1]],  # ragged
+        [["0", "1"], ["1", "0"]],  # not numbers
+        [[0, 1], [1, 2**40]],  # beyond int32
+        np.array([[0, 1], [1, 2**32]]),  # wraps to 0 in int32
+    ],
+    ids=["fraction", "ragged", "strings", "beyond-int32", "int64-wrap"],
+)
+def test_group_from_table_refuses_a_table_of_non_integers(table):
+    with pytest.raises(NotAGroup):
+        al.group_from_table(table)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: al.cyclic_group(2.5),  # was a "Z2" of order 3
+        lambda: al.symmetric_group(2.5),
+        lambda: al.dihedral_group(3.5),
+    ],
+    ids=["cyclic", "symmetric", "dihedral"],
+)
+def test_non_integer_group_size_is_a_precondition_failure(make):
+    with pytest.raises(PreconditionFailed):
+        make()
+
+
+def test_integer_types_still_size_a_group():
+    assert al.cyclic_group(np.int64(4)).name == "Z4"
+    assert al.group_from_table(np.array([[0, 1], [1, 0]], dtype=np.uint8)).order == 2
 
 
 def test_oversized_groups_raise_cap_exceeded():

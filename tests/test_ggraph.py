@@ -347,6 +347,21 @@ def test_kmn_rejects_bad_input():
         gg.kmn_build(100, 100, 9)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gg.build_phi(al.cyclic_group(6), [2.5]),  # built on 2
+        lambda: gg.kmn_plan(2.5, 3, 1),  # planned with m = 2.5
+        lambda: gg.kmn_build(2, "3", 1),
+        lambda: gg.replicate_components(gg.build_phi(al.cyclic_group(6), [2, 3]), 2.5),
+    ],
+    ids=["generator", "kmn_plan", "kmn_build", "replicate"],
+)
+def test_non_integer_count_or_generator_is_a_precondition_failure(call):
+    with pytest.raises(PreconditionFailed):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

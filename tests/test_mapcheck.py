@@ -64,7 +64,7 @@ def oracle_first_defect(g1, pairs, g2=None):
     return None
 
 
-def oracle_verify_iso_witness(g1, g2, w, *, strict_labels=False, respect_parts=True):
+def oracle_verify_iso_witness(g1, g2, w, *, respect_parts=True):
     n, m = g1.n_vertices, g1.n_edges
     if g2.n_vertices != n or g2.n_edges != m:
         return False
@@ -78,8 +78,6 @@ def oracle_verify_iso_witness(g1, g2, w, *, strict_labels=False, respect_parts=T
     for e in g1.edges:
         f = g2.edges[w.edge_map[e.id]]
         if {w.vertex_map[e.u], w.vertex_map[e.v]} != {f.u, f.v}:
-            return False
-        if strict_labels and e.label != f.label:
             return False
     return True
 
@@ -200,13 +198,10 @@ def grown(g, extra_vertex):
 
 
 def verify_variants(g1, g2, a):
-    for strict in (False, True):
-        for parts in (False, True):
-            got = verify_iso_witness(g1, g2, a, strict_labels=strict, respect_parts=parts)
-            want = oracle_verify_iso_witness(
-                g1, g2, a, strict_labels=strict, respect_parts=parts
-            )
-            assert got == want, (strict, parts)
+    for parts in (False, True):
+        got = verify_iso_witness(g1, g2, a, respect_parts=parts)
+        want = oracle_verify_iso_witness(g1, g2, a, respect_parts=parts)
+        assert got == want, parts
 
 
 # ---------------------------------------------------------------------------

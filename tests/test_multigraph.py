@@ -65,6 +65,27 @@ def test_degree_counts_loops_twice():
     assert g.edges_between(0, 1) == [0]
 
 
+def test_multi_edge_index_follows_later_additions():
+    g = build(2, [(0, 1)])
+    assert g.multi_edges() == {(0, 1): [0]}
+    assert g.multi_edges() is g.multi_edges()  # built once between changes
+    g.add_edge(1, 1)
+    assert g.loops_at(1) == [1] and g.multiplicity(1, 1) == 1
+    v = g.add_vertex()
+    assert g.multiplicity(v, 0) == 0
+    g.add_edge(v, 0)
+    assert g.multi_edges() == {(0, 1): [0], (1, 1): [1], (0, 2): [2]}
+    assert g.edges_between(2, 0) == [2] and g.multiplicity(0, 2) == 1
+
+
+def test_edge_id_lists_handed_out_are_copies():
+    g = build(2, [(0, 1), (0, 1), (1, 1)])
+    g.edges_between(1, 0).append(7)
+    g.loops_at(1).clear()
+    assert g.multi_edges() == {(0, 1): [0, 1], (1, 1): [2]}
+    assert g.multiplicity(0, 1) == 2 and g.loops_at(1) == [2]
+
+
 def test_connected_components_order():
     g = build(6, [(4, 5), (0, 2), (2, 3)])
     assert mg.connected_components(g) == [[0, 2, 3], [1], [4, 5]]
@@ -145,19 +166,6 @@ def test_iso_loops_matter():
     assert mg.isomorphic(g1, g3) is None
 
 
-def test_iso_strict_labels():
-    g1 = build(2, [(0, 1), (0, 1)], labels=["x", "y"])
-    g2 = build(2, [(0, 1), (0, 1)], labels=["y", "x"])
-    g3 = build(2, [(0, 1), (0, 1)], labels=["x", "x"])
-    w = mg.isomorphic(g1, g2, strict_labels=True)
-    assert w is not None
-    assert mg.verify_iso_witness(g1, g2, w, strict_labels=True)
-    # strict pairing must send x to x
-    assert g2.edges[w.edge_map[0]].label == "x"
-    assert mg.isomorphic(g1, g3, strict_labels=True) is None
-    assert mg.isomorphic(g1, g3) is not None
-
-
 def test_iso_part_tags_only_when_both_tagged():
     c6_plain = cycle(6)
     c6_tagged = build(
@@ -227,11 +235,11 @@ def test_iso_agrees_with_oracle_on_random_pairs():
     assert agree_pos > 0 and agree_neg > 0
 
 
-def oracle_first_iso(g1, g2, strict_labels=False):
+def oracle_first_iso(g1, g2):
     """isomorphic's former search, kept as its oracle: backtracking over the
     vertices of g1 in ascending order, each tried against the vertices of g2
-    in ascending order, with the multiplicities (and, under strict_labels,
-    the labels) to every vertex already mapped checked pairwise.  Its colour
+    in ascending order, with the multiplicities to every vertex already
+    mapped checked pairwise.  Its colour
     refinement, which only pruned, is left out: candidates share the
     initial colour.  Returns the lex-first vertex map, or None."""
     if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
@@ -246,25 +254,16 @@ def oracle_first_iso(g1, g2, strict_labels=False):
             nonloop = sorted(
                 m for (a, b), m in mult.items() if a != b and v in (a, b)
             )
-            key = (
+            keys.append((
                 g.vertices[v].part if use_parts else 0,
                 g.degree(v),
                 len(g.loops_at(v)),
                 tuple(nonloop),
-            )
-            if strict_labels:
-                key = key + (
-                    tuple(sorted(e.label for e in g.edges if v in (e.u, e.v))),
-                )
-            keys.append(key)
+            ))
         return keys, mult
 
     k1, mult1 = initial_colors(g1)
     k2, mult2 = initial_colors(g2)
-    lab1, lab2 = (
-        {k: sorted(g.edges[i].label for i in ids) for k, ids in g.multi_edges().items()}
-        for g in (g1, g2)
-    )
     n = g1.n_vertices
     fwd = [-1] * n
     used = [False] * n
@@ -280,8 +279,6 @@ def oracle_first_iso(g1, g2, strict_labels=False):
             if fu < 0 or u == v:
                 continue
             if mult1.get(key(v, u), 0) != mult2.get(key(w, fu), 0):
-                return False
-            if strict_labels and lab1.get(key(v, u), []) != lab2.get(key(w, fu), []):
                 return False
         return True
 
@@ -324,7 +321,8 @@ def relabelled(rng, g):
 
 def test_iso_witness_is_the_former_searchs():
     """Loops, multi-edges, part tags and labels: the same lex-first witness
-    as the former search, or None from both."""
+    as the former search, or None from both, with the edge map that
+    induced_edge_map gives that witness."""
     rng = random.Random(7)
     outcomes = Counter()
     for _ in range(300):
@@ -336,12 +334,13 @@ def test_iso_witness_is_the_former_searchs():
             g2 = relabelled(rng, g1)
         else:
             g2 = random_multigraph(rng, n, g1.n_edges, tagged, labels)
-        strict = labels != [""] and rng.random() < 0.5
-        want = oracle_first_iso(g1, g2, strict)
-        w = mg.isomorphic(g1, g2, strict_labels=strict)
+        want = oracle_first_iso(g1, g2)
+        w = mg.isomorphic(g1, g2)
         assert (None if w is None else w.vertex_map) == want
-        outcomes[want is not None, strict] += 1
-    assert len(outcomes) == 4  # both decisions, with and without labels
+        if w is not None:
+            assert w.edge_map == mg.induced_edge_map(g1, g2, w.vertex_map)
+        outcomes[want is not None] += 1
+    assert len(outcomes) == 2  # both decisions
 
 
 def test_iso_witness_on_regular_graphs_is_the_former_searchs():
