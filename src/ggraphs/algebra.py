@@ -273,15 +273,15 @@ def perm_group(
     generators,
     *,
     name: str | None = None,
-    cap: int = DEFAULT_CLOSURE_CAP,
 ) -> FiniteGroup:
     """Close a set of permutations and build the table; identity gets index 0,
-    the rest are indexed in breadth-first discovery order."""
+    the rest are indexed in breadth-first discovery order.  Raises
+    CapExceeded above DEFAULT_CLOSURE_CAP elements."""
     gens = list(generators)
     for p in gens:
         if p.degree != degree:
             raise PreconditionFailed("generator degree != %d" % degree)
-    closure = perm_closure([np.array(p.img) - 1 for p in gens], degree, cap)
+    closure = perm_closure([np.array(p.img) - 1 for p in gens], degree)
     perms = tuple(
         Perm(tuple(x + 1 for x in row)) for row in closure.elems.tolist()
     )
@@ -342,6 +342,7 @@ def quaternion_group() -> FiniteGroup:
 
 
 def power(g: FiniteGroup, x: int, k: int) -> int:
+    x, k = _index(x, "element", g.order), _index(k, "exponent")
     if k < 0:
         return power(g, int(g.inv[x]), -k)
     y = g.identity
@@ -351,6 +352,7 @@ def power(g: FiniteGroup, x: int, k: int) -> int:
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
+    x = _index(x, "element", g.order)
     k, y = 1, x
     while y != g.identity:
         y = int(g.mul[y, x])
@@ -360,6 +362,7 @@ def element_order(g: FiniteGroup, x: int) -> int:
 
 def cyclic_subgroup(g: FiniteGroup, x: int) -> tuple[int, ...]:
     """Sorted element set of <x>."""
+    x = _index(x, "element", g.order)
     elems = {g.identity}
     y = x
     while y != g.identity:
@@ -380,14 +383,30 @@ class Coset:
         return x in self.elems
 
 
+def right_cosets(g: FiniteGroup, K) -> tuple[np.ndarray, np.ndarray]:
+    """The right cosets Kx of a subgroup K (its elements, in any order).
+
+    Returns (elems, membership): row c of elems is the c-th coset in
+    ascending order, rows are sorted by their minimum, and membership[x] is
+    the row that holds Kx.  Column x of the sorted gather mul[K] is Kx, so
+    x represents its coset exactly when it heads its own column."""
+    cols = np.sort(g.mul[np.asarray(K)], axis=0)
+    reps = np.flatnonzero(cols[0] == np.arange(g.order))
+    row = np.empty(g.order, dtype=np.int32)
+    row[reps] = np.arange(len(reps))
+    return cols[:, reps].T, row[cols[0]]
+
+
 def right_coset(g: FiniteGroup, s: int, x: int) -> Coset:
-    elems = sorted(int(g.mul[h, x]) for h in cyclic_subgroup(g, s))
-    return Coset(gen=s, rep=elems[0], elems=tuple(elems))
+    s, x = _index(s, "element", g.order), _index(x, "element", g.order)
+    elems, membership = right_cosets(g, cyclic_subgroup(g, s))
+    row = elems[membership[x]].tolist()
+    return Coset(gen=s, rep=row[0], elems=tuple(row))
 
 
 def generated_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:
     """Sorted element set of <gens> (identity included)."""
-    right_mul = g.mul[:, [int(x) for x in gens]].T
+    right_mul = g.mul[:, [_index(x, "generator", g.order) for x in gens]].T
     return tuple(orbits(right_mul, g.order, [g.identity])[0].tolist())
 
 
@@ -450,6 +469,7 @@ def subgroup_group(g: FiniteGroup, elements, name: str | None = None) -> tuple[F
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division (inputs are small by contract)."""
+    n = _index(n, "n")
     if n < 1:
         raise PreconditionFailed("factorize needs n >= 1")
     out: dict[int, int] = {}

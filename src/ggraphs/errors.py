@@ -44,14 +44,18 @@ class BudgetExceeded(GGraphError):
         self.nodes = nodes
 
 
-def _index(value, what: str) -> int:
+def _index(value, what: str, below: int | None = None) -> int:
     """value as an int by operator.index, so that a count or an element
     given as a float or a string is refused with PreconditionFailed rather
-    than truncated.  Integer types such as numpy ints pass."""
+    than truncated.  Integer types such as numpy ints pass.  With below,
+    the value must also lie in 0..below-1 (a group element, a vertex id)."""
     try:
-        return operator.index(value)
+        out = operator.index(value)
     except TypeError:
         raise PreconditionFailed("%s must be an integer, got %r" % (what, value)) from None
+    if below is not None and not 0 <= out < below:
+        raise PreconditionFailed("%s %d out of range" % (what, out))
+    return out
 
 
 def resolve_budget(budget: int | None) -> int:

@@ -8,9 +8,11 @@ level of s (one per coset element). Repeated occurrences of the same
 generator produce distinct levels.
 
 Vertex ids are laid out level block by level block, cosets ordered by
-ascending representative (minimal element). Cross edges come first, ordered
-by (level pair, group element); Psi loops follow, grouped by vertex id and
-labeled ascending. Everything downstream relies on this determinism.
+ascending representative (minimal element). Edge ids come in blocks of |G|.
+Block p < P, for the p-th level pair (i, j) with i < j in lexicographic order
+and P the number of pairs, holds the cross edges: edge p*|G| + x is labelled
+x.  In Psi, block P + i holds the loops of level i, in coset order and
+ascending within each coset.  Everything downstream relies on this rule.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .algebra import (
     factorize,
     generated_subgroup,
     generating_set,
+    right_cosets,
     subgroup_group,
 )
 from .errors import InternalAssertion, PreconditionFailed, _index
@@ -67,8 +71,6 @@ class GGraph:
     graph: Multigraph
     levels: tuple[Level, ...]
     edge_glabel: np.ndarray  # edge id -> group element
-    _cross_base: dict
-    _loop_id: np.ndarray | None  # (n_levels, order) -> loop edge id
 
     @property
     def n_levels(self) -> int:
@@ -93,12 +95,9 @@ class GGraph:
 
 
 def _check_gens(group: FiniteGroup, gens) -> tuple[int, ...]:
-    out = tuple(_index(s, "generator") for s in gens)
+    out = tuple(_index(s, "generator", group.order) for s in gens)
     if not out:
         raise PreconditionFailed("generator multiset must be nonempty")
-    for s in out:
-        if not 0 <= s < group.order:
-            raise PreconditionFailed("generator %d out of range" % s)
     return out
 
 
@@ -107,49 +106,27 @@ def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
     n = group.order
     graph = Multigraph()
     levels = []
-    occ_count: dict[int, int] = {}
     for i, s in enumerate(gens):
-        occ = occ_count.get(s, 0)
-        occ_count[s] = occ + 1
-        membership = np.full(n, -1, dtype=np.int32)
-        cosets = []
-        offset = graph.n_vertices
-        sub = list(cyclic_subgroup(group, s))
-        for x in range(n):
-            if membership[x] >= 0:
-                continue
-            elems = sorted(group.mul[sub, x].tolist())  # the right coset <s>x
-            membership[elems] = len(cosets)
-            cosets.append(Coset(gen=s, rep=elems[0], elems=tuple(elems)))
+        rows, membership = right_cosets(group, cyclic_subgroup(group, s))
+        cosets = tuple(Coset(gen=s, rep=r[0], elems=tuple(r)) for r in rows.tolist())
+        levels.append(
+            Level(i, s, gens[:i].count(s), graph.n_vertices, cosets, membership)
+        )
         for c in cosets:
             graph.add_vertex(label="%d:%d" % (i, c.rep), part=i)
-        levels.append(
-            Level(i, s, occ, offset, tuple(cosets), membership)
-        )
-    cross_base = {}
+    # edges in the order of the module docstring's layout rule
     glabels = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            cross_base[(i, j)] = graph.n_edges
-            li, lj = levels[i], levels[j]
-            for x in range(n):
-                graph.add_edge(
-                    li.offset + int(li.membership[x]),
-                    lj.offset + int(lj.membership[x]),
-                    label=group.elem_name(x),
-                )
-                glabels.append(x)
-    loop_id = None
+    for li, lj in combinations(levels, 2):
+        ends = zip(li.membership.tolist(), lj.membership.tolist())
+        for x, (a, b) in enumerate(ends):
+            graph.add_edge(li.offset + a, lj.offset + b, label=group.elem_name(x))
+        glabels.extend(range(n))
     if with_loops:
-        loop_id = np.full((len(gens), n), -1, dtype=np.int64)
         for lvl in levels:
-            for ci, c in enumerate(lvl.cosets):
-                v = lvl.offset + ci
+            for v, c in enumerate(lvl.cosets, lvl.offset):
                 for x in c.elems:
-                    loop_id[lvl.index, x] = graph.add_edge(
-                        v, v, label=group.elem_name(x)
-                    )
-                    glabels.append(x)
+                    graph.add_edge(v, v, label=group.elem_name(x))
+                glabels.extend(c.elems)
     return GGraph(
         group=group,
         gens=gens,
@@ -157,8 +134,6 @@ def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
         graph=graph,
         levels=tuple(levels),
         edge_glabel=np.array(glabels, dtype=np.int64),
-        _cross_base=cross_base,
-        _loop_id=loop_id,
     )
 
 
@@ -181,25 +156,25 @@ def _shift_arrays(gg: GGraph):
     matrices; row g is delta_g: <s>x -> <s>xg with its edge action."""
     grp = gg.group
     n = grp.order
-    nv, ne = gg.graph.n_vertices, gg.graph.n_edges
-    S_v = np.empty((n, nv), dtype=np.int32)
+    S_v = np.empty((n, gg.graph.n_vertices), dtype=np.int32)
     for lvl in gg.levels:
-        reps = np.array([c.rep for c in lvl.cosets], dtype=np.int64)
+        reps = [c.rep for c in lvl.cosets]
         # delta_g(<s>x) = <s>(x g); row g, columns = cosets of this level
-        img = lvl.membership[grp.mul[reps[None, :], np.arange(n)[:, None]]]
+        img = lvl.membership[grp.mul[reps].T]
         S_v[:, lvl.offset : lvl.offset + len(reps)] = lvl.offset + img
-    S_e = np.empty((n, ne), dtype=np.int32)
-    labels_g = gg.group.mul[gg.edge_glabel[None, :], np.arange(n)[:, None]]
-    for (i, j), base in gg._cross_base.items():
-        # cross edge with label x maps to the edge labeled x*g of the same pair
-        S_e[:, base : base + n] = base + labels_g[:, base : base + n]
+    # delta_g maps the edge labelled x to the edge labelled xg of the same
+    # block; pos[y] is where the label y sits in its block (None: at y)
+    blocks = [None] * math.comb(gg.n_levels, 2)
     if gg.with_loops:
-        start = len(gg._cross_base) * n
-        lv = gg.graph.edges
-        for a in range(start, ne):
-            x = int(gg.edge_glabel[a])
-            i = gg.vertex_level(lv[a].u)
-            S_e[:, a] = gg._loop_id[i][gg.group.mul[x, :]]
+        for lvl in gg.levels:
+            pos = np.empty(n, dtype=np.int32)
+            pos[np.argsort(lvl.membership, kind="stable")] = np.arange(n)
+            blocks.append(pos)
+    S_e = np.empty((n, gg.graph.n_edges), dtype=np.int32)
+    for b, pos in enumerate(blocks):
+        base = b * n
+        img = grp.mul[gg.edge_glabel[base : base + n]].T  # row g: labels times g
+        S_e[:, base : base + n] = base + (img if pos is None else pos[img])
     return S_v, S_e
 
 
@@ -211,8 +186,7 @@ def shifts(gg: GGraph) -> list[GraphAut]:
 
 def colour_clique(gg: GGraph, x: int) -> list[int]:
     """C_x: the vertex <s_i>x of every level."""
-    if not 0 <= x < gg.group.order:
-        raise PreconditionFailed("element out of range")
+    x = _index(x, "element", gg.group.order)
     return [gg.vertex_of(i, x) for i in range(gg.n_levels)]
 
 
@@ -331,18 +305,21 @@ def verify_structure(gg: GGraph) -> StructureReport:
 
     # 5. the label set of each multi-edge is a right coset of <s> inter <t>
     subs = [set(cyclic_subgroup(grp, lvl.gen)) for lvl in gg.levels]
-    meet = {(i, j): sorted(a & b) for i, a in enumerate(subs) for j, b in enumerate(subs)}
+    meet = {
+        (i, j): right_cosets(grp, sorted(a & b))
+        for i, a in enumerate(subs) for j, b in enumerate(subs)
+    }
     ok5 = True
     bad = ""
     for (u, v), ids in by_pair.items():
         labels = gg.edge_glabel[ids].tolist()
-        inter = meet[int(parts[u]), int(parts[v])]
+        rows, membership = meet[int(parts[u]), int(parts[v])]
         # labels must be exactly the coset intersection, which in turn must
         # be the right coset (<s> inter <t>) * min
         cosets_meet = sorted(
             set(gg.vertex_coset(u).elems) & set(gg.vertex_coset(v).elems)
         )
-        expect = sorted(int(grp.mul[w, cosets_meet[0]]) for w in inter)
+        expect = rows[membership[cosets_meet[0]]].tolist()
         if sorted(labels) != cosets_meet or cosets_meet != expect:
             ok5 = False
             bad = " first failure at multi-edge (%d,%d)" % (u, v)
@@ -397,6 +374,7 @@ def component_analysis(gg: GGraph) -> ComponentReport:
     sub_elems = generated_subgroup(grp, set(gg.gens))
     sub, pos = subgroup_group(grp, sub_elems, name="<S>")
     ref = _build(sub, [pos[s] for s in gg.gens], gg.with_loops)
+    rows, membership = right_cosets(grp, sub_elems)
     comps = connected_components(gg.graph)
     infos = []
     for comp in comps:
@@ -406,8 +384,7 @@ def component_analysis(gg: GGraph) -> ComponentReport:
         else:
             # a single-vertex component IS its coset
             labels = sorted(gg.vertex_coset(comp[0]).elems)
-        h = labels[0]
-        expect = sorted(int(grp.mul[w, h]) for w in sub_elems)
+        expect = rows[membership[labels[0]]].tolist()
         coset_ok = sorted(set(labels)) == expect
         w = isomorphic(sg, ref.graph)
         infos.append(

@@ -309,8 +309,8 @@ def necessary_bipartite_witness(
     if not tau.compose(tau).is_identity():
         raise InternalAssertion("matched automorphism is not an involution")
 
-    edge_of = _edge_of_element(gg)
-    f = [int(gg.edge_glabel[emap[edge_of[x]]]) for x in range(grp.order)]
+    # over one level pair the edge labelled x is edge x (ggraph's layout)
+    f = [int(gg.edge_glabel[emap[x]]) for x in range(grp.order)]
 
     if f[grp.identity] != grp.identity:
         raise InternalAssertion("f does not fix the identity")
@@ -334,17 +334,6 @@ def necessary_bipartite_witness(
     )
 
 
-def _edge_of_element(gg: GGraph) -> list[int]:
-    """The edge labelled x, per group element x: over two occurrences and
-    without loops every element labels exactly one edge."""
-    edge_of = [-1] * gg.group.order
-    for e, x in enumerate(gg.edge_glabel.tolist()):
-        if edge_of[x] >= 0:
-            raise InternalAssertion("edge labels are not unique")
-        edge_of[x] = e
-    return edge_of
-
-
 def witness_automorphism(gg: GGraph, w: IncidenceWitnessMap) -> GraphAut:
     """The level-swapping automorphism <s>x -> <t>f(x), <t>x -> <s>f(x).
 
@@ -361,8 +350,7 @@ def witness_automorphism(gg: GGraph, w: IncidenceWitnessMap) -> GraphAut:
         vmap[v] = gg.vertex_of(1, f[gg.vertex_coset(v).rep])
     for v in level_vertices(gg, 1):
         vmap[v] = gg.vertex_of(0, f[gg.vertex_coset(v).rep])
-    edge_of = _edge_of_element(gg)
-    emap = [edge_of[f[x]] for x in gg.edge_glabel.tolist()]
+    emap = [f[x] for x in gg.edge_glabel.tolist()]  # edge x is labelled x
     out = GraphAut(tuple(vmap), tuple(emap))
     if map_defect(gg.graph, gg.graph, [vmap], [emap]) is not None:
         raise WitnessInvalid("witness map does not induce an automorphism")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, CapExceeded, ParseError, PreconditionFailed, _json_int
+from .errors import BudgetExceeded, CapExceeded, ParseError, _index, _json_int
 
 ISO_SIZE_CAP = 2000
 
@@ -51,8 +51,7 @@ class Multigraph:
 
     def add_edge(self, u: int, v: int, label: str = "") -> int:
         n = len(self.vertices)
-        if not (0 <= u < n and 0 <= v < n):
-            raise PreconditionFailed("edge endpoint out of range")
+        u, v = _index(u, "edge endpoint", n), _index(v, "edge endpoint", n)
         eid = len(self.edges)
         self.edges.append(Edge(eid, u, v, label))
         self._adj = self._multi = None
@@ -201,9 +200,7 @@ def is_complete_bipartite_multi(g: Multigraph):
 
 def induced_subgraph_with_maps(g: Multigraph, vertex_set):
     """(subgraph, vertex id map old->new, edge id map old->new)."""
-    keep = sorted(set(int(v) for v in vertex_set))
-    if keep and not (0 <= keep[0] and keep[-1] < g.n_vertices):
-        raise PreconditionFailed("vertex set out of range")
+    keep = sorted({_index(v, "vertex", g.n_vertices) for v in vertex_set})
     sub = Multigraph()
     vmap = {}
     for v in keep:
@@ -413,22 +410,18 @@ def _first_map(g1, g2, colors, *, involution=False, budget=None):
             todo[w] = todo[n + v] = 2 * n + 1
 
 
-def isomorphic(
-    g1: Multigraph,
-    g2: Multigraph,
-    *,
-    cap: int = ISO_SIZE_CAP,
-) -> GraphAut | None:
+def isomorphic(g1: Multigraph, g2: Multigraph) -> GraphAut | None:
     """Isomorphism by colour refinement and individualisation.
 
     Part tags participate only when both graphs are fully tagged. The
     witness is the lex-first vertex map, so it is deterministic, with the
-    edge map that induced_edge_map gives it.
+    edge map that induced_edge_map gives it.  Raises CapExceeded when the
+    two graphs have more than ISO_SIZE_CAP vertices together.
     """
-    if g1.n_vertices + g2.n_vertices > cap:
+    if g1.n_vertices + g2.n_vertices > ISO_SIZE_CAP:
         raise CapExceeded(
             "combined vertex count %d exceeds cap %d"
-            % (g1.n_vertices + g2.n_vertices, cap)
+            % (g1.n_vertices + g2.n_vertices, ISO_SIZE_CAP)
         )
     if g1.n_vertices != g2.n_vertices or g1.n_edges != g2.n_edges:
         return None

@@ -158,12 +158,9 @@ def test_perm_group_closure_matches_oracle():
 
 
 def test_perm_group_cap():
+    # |S8| = 40320 exceeds DEFAULT_CLOSURE_CAP
     with pytest.raises(CapExceeded):
-        al.perm_group(
-            8,
-            [al.Perm.parse("(1 2)", 8), al.Perm.parse("(1 2 3 4 5 6 7 8)", 8)],
-            cap=1000,
-        )
+        al.symmetric_group(8)
 
 
 def test_dihedral_and_quaternion():
