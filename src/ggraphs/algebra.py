@@ -107,8 +107,9 @@ def orbits(maps, n_points: int, starts=None) -> list[np.ndarray]:
         seen[start] = True
         found = frontier = np.array([start])
         while len(frontier):
-            img = np.unique(maps[:, frontier])
-            frontier = img[~seen[img]]
+            img = maps[:, frontier].ravel()
+            img = np.sort(img[~seen[img]])
+            frontier = img[np.diff(img, prepend=-1) != 0]  # each new point once
             seen[frontier] = True
             found = np.concatenate((found, frontier))
         out.append(np.sort(found))
@@ -150,8 +151,15 @@ class FiniteGroup:
         return self._name_index
 
 
-def check_group_axioms(mul: np.ndarray, identity: int = 0) -> None:
-    """Raise NotAGroup unless mul is a group table with the given identity."""
+def check_group_axioms(mul: np.ndarray, identity: int = 0) -> np.ndarray:
+    """Raise NotAGroup unless mul is a group table with the given identity;
+    return the inverses.
+
+    Three tests decide it exactly: identity is a two-sided identity, every
+    row holds the identity (each x has a right inverse, which is returned),
+    and Light's test passes.  An associative table with a two-sided
+    identity and right inverses is a group, so its rows and columns are
+    permutations and each right inverse is the inverse."""
     mul = np.asarray(mul)
     if mul.ndim != 2 or mul.shape[0] != mul.shape[1]:
         raise NotAGroup("table is not square")
@@ -163,26 +171,15 @@ def check_group_axioms(mul: np.ndarray, identity: int = 0) -> None:
     rng_n = np.arange(n)
     if not (mul[identity] == rng_n).all() or not (mul[:, identity] == rng_n).all():
         raise NotAGroup("index %d is not an identity" % identity)
-    # each row and column must be a permutation, otherwise inverses can't exist
-    if not (np.sort(mul, axis=1) == rng_n).all() or not (
-        np.sort(mul, axis=0) == rng_n[:, None]
-    ).all():
-        raise NotAGroup("table rows/columns are not permutations")
+    inv = np.argmax(mul == identity, axis=1).astype(np.int32)
+    if not (mul[rng_n, inv] == identity).all():
+        raise NotAGroup("an element has no inverse")
     # Light's test: (xt)y == x(ty) for all x, y and every t of a generating
     # set.  The t that pass are closed under products, and every element is
     # a product of generators, so the whole table is associative.
     for t in generating_set(mul, identity):
         if not (mul[mul[:, t]] == mul[:, mul[t]]).all():
             raise NotAGroup("associativity fails")
-
-
-def _inverses_from_table(mul: np.ndarray, identity: int = 0) -> np.ndarray:
-    n = mul.shape[0]
-    inv = np.full(n, -1, dtype=np.int32)
-    rows, cols = np.nonzero(mul == identity)
-    inv[rows] = cols
-    if (inv < 0).any():
-        raise NotAGroup("an element has no inverse")
     return inv
 
 
@@ -203,7 +200,7 @@ def group_from_table(
         raise NotAGroup("table is not a square array") from None
     if mul.size and mul.dtype.kind not in "iu":
         raise NotAGroup("table entries are not integers")
-    check_group_axioms(mul, identity)
+    inv = check_group_axioms(mul, identity)
     mul = mul.astype(np.int32, copy=False)
     n = mul.shape[0]
     if elem_names is None:
@@ -212,7 +209,7 @@ def group_from_table(
         name=name,
         order=n,
         mul=mul,
-        inv=_inverses_from_table(mul, identity),
+        inv=inv,
         identity=identity,
         elem_names=tuple(elem_names),
         factor_orders=factor_orders,
@@ -415,23 +412,25 @@ def generating_set(mul: np.ndarray, identity: int = 0) -> tuple[int, ...]:
     order joins unless the earlier picks already reach it by right
     multiplication from the identity, so every element is a product of them.
 
-    The reached elements form the subgroup H of the picks so far, grown as
-    one orbit: a new pick g lies outside H, so the coset Hg is all new, and
-    the queue goes on from there by every pick.  Elements of H need only
-    g, because H is closed under the others; each element is visited once."""
+    The reached set grows as one queue from the identity: a new pick is
+    applied to every element reached so far, and each newly reached element
+    to every pick.  Each element meets each pick once, and the loop ends
+    only when every element is reached, whatever the table."""
     n = mul.shape[0]
     gens: list[int] = []
     cols: list[list[int]] = []  # cols[i][x] = x * gens[i]
     reached = [False] * n
     reached[identity] = True
-    found = [identity]  # H, as a queue from the identity
+    found = [identity]  # a queue from the identity
     while len(found) < n:
         gens.append(reached.index(False))
         cols.append(mul[:, gens[-1]].tolist())
         i = len(found)
-        found.extend(cols[-1][x] for x in found[:i])
-        for x in found[i:]:
-            reached[x] = True
+        for x in found[:i]:
+            y = cols[-1][x]
+            if not reached[y]:
+                reached[y] = True
+                found.append(y)
         while i < len(found):  # found grows behind i: a queue
             x = found[i]
             i += 1

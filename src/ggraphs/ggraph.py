@@ -160,8 +160,9 @@ def _shift_arrays(gg: GGraph):
     for lvl in gg.levels:
         reps = [c.rep for c in lvl.cosets]
         # delta_g(<s>x) = <s>(x g); row g, columns = cosets of this level
-        img = lvl.membership[grp.mul[reps].T]
-        S_v[:, lvl.offset : lvl.offset + len(reps)] = lvl.offset + img
+        cols = S_v[:, lvl.offset : lvl.offset + len(reps)]
+        cols[...] = lvl.membership[grp.mul[reps].T]
+        cols += lvl.offset
     # delta_g maps the edge labelled x to the edge labelled xg of the same
     # block; pos[y] is where the label y sits in its block (None: at y)
     blocks = [None] * math.comb(gg.n_levels, 2)
@@ -174,7 +175,9 @@ def _shift_arrays(gg: GGraph):
     for b, pos in enumerate(blocks):
         base = b * n
         img = grp.mul[gg.edge_glabel[base : base + n]].T  # row g: labels times g
-        S_e[:, base : base + n] = base + (img if pos is None else pos[img])
+        cols = S_e[:, base : base + n]
+        cols[...] = img if pos is None else pos[img]
+        cols += base
     return S_v, S_e
 
 
@@ -223,29 +226,53 @@ class StructureReport:
         ]
 
 
+# rows of S_v and S_e compared at a time, so that no temporary has |G| rows
+_BLOCK = 64
+
+
 def verify_structure(gg: GGraph) -> StructureReport:
-    """Check the five structural properties every G-graph must satisfy."""
+    """Check the five structural properties every G-graph must satisfy.
+
+    Row x of the shift arrays is delta_x.  Item 1's composition law
+    delta_a . delta_b = delta_{ba} is checked for every b and each a of a
+    generating set: the a that satisfy it for all b are closed under
+    products, and every element is a product of generators.  Once the law
+    holds, the rest of item 1 reads generators only, because G is a group:
+
+    - delta_{xt} = delta_t . delta_x, so every shift is a composition of
+      delta_e and generator shifts, and all are automorphisms when those
+      are;
+    - x -> delta_x maps G onto a group of maps, so delta_x = delta_y exactly
+      when x y^-1 lies in the kernel {x : delta_x = delta_e}, and there are
+      |G| / |kernel| distinct shifts.
+
+    Item 3's permutation law needs generators by the same law.  Item 2 and
+    the kernel read every shift, _BLOCK rows at a time.  When the law fails,
+    item 1 reads every shift."""
     grp = gg.group
     n = grp.order
     g = gg.graph
     S_v, S_e = _shift_arrays(gg)
+    blocks = [slice(b, b + _BLOCK) for b in range(0, n, _BLOCK)]
     items = []
 
     # 1. shifts are automorphisms forming a group isomorphic to G
-    aut_ok = map_defect(g, g, S_v, S_e) is None
-    distinct = len({(S_v[x].tobytes(), S_e[x].tobytes()) for x in range(n)})
-    # Both shift laws below are checked for a generating set only: an a that
-    # satisfies a law for every b is closed under products, and every
-    # element is a product of generators.
     gens = generating_set(grp.mul, grp.identity)
-    comp_ok = True
-    for a in gens:
-        # delta_a . delta_b = delta_{ba}
-        if not (S_v[a][S_v] == S_v[grp.mul[:, a]]).all() or not (
-            S_e[a][S_e] == S_e[grp.mul[:, a]]
-        ).all():
-            comp_ok = False
-            break
+    comp_ok = all(  # delta_a . delta_b = delta_{ba}
+        (S[a][S[b]] == S[grp.mul[b, a]]).all()
+        for a in gens for S in (S_v, S_e) for b in blocks
+    )
+    if comp_ok:
+        e = grp.identity
+        aut_ok = map_defect(g, g, S_v[[e, *gens]], S_e[[e, *gens]]) is None
+        kernel = sum(
+            int(((S_v[b] == S_v[e]).all(axis=1) & (S_e[b] == S_e[e]).all(axis=1)).sum())
+            for b in blocks
+        )
+        distinct = n // kernel
+    else:
+        aut_ok = map_defect(g, g, S_v, S_e) is None
+        distinct = len({(S_v[x].tobytes(), S_e[x].tobytes()) for x in range(n)})
     ok1 = aut_ok and distinct == n and comp_ok
     items.append(
         ItemReport(
@@ -259,7 +286,7 @@ def verify_structure(gg: GGraph) -> StructureReport:
 
     # 2. every level is stabilized setwise by every shift
     parts = np.array([v.part for v in g.vertices], dtype=np.int64)
-    ok2 = bool((parts[S_v] == parts[None, :]).all())
+    ok2 = all((parts[S_v[b]] == parts).all() for b in blocks)
     items.append(ItemReport(2, "levels stable", ok2, "checked all |G| shifts"))
 
     # 3. shifts permute colour cliques: delta_g'(C_g) = C_{g g'}
@@ -319,8 +346,11 @@ def verify_structure(gg: GGraph) -> StructureReport:
         cosets_meet = sorted(
             set(gg.vertex_coset(u).elems) & set(gg.vertex_coset(v).elems)
         )
-        expect = rows[membership[cosets_meet[0]]].tolist()
-        if sorted(labels) != cosets_meet or cosets_meet != expect:
+        if (
+            not cosets_meet  # the ends share no element
+            or sorted(labels) != cosets_meet
+            or cosets_meet != rows[membership[cosets_meet[0]]].tolist()
+        ):
             ok5 = False
             bad = " first failure at multi-edge (%d,%d)" % (u, v)
             break

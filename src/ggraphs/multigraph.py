@@ -250,6 +250,12 @@ def _map_rows(maps, width: int) -> np.ndarray:
     which is no permutation."""
     if isinstance(maps, np.ndarray) and maps.shape[1:] == (width,):
         return maps
+    try:
+        rows = np.array(maps, dtype=np.int32)
+        if rows.shape == (len(maps), width):
+            return rows
+    except (OverflowError, TypeError, ValueError):
+        pass  # some row is malformed: convert row by row
     rows = np.full((len(maps), width), -1, dtype=np.int32)
     for i, row in enumerate(maps):
         if len(row) == width:

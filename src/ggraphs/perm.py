@@ -90,6 +90,7 @@ class Perm:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, fixed points included, sorted by smallest point."""
+        img = self.img
         seen = [False] * self.degree
         out = []
         for start in range(1, self.degree + 1):
@@ -97,11 +98,11 @@ class Perm:
                 continue
             c = [start]
             seen[start - 1] = True
-            nxt = self(start)
+            nxt = img[start - 1]
             while nxt != start:
                 c.append(nxt)
                 seen[nxt - 1] = True
-                nxt = self(nxt)
+                nxt = img[nxt - 1]
             out.append(tuple(c))
         return out
 
@@ -115,9 +116,7 @@ class Perm:
 
     def cycle_string(self) -> str:
         """Canonical cycle form; fixed points are always written out."""
-        return "".join(
-            "(%s)" % ",".join(str(p) for p in c) for c in self.cycles()
-        )
+        return "".join(["(%s)" % ",".join(map(str, c)) for c in self.cycles()])
 
     def __str__(self) -> str:
         return self.cycle_string()

@@ -287,6 +287,40 @@ def former_generating_set(mul, identity=0):
     return tuple(gens)
 
 
+def former_orbits(maps, n_points, starts=None):
+    """orbits as it was: each frontier deduplicated by np.unique."""
+    maps = np.asarray(maps).reshape(len(maps), n_points)
+    seen = np.zeros(n_points, dtype=bool)
+    out = []
+    for start in range(n_points) if starts is None else starts:
+        if seen[start]:
+            continue
+        seen[start] = True
+        found = frontier = np.array([start])
+        while len(frontier):
+            img = np.unique(maps[:, frontier])
+            frontier = img[~seen[img]]
+            seen[frontier] = True
+            found = np.concatenate((found, frontier))
+        out.append(np.sort(found))
+    return out
+
+
+def test_orbits_match_the_former_implementation():
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        n = 1 + trial % 17
+        k = trial % 4
+        if trial % 2:  # permutations
+            maps = np.array([rng.permutation(n) for _ in range(k)]).reshape(k, n)
+        else:  # any maps, as an unchecked witness may hold
+            maps = rng.integers(0, n, size=(k, n))
+        starts = None if trial % 3 else rng.permutation(n)[: 1 + n // 2].tolist()
+        got = al.orbits(maps, n, starts)
+        want = former_orbits(maps, n, starts)
+        assert [o.tolist() for o in got] == [o.tolist() for o in want]
+
+
 def relabelled(g, seed):
     """g's table with its elements renamed by a random permutation, so the
     identity is at some other index and the greedy picks change."""

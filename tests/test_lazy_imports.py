@@ -54,7 +54,8 @@ def fresh(script: str, *args: str):
 
 
 LOADED = (
-    "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('ggraphs.'))"
+    "sorted(m for m in sys.modules"
+    " if m in ('numpy', 'numpy.ma') or m.startswith('ggraphs.'))"
 )
 
 RUN_CLI = """
@@ -94,6 +95,14 @@ def test_group_commands_still_load_their_layers():
     (row,) = run_cli(["build-summary"])
     assert {"numpy", "ggraphs.algebra", "ggraphs.ggraph"} <= set(row["loaded"])
     assert "ggraphs.ikn" not in row["loaded"]
+
+
+def test_orbit_commands_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma; algebra.orbits dedupes without it
+    rows = run_cli(["components", "kmn", "bipartite-sufficient", "recognize-s4"])
+    for row in rows:
+        assert "numpy" in row["loaded"]
+        assert "numpy.ma" not in row["loaded"]
 
 
 # the package root's public names, by defining module

@@ -7,6 +7,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ggraphs import multigraph as mg
@@ -443,3 +444,37 @@ def test_dot_format():
         '  0 -- 1 [label="g2"];\n'
         "}\n"
     )
+
+
+def per_row_map_rows(maps, width):
+    """_map_rows as it was: one row at a time, -1s for a row that fails."""
+    rows = np.full((len(maps), width), -1, dtype=np.int32)
+    for i, row in enumerate(maps):
+        if len(row) == width:
+            try:
+                rows[i] = row
+            except (OverflowError, TypeError, ValueError):
+                pass
+    return rows
+
+
+@pytest.mark.parametrize(
+    "maps",
+    [
+        [[0, 1, 2], [2, 0, 1]],
+        [(0, 1, 2), (2, 0, 1)],
+        [],
+        [[0, 1, 2], [0, 1]],  # a short row
+        [[0, 1, 2], [0, 1, 2, 3]],  # a long row
+        [[0, 1, 2], [0, 2**40, 1]],  # beyond int32
+        [[0, 1, 2], [0, None, 1]],
+        [[0, 1, 2], [0, "a", 1]],
+        [[0, 1, 2], [0, [1], 2]],
+        [[0, 1.5, 2], ["2", 0, 1]],  # converted as a row assignment converts them
+        [np.array([2, 1, 0]), [0, 1, 2]],
+    ],
+)
+def test_map_rows_match_the_per_row_conversion(maps):
+    got = mg._map_rows(maps, 3)
+    assert got.dtype == np.int32
+    assert got.tolist() == per_row_map_rows(maps, 3).tolist()
