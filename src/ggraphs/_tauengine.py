@@ -10,11 +10,11 @@ function that indexes only flat 1-D sequences and allocates nothing; one
 list of 4n-2 entries serves every power of sigma (see ``_search_body``).  The
 python backend runs it on Python lists, because indexing a numpy array from
 Python costs several times a list index; the numba backend compiles the same
-body in nopython mode for int64 arrays of the same layout.  ``search_arrays``
-builds the inputs for either backend; pick the variant through
-``get_kernel``.  numpy is used only for that numba layout and is imported
-there, so the python backend, and with it the ``ikn`` commands of the CLI,
-run without it.
+body in nopython mode for int64 arrays of the same layout.  ``run`` drives
+a whole search: it picks the backend, builds its inputs with
+``search_arrays`` and resumes the kernel from survivor to survivor.  numpy
+is used only for the numba layout and is imported there, so the python
+backend, and with it the ``ikn`` commands of the CLI, run without it.
 
 Pruning used by the search.  The first three rules are proved
 consequences of the certificate conditions, so they cut no certificate:
@@ -96,7 +96,6 @@ caller expands them.
 from __future__ import annotations
 
 import math
-import os
 
 from .errors import PreconditionFailed
 
@@ -294,15 +293,14 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
     return DONE, nodes, depth, tlen
 
 
-_search_python = _search_body
 _search_numba = njit(cache=True)(_search_body) if HAVE_NUMBA else None
 
 BACKENDS = ("auto", "numba", "python")
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Pick the kernel variant: explicit arg, else $GGRAPH_BACKEND, else auto."""
-    choice = backend or os.environ.get("GGRAPH_BACKEND", "auto") or "auto"
+    """The backend named, else ("auto") numba when it imports, else python."""
+    choice = backend or "auto"
     if choice not in BACKENDS:
         raise PreconditionFailed(
             "unknown backend %r (expected one of %s)" % (choice, ", ".join(BACKENDS))
@@ -314,12 +312,23 @@ def resolve_backend(backend: str | None = None) -> str:
     return choice
 
 
-def get_kernel(backend: str | None = None):
-    """Return (search_callable, resolved_backend_name)."""
-    resolved = resolve_backend(backend)
-    if resolved == "numba":
-        return _search_numba, "numba"
-    return _search_python, "python"
+def run(n: int, budget: int, backend: str | None = None, first_only: bool = False):
+    """Run a degree-n search, resuming the kernel at each survivor, to its
+    end, its budget or, with ``first_only``, the first survivor.  Returns
+    (status, nodes, survivors in branch order as tau(1..n) tuples, backend).
+    """
+    backend = resolve_backend(backend)
+    kernel = _search_numba if backend == "numba" else _search_body
+    arrays = search_arrays(n, backend)
+    tau, survivors, nodes, depth, tlen = arrays[3], [], 0, 0, 0
+    while True:  # from one survivor to the next
+        status, nodes, depth, tlen = kernel(n, budget, nodes, depth, tlen, *arrays)
+        if status != FOUND:
+            break
+        survivors.append(tuple(int(x) for x in tau[1:]))
+        if first_only:
+            break
+    return int(status), int(nodes), survivors, backend
 
 
 def search_arrays(n: int, backend: str = "python"):

@@ -278,6 +278,8 @@ def perm_group(
     for p in gens:
         if p.degree != degree:
             raise PreconditionFailed("generator degree != %d" % degree)
+        if sorted(p.img) != list(range(1, degree + 1)):
+            raise PreconditionFailed("generator %r is not a permutation of 1..%d" % (p.img, degree))
     closure = perm_closure([np.array(p.img) - 1 for p in gens], degree)
     perms = tuple(
         Perm(tuple(x + 1 for x in row)) for row in closure.elems.tolist()
@@ -448,8 +450,8 @@ def subgroup_group(g: FiniteGroup, elements, name: str | None = None) -> tuple[F
     Returns (subgroup, to_sub) where to_sub maps ambient indices to subgroup
     indices. The identity stays at index 0 because element 0 is minimal.
     """
-    sub = tuple(sorted(int(x) for x in elements))
-    if sub[0] != g.identity:
+    sub = tuple(sorted(_index(x, "element", g.order) for x in elements))
+    if not sub or sub[0] != g.identity:
         raise PreconditionFailed("subgroup must contain the identity")
     k = len(sub)
     pos = np.full(g.order, -1, dtype=np.int32)

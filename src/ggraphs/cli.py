@@ -6,8 +6,7 @@ re-import through the matching reader.  Exit codes: 0 success or positive
 decision, 1 negative decision, 2 inconclusive (search budget ran out),
 3 usage error, 4 internal error (a failed internal check, out of memory or
 any other unexpected exception).
-The environment variable GGRAPH_BUDGET overrides default search budgets;
-GGRAPH_BACKEND picks the search kernel (auto|numba|python).
+The environment variable GGRAPH_BUDGET overrides default search budgets.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .errors import (
     WitnessInvalid,
     resolve_budget,
 )
-from .perm import Perm, _check_degree
+from .perm import Perm
 
 # Each command imports the layers it calls in its own body, so a process
 # loads only those: the ikn commands run without numpy.
@@ -370,11 +369,9 @@ def _cmd_recognize(args, out) -> int:
 
 
 def _cmd_ikn_verify(args, out) -> int:
-    from .ikn import verify_tau
+    from .ikn import _check_n, verify_tau
 
-    if args.n < 2:
-        raise UsageError("n must be >= 2")
-    _check_degree(args.n)
+    _check_n(args.n)
     tau = Perm.parse(args.tau, args.n)
     report = verify_tau(args.n, tau)
     lines = [
@@ -402,8 +399,6 @@ def _cert_lines(cert) -> list[str]:
 def _cmd_ikn_search(args, out) -> int:
     from .ikn import search_tau
 
-    if args.n < 2:
-        raise UsageError("n must be >= 2")
     if args.all:
         mode = "all"
     elif args.canonical:
@@ -448,11 +443,9 @@ def _cmd_ikn_search(args, out) -> int:
 
 
 def _cmd_ikn_table(args, out) -> int:
-    from .ikn import search_tau
+    from .ikn import _check_n, search_tau
 
-    if args.nmax < 2:
-        raise UsageError("nmax must be >= 2")
-    _check_degree(args.nmax)
+    _check_n(args.nmax)
     budget = resolve_budget(args.budget)  # refused before any row
     _emit(out, ["format: 1"])
     code = EXIT_OK

@@ -194,7 +194,7 @@ def colour_clique(gg: GGraph, x: int) -> list[int]:
 
 
 def level_vertices(gg: GGraph, i: int) -> list[int]:
-    lvl = gg.levels[i]
+    lvl = gg.levels[_index(i, "level", len(gg.levels))]
     return list(range(lvl.offset, lvl.offset + len(lvl.cosets)))
 
 

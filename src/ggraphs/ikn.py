@@ -91,6 +91,8 @@ def _check_tau_arg(n: int, tau: Perm) -> None:
         raise PreconditionFailed(
             "tau has degree %d, expected %d" % (tau.degree, n)
         )
+    if sorted(tau.img) != list(range(1, n + 1)):
+        raise PreconditionFailed("tau is not a permutation of 1..%d" % n)
 
 
 # ---------------------------------------------------------------------------
@@ -242,36 +244,31 @@ def obstructions(n: int) -> tuple[Obstruction, ...]:
 # conjugation m_a tau m_a^-1
 
 
-def _units(m: int) -> list[int]:
-    return [a for a in range(1, m + 1) if math.gcd(a, m) == 1]
-
-
 def _mult_perm(n: int, a: int) -> Perm:
     """Multiplication by a on {1..n-1} read as Z/(n-1), fixing n."""
-    m = n - 1
-    img = []
-    for p in range(1, n + 1):
-        if p == n:
-            img.append(n)
-        else:
-            r = (a * (p % m)) % m
-            img.append(m if r == 0 else r)
-    return Perm(tuple(img))
+    return Perm(tuple((a * p - 1) % (n - 1) + 1 for p in range(1, n)) + (n,))
 
 
 def conjugate_tau(n: int, tau: Perm, a: int) -> Perm:
     """m_a tau m_a^-1; certificates map to certificates for every unit a."""
     _check_tau_arg(n, tau)
     m = n - 1
+    a = _index(a, "a")
     if math.gcd(a, m) != 1 or a < 1:
         raise PreconditionFailed("a = %d is not a unit mod %d" % (a, m))
     return conjugate(tau, _mult_perm(n, a))
 
 
+def _orbit(n: int, img) -> set[tuple[int, ...]]:
+    """The images of every m_a conjugate of the tau with images ``img``."""
+    tau = Perm(tuple(img))
+    return {conjugate_tau(n, tau, a).img for a in range(1, n) if math.gcd(a, n - 1) == 1}
+
+
 def canonical_tau(n: int, tau: Perm) -> Perm:
     """Lexicographically least conjugate of tau under the maps m_a."""
     _check_tau_arg(n, tau)
-    return Perm(min(conjugate_tau(n, tau, a).img for a in _units(n - 1)))
+    return Perm(min(_orbit(n, tau.img)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +454,14 @@ class SearchResult:
         return bool(self.certificates) or self.complete
 
 
-def _certificate(n: int, img) -> TauCertificate:
+def _certificate(n: int, img, canonical: bool) -> TauCertificate:
     tau = Perm(tuple(img))
     report = verify_tau(n, tau)
     if not report.ok:
         raise InternalAssertion(
             "search produced an invalid tau for n=%d: %s" % (n, report.failures[0])
         )
-    return TauCertificate(n, tau, canonical=(canonical_tau(n, tau) == tau))
+    return TauCertificate(n, tau, canonical)
 
 
 def _branch_key(img) -> tuple[int, ...]:
@@ -476,10 +473,7 @@ def _branch_key(img) -> tuple[int, ...]:
 def _orbit_expansion(n: int, imgs) -> list[tuple[int, ...]]:
     """Every m_a conjugate of every tau in ``imgs``, once each, in branch
     order."""
-    orbit = {
-        conjugate_tau(n, Perm(img), a).img for img in imgs for a in _units(n - 1)
-    }
-    return sorted(orbit, key=_branch_key)
+    return sorted({x for img in imgs for x in _orbit(n, img)}, key=_branch_key)
 
 
 def search_tau(
@@ -516,22 +510,16 @@ def search_tau(
     if modular and short_circuit:
         return SearchResult(n, mode, (), modular, 0, True, "none")
 
-    kernel, backend_name = _tauengine.get_kernel(backend)
-    arrays = _tauengine.search_arrays(n, backend_name)
-    tau, rows, nodes, depth, tlen = arrays[3], [], 0, 0, 0
-    while True:  # from one survivor to the next
-        status, nodes, depth, tlen = kernel(n, node_budget, nodes, depth, tlen, *arrays)
-        if status != _tauengine.FOUND:
-            break
-        rows.append(tuple(int(x) for x in tau[1:]))
-        if mode == "first_only":
-            break
-    nodes = int(nodes)
+    status, nodes, rows, backend_name = _tauengine.run(
+        n, node_budget, backend, first_only=mode == "first_only"
+    )
+    orbits = [_orbit(n, img) for img in rows]
+    leaders = {min(orbit) for orbit in orbits}  # the canonical certificates
     if mode == "all":
-        rows = _orbit_expansion(n, rows)
+        rows = sorted(set().union(*orbits), key=_branch_key)
     elif mode == "up_to_conjugacy":
-        rows = sorted({canonical_tau(n, Perm(img)).img for img in rows})
-    certs = tuple(_certificate(n, img) for img in rows)
+        rows = sorted(leaders)
+    certs = tuple(_certificate(n, img, img in leaders) for img in rows)
     if status == _tauengine.OUT_OF_BUDGET:
         raise BudgetExceeded(
             "tau search for n=%d stopped inconclusive after %d nodes" % (n, nodes),

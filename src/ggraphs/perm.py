@@ -89,17 +89,20 @@ class Perm:
         return Perm(tuple(inv))
 
     def cycles(self) -> list[tuple[int, ...]]:
-        """Disjoint cycles, fixed points included, sorted by smallest point."""
-        img = self.img
-        seen = [False] * self.degree
+        """Disjoint cycles, fixed points included, sorted by smallest point;
+        an img that is no permutation of 1..n is refused, not walked forever."""
+        img, n = self.img, self.degree
+        seen = [False] * n
         out = []
-        for start in range(1, self.degree + 1):
+        for start in range(1, n + 1):
             if seen[start - 1]:
                 continue
             c = [start]
             seen[start - 1] = True
             nxt = img[start - 1]
             while nxt != start:
+                if not 0 < nxt <= n or seen[nxt - 1]:
+                    raise PreconditionFailed("%r is not a permutation of 1..%d" % (img, n))
                 c.append(nxt)
                 seen[nxt - 1] = True
                 nxt = img[nxt - 1]

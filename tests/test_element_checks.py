@@ -3,11 +3,17 @@ float, or an element outside 0..|G|-1, raises PreconditionFailed instead of
 being truncated, wrapped round by a negative index, or failing later with a
 bare IndexError or TypeError."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ggraphs import algebra as al
 from ggraphs import ggraph as gg
+from ggraphs import ikn
 from ggraphs import multigraph as mg
 from ggraphs.errors import PreconditionFailed
 from ggraphs.incidence import sufficient_bipartite_test
@@ -30,6 +36,10 @@ BAD_CALLS = [
     ("sufficient-too-large", lambda: sufficient_bipartite_test(Z6, 7, 3)),
     ("colour_clique-float", lambda: gg.colour_clique(gg.build_phi(Z6, [2, 3]), 2.5)),
     ("product_closed-float", lambda: gg.is_pairwise_product_closed(Z6, 2.5, 3)),
+    ("subgroup_group-empty", lambda: al.subgroup_group(Z6, [])),
+    ("subgroup_group-too-large", lambda: al.subgroup_group(Z6, [0, 7])),
+    ("level_vertices-too-large", lambda: gg.level_vertices(gg.build_phi(Z6, [2, 3]), 5)),
+    ("conjugate_tau-float", lambda: ikn.conjugate_tau(5, ikn.search_tau(5).certificates[0].tau, 1.5)),
 ]
 
 
@@ -37,6 +47,27 @@ BAD_CALLS = [
 def test_bad_element_raises_precondition_failed(call):
     with pytest.raises(PreconditionFailed):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    "Perm((1, 1, 2)).cycle_string()",
+    "algebra.perm_group(3, [Perm((1, 1, 2))])",
+    "ikn.canonical_tau(5, Perm((1, 1, 2, 3, 4)))",
+    "ikn.build_and_verify(5, Perm((1, 1, 2, 3, 4)))",
+    "ikn.orbit_structure(5, Perm((1, 1, 2, 3, 4)))",
+])
+def test_a_non_permutation_is_refused_not_walked_forever(call):
+    """A Perm whose images repeat has a cycle walk that never returns to its
+    start; each call runs in a child process, so a hang fails the test."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("from ggraphs import algebra, ikn\n"
+            "from ggraphs.errors import PreconditionFailed\n"
+            "from ggraphs.perm import Perm\n"
+            "try:\n    %s\nexcept PreconditionFailed as exc:\n    print('refused:', exc)\n" % call)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert "refused: " in proc.stdout and "permutation of 1.." in proc.stdout
 
 
 def test_numpy_integers_pass_as_elements():

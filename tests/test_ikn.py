@@ -314,13 +314,77 @@ def test_n_above_the_cap_is_refused_first(no_permutations, monkeypatch):
 
 def test_backend_resolution(monkeypatch):
     assert _tauengine.resolve_backend("python") == "python"
-    monkeypatch.setenv("GGRAPH_BACKEND", "python")
-    assert _tauengine.resolve_backend() == "python"
-    monkeypatch.setenv("GGRAPH_BACKEND", "bogus")
     with pytest.raises(PreconditionFailed):
-        _tauengine.resolve_backend()
-    monkeypatch.delenv("GGRAPH_BACKEND")
+        _tauengine.resolve_backend("bogus")
     assert _tauengine.resolve_backend() in ("numba", "python")
+
+
+def test_no_environment_variable_picks_the_backend(monkeypatch):
+    monkeypatch.setenv("GGRAPH_BACKEND", "bogus")
+    result = search_tau(13)
+    assert result.backend == _tauengine.resolve_backend()
+    assert (len(result.certificates), result.nodes) == (1, 52)
+
+
+def test_all_mode_conjugates_each_survivor_once(monkeypatch):
+    """The m_a orbit of the one n = 17 survivor gives the "all" expansion
+    and every certificate's canonical flag: phi(16) = 8 conjugations."""
+    calls = []
+    real = ikn.conjugate_tau
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(ikn, "conjugate_tau", counting)
+    result = search_tau(17, "all")
+    assert sorted(calls) == [1, 3, 5, 7, 9, 11, 13, 15]
+    monkeypatch.undo()
+    assert [c.canonical for c in result.certificates].count(True) == 1
+    for cert in result.certificates:
+        assert cert.canonical == (canonical_tau(17, cert.tau) == cert.tau)
+
+
+def load_bench_tau(monkeypatch):
+    import importlib.util
+
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    monkeypatch.syspath_prepend(str(benchmarks))  # as when run as a script
+    spec = importlib.util.spec_from_file_location("bench_tau", benchmarks / "bench_tau.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("caller", ["search_tau", "bench_tau"])
+def test_the_kernel_runs_only_under_the_driver(caller, monkeypatch):
+    """search_tau and bench_tau.run_once reach the kernel and its arrays
+    only through _tauengine.run."""
+    runs, inside = [], []
+    real_run = _tauengine.run
+
+    def run(*args, **kwargs):
+        runs.append(args)
+        inside.append(True)
+        try:
+            return real_run(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def guarded(real):
+        def call(*args):
+            assert inside, "%s called outside _tauengine.run" % real.__name__
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(_tauengine, "run", run)
+    for name in ("_search_body", "search_arrays"):
+        monkeypatch.setattr(_tauengine, name, guarded(getattr(_tauengine, name)))
+    if caller == "search_tau":
+        assert search_tau(13, "all", backend="python").nodes == 221
+    else:
+        assert load_bench_tau(monkeypatch).run_once("python", 13, 10**7, False)[1][2] == 221
+    assert len(runs) == 1
 
 
 def test_budget_is_inconclusive(monkeypatch):
