@@ -44,6 +44,8 @@ When exactly one of tau(s1) and tau(s2) is known, the other is forced; when
 both are, they are checked.  A forced pair (u, v) must pass the admission
 test of a branched one: both points free and the residues u - v and v - u
 free, or for u = v the fixed-point residue 0 free.  Otherwise the node dies.
+Every pair marks both of its residues and the pre-marks are their own
+negatives, so ``used`` is symmetric under d -> -d and one read tests both.
 Every point assigned at a node, branched or forced, goes on the ``trail``;
 the part of the trail past the node's ``mark`` is a first-in first-out
 queue, and backtracking pops the trail back to the mark.  Propagation takes
@@ -62,6 +64,37 @@ third, and it is read from each of its pairs:
   the first two before the queue reaches a later point.
 
 So when the last pair a constraint needs is revisited, it is read.
+
+Rows are visited from a stack, not by scanning 1..n-2.  Row k is evaluable
+once its pair {k, e1} and the pair {rho(e1), e2} are assigned.  So the
+write of a pair (u, v) makes row u evaluable when rho(v) is already
+assigned, and with it row tau(rho(v)), whose two pairs are the same; and
+likewise with u and v swapped.  Each write pushes the rows it makes
+evaluable onto ``rows``, once each where these coincide (rho fixes v, or
+swaps u and v), so the stack holds every evaluable row exactly once;
+``rmark`` rewinds it with the trail.  A popped point visits the rows that
+are on the stack when its relation revisit starts.
+
+Two checks are read before the write.  The first point taken off a node's
+queue is its branch point a.  Its symmetry and braid checks read tau(1),
+tau(a) = v, the values at rho(a) and rho(v), and for a pair the braid
+would force, that pair's points and residue.  So once a candidate is
+counted and the budget allows it, the kernel makes these reads on tau and
+``used`` as the write would leave them.  A candidate that fails them dies
+with nothing written, so there is nothing to undo; one that passes is
+written, and its first pop reads the checks again.
+
+The order of the reads cannot change a node count.  Propagation writes only
+values forced by those already assigned, and stops only where no read
+forces or fails: at a fixpoint.  Suppose one order of reads stops at a
+fixpoint F.  Any other order then writes only values of F, because the read
+that forces a value holds in F, so F has that value, and its residues are
+free there.  So that order never dies, and it stops at a fixpoint inside F;
+by the same argument with the two orders swapped, at F itself.  If one order
+dies, then no order reaches a fixpoint, and all of them die.  So each node
+dies, or leaves the same assignment and trail length, whichever order the
+stack and the early checks read the constraints in: the nodes, survivors
+and positions are those of an ascending scan of the rows.
 
 Branching always takes the smallest free point and its candidates in
 ascending order, with tau(a) = a last, and propagation cuts no
@@ -118,7 +151,8 @@ OUT_OF_BUDGET = 1
 FOUND = 2
 
 
-def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b, trail, mark, uinv):
+def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b, trail, mark, uinv,
+                 rows, rmark):
     """Run the search from a position to the next survivor; see module
     docstring.
 
@@ -130,7 +164,9 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
     both, the branch stacks ``st_a``/``st_b``, the ``trail`` of assigned
     points and its per-depth ``mark`` are working state changed in place.
     ``uinv[c]`` is c^-1 mod n-1 for a unit c >= 2 and 0 for every other
-    point.
+    point.  ``rows`` is the stack of evaluable rows and ``rmark`` its
+    per-depth mark; the stack's length is not part of the position,
+    because each candidate starts from ``rmark`` of its depth.
 
     The position (nodes, depth, tlen) is the branch assignments so far, the
     depth and the trail length; a fresh ``search_arrays`` starts at
@@ -138,6 +174,14 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
     survivor, and the returned position, with the same arrays, resumes the
     search; DONE ends it.  OUT_OF_BUDGET stops at node budget + 1, which it
     has marked as tried, so that stop does not resume.
+
+    Each counted candidate first gets its branch point's symmetry and braid
+    checks, read before anything is written: one that fails costs the count
+    and those reads.  A written candidate propagates over the trail, and
+    each popped point visits the rows on the ``rows`` stack, not every row
+    1..n-2.  Propagation reaches the same fixpoint, or the same death, in
+    any order of reads (module docstring), so neither step changes a node
+    count, a survivor or a position.
     """
     m = n - 1
     if n == 2 and depth == 0:
@@ -155,20 +199,48 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
             q = trail[tlen]
             used[(q - tau[q]) % m] = 0
             tau[q] = 0
+        rlen = rmark[depth]
         # next admissible candidate, ascending; nb == m encodes tau(a) = a
-        nb = st_b[depth] + 1 if st_b[depth] != 0 else a + 1
-        while nb < m and (tau[nb] != 0 or used[(a - nb) % m] != 0 or used[(nb - a) % m] != 0):
+        nb = st_b[depth] if st_b[depth] != 0 else a
+        while True:
             nb += 1
-        if nb == m and used[0] != 0:
-            nb += 1
+            while nb < m and (tau[nb] != 0 or used[nb - a] != 0):
+                nb += 1
+            if nb == m and used[0] != 0:
+                nb += 1
+            if nb > m:
+                break
+            nodes += 1
+            if nodes > budget:
+                st_b[depth] = nb
+                return OUT_OF_BUDGET, nodes, depth, tlen
+            v = a if nb == m else nb
+            # the first pop's symmetry and braid checks, read as if tau(a) = v
+            # were written; see the module docstring
+            if uinv[a] != 0:
+                r = uinv[a] * v % m
+                if (n + 1 if r == 1 else r) < (n + 1 if tau[1] == 1 else tau[1]):
+                    continue
+            s1 = rho[v]
+            s2 = rho[a]
+            x = a if s1 == v else tau[s1]
+            y = v if s2 == a else tau[s2]
+            if x != 0 and y != 0:
+                if x != rho[y]:
+                    continue
+            elif x != 0 or y != 0:
+                # the pair (u, w) the braid would force must pass admission
+                u = s2 if x != 0 else s1
+                w = rho[x + y]
+                d = (u - w) % m
+                if (used[d] != 0 or d == (a - v) % m or d == (v - a) % m
+                        or (u != w and (tau[w] != 0 or w == a or w == v))):
+                    continue
+            break
+        st_b[depth] = nb
         if nb > m:
             depth -= 1
             continue
-        st_b[depth] = nb
-        nodes += 1
-        if nodes > budget:
-            return OUT_OF_BUDGET, nodes, depth, tlen
-        v = a if nb == m else nb
         tau[a] = v
         tau[v] = a
         used[(a - v) % m] = 1
@@ -178,6 +250,17 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
         if v != a:
             trail[tlen] = v
             tlen += 1
+        # push the rows this pair makes evaluable, each once
+        e = tau[rho[v]]
+        if e != 0:
+            rows[rlen] = a
+            rows[rlen + 1] = e
+            rlen += 1 if e == a else 2
+        e = tau[rho[a]]
+        if e != 0 and e != a and a != v:
+            rows[rlen] = v
+            rows[rlen + 1] = e
+            rlen += 1 if e == v else 2
 
         # propagate to a fixpoint, with the trail past t0 as the queue; the
         # module docstring says why these three revisits of each new point q
@@ -213,7 +296,7 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
                 if u == v:
                     good = used[0] == 0
                 else:
-                    good = tau[v] == 0 and used[(u - v) % m] == 0 and used[(v - u) % m] == 0
+                    good = tau[v] == 0 and used[(u - v) % m] == 0
                 if good:
                     tau[u] = v
                     tau[v] = u
@@ -224,21 +307,27 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
                     if u != v:
                         trail[tlen] = v
                         tlen += 1
+                    e = tau[rho[v]]
+                    if e != 0:
+                        rows[rlen] = u
+                        rows[rlen + 1] = e
+                        rlen += 1 if e == u else 2
+                    e = tau[rho[u]]
+                    if e != 0 and e != u and u != v:
+                        rows[rlen] = v
+                        rows[rlen + 1] = e
+                        rlen += 1 if e == v else 2
             if not good:
                 break
             # relation tau(s1) = sigma^e1(tau(s2)), f = sigma^e1, with
             # s1 = sigma^k(tau(p)), s2 = sigma^e2(p), e1 = tau(k) and
             # e2 = tau(rho(e1))
-            for k in range(1, n - 1):
+            for j in range(rlen):
+                k = rows[j]
                 e1 = tau[k]
-                if e1 == 0:
-                    continue
                 e2 = tau[rho[e1]]
-                if e2 == 0:
-                    continue
-                full = k == q
-                for i in range(n if full else 1):
-                    p = i + 1 if full else q
+                lo = 1 if k == q else q
+                for p in range(lo, n + 1 if k == q else q + 1):
                     tp = tau[p]
                     if tp == 0:
                         continue
@@ -259,7 +348,7 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
                         if u == v:
                             good = used[0] == 0
                         else:
-                            good = tau[v] == 0 and used[(u - v) % m] == 0 and used[(v - u) % m] == 0
+                            good = tau[v] == 0 and used[(u - v) % m] == 0
                         if good:
                             tau[u] = v
                             tau[v] = u
@@ -270,6 +359,16 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
                             if u != v:
                                 trail[tlen] = v
                                 tlen += 1
+                            e = tau[rho[v]]
+                            if e != 0:
+                                rows[rlen] = u
+                                rows[rlen + 1] = e
+                                rlen += 1 if e == u else 2
+                            e = tau[rho[u]]
+                            if e != 0 and e != u and u != v:
+                                rows[rlen] = v
+                                rows[rlen + 1] = e
+                                rlen += 1 if e == v else 2
                     if not good:
                         break
                 if not good:
@@ -290,6 +389,7 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
         st_a[depth] = na
         st_b[depth] = 0
         mark[depth] = tlen
+        rmark[depth] = rlen
     return DONE, nodes, depth, tlen
 
 
@@ -334,10 +434,10 @@ def run(n: int, budget: int, backend: str | None = None, first_only: bool = Fals
 def search_arrays(n: int, backend: str = "python"):
     """Fresh flat inputs for one degree-n search, at position (0, 0, 0).
 
-    Returns (rho, sig, used, tau, st_a, st_b, trail, mark, uinv) in the
-    layout ``_search_body`` documents, with ``st_a[0]`` = 1, the first branch
-    point, for n > 2: Python lists for the python backend, int64 arrays for
-    numba, which compiles the same body for them.
+    Returns (rho, sig, used, tau, st_a, st_b, trail, mark, uinv, rows,
+    rmark) in the layout ``_search_body`` documents, with ``st_a[0]`` = 1,
+    the first branch point, for n > 2: Python lists for the python backend,
+    int64 arrays for numba, which compiles the same body for them.
     """
     if n < 2:
         raise PreconditionFailed("need n >= 2")
@@ -364,7 +464,8 @@ def search_arrays(n: int, backend: str = "python"):
     for c in range(2, m):
         if math.gcd(c, m) == 1:
             uinv[c] = pow(c, -1, m)
-    flat = (rho, sig, used, tau, *stack, uinv)
+    rows = [0] * (n + 2)  # at most n-2 rows, one spare slot for a push
+    flat = (rho, sig, used, tau, *stack, uinv, rows, [0] * (n + 2))
     if backend == "numba":
         import numpy as np
 

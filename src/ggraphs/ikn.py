@@ -38,7 +38,7 @@ from .errors import (
     _json_int,
     resolve_budget,
 )
-from .perm import Perm, _check_degree, conjugate
+from .perm import DEFAULT_CLOSURE_CAP, Perm, _check_degree, conjugate
 
 if TYPE_CHECKING:  # the numpy layers load only when a group is built
     from .algebra import FiniteGroup
@@ -211,9 +211,12 @@ class Obstruction:
         if n < 2:
             raise ParseError("obstruction needs n >= 2, got %d" % n)
         # a modular kind must hold for its n; an exhaustive search is only
-        # checked by running it again
+        # checked by running it again, and search_tau refuses n above the cap
         if kind != "ExhaustiveSearch" and cls(n, kind) not in obstructions(n):
             raise ParseError("%s does not hold for n = %d" % (kind, n))
+        if kind == "ExhaustiveSearch" and n > DEFAULT_CLOSURE_CAP:
+            raise ParseError("no search runs at n = %d above the degree cap %d"
+                             % (n, DEFAULT_CLOSURE_CAP))
         return cls(n, kind)
 
     def describe(self) -> str:
@@ -228,6 +231,7 @@ class Obstruction:
 
 def obstructions(n: int) -> tuple[Obstruction, ...]:
     """All modular reasons no certificate can exist for this n."""
+    n = _index(n, "n")
     if n < 2:
         raise PreconditionFailed("need n >= 2")
     out = []

@@ -212,6 +212,19 @@ def test_obstruction_kinds():
         obstructions(1)
 
 
+def test_obstruction_inputs_that_are_accepted():
+    """obstructions takes any integer type and records n as an int; the
+    reader takes an ExhaustiveSearch record up to the 8192 degree cap,
+    the largest n search_tau runs."""
+    import numpy as np
+
+    got = obstructions(np.int64(30))
+    assert got == (Obstruction(30, "Mod4"), Obstruction(30, "Mod6"))
+    assert all(type(o.n) is int for o in got)
+    record = {"n": 8192, "kind": "ExhaustiveSearch"}
+    assert Obstruction.from_json(record) == Obstruction(8192, "ExhaustiveSearch")
+
+
 def test_search_agrees_with_brute_force_oracle():
     for n in (5, 6, 7, 8, 9, 10, 12):
         oracle = brute_taus(n)
@@ -448,6 +461,8 @@ def test_readers_refuse_what_no_function_produces():
     for read, data in (
         (Obstruction.from_json, {"n": 7, "kind": "Mod4"}),
         (Obstruction.from_json, {"n": -3, "kind": "Mod6"}),
+        (Obstruction.from_json, {"n": 10**30, "kind": "ExhaustiveSearch"}),
+        (Obstruction.from_json, {"n": 8193, "kind": "ExhaustiveSearch"}),
         (TauCertificate.from_json, {"n": 0, "tau": []}),
         (TauCertificate.from_json, {"n": 1, "tau": [1]}),
     ):
@@ -606,7 +621,10 @@ def test_certificate_reader_refuses_what_is_no_certificate():
     lambda: verify_tau(5.0, known_tau(5)),
     lambda: canonical_tau("5", known_tau(5)),
     lambda: search_tau(None),
-], ids=["search", "search-all", "rho-sigma", "verify", "canonical", "none"])
+    lambda: obstructions(6.0),
+    lambda: obstructions(30.5),
+], ids=["search", "search-all", "rho-sigma", "verify", "canonical", "none", "obstructions",
+        "obstructions-fraction"])
 def test_non_integer_n_is_a_precondition_failure(call):
     with pytest.raises(PreconditionFailed, match="n must be an integer"):
         call()

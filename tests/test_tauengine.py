@@ -17,9 +17,16 @@ order; its first certificate is theirs, and it never takes more nodes.  This
 holds for a full search and for a search cut by its node budget (a prefix of
 the full run).  The kernel stops at each survivor and is resumed from the
 position it returns, and a copy of its state resumes the same way.
+
+The third oracle is the kernel as it was before the row stack and the
+check before the write: it scans every row 1..n-2 at each pop and writes
+every counted candidate.  Propagation reaches the same fixpoint, or the
+same death, whatever order it reads the constraints in, so the kernel must
+stop where it stops, with the same status, position and survivors.
 """
 
 import copy
+import json
 import math
 import os
 import subprocess
@@ -30,6 +37,7 @@ import numpy as np
 import pytest
 
 from ggraphs import _tauengine, ikn
+from ggraphs._tauengine import DONE, FOUND  # scan_search_body's statuses
 from ggraphs.algebra import Perm
 
 # the oracles' statuses: they fill an output buffer and stop when it is full
@@ -450,12 +458,260 @@ def unpruned_search_body(n, budget, want_all, rho, sig, used, tau, st_a, st_b, t
 
 
 def unpruned_run(n, budget, want_all, cap):
-    *arrays, uinv = _tauengine.search_arrays(n)
+    *arrays, uinv, rows, rmark = _tauengine.search_arrays(n)
     arrays[1] = old_search_arrays(n)[1].ravel().tolist()  # the oracle's layout
     out = [0] * (cap * (n + 1))
     status, found, nodes = unpruned_search_body(n, budget, want_all, *arrays, out)
     w = n + 1
     return (status, found, nodes), [out[i * w:(i + 1) * w] for i in range(found)]
+
+
+# The kernel before the row stack and the check before the write, kept
+# verbatim apart from its name.
+def scan_search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b, trail, mark, uinv):
+    """Run the search from a position to the next survivor; see module
+    docstring.
+
+    Every sequence is flat and 1-D, and point arrays are 1-indexed (index 0
+    unused).  ``sig`` holds the cycle 1..n-1 twice from index n+1, then n-1
+    copies of n, and ``sig[p]`` is where p's run starts in it, so
+    ``sig[sig[p] + k]`` is sigma^k(p) for 0 <= k < n-1.  ``tau`` carries
+    the seed assignment tau(n) = n-1 and ``used`` the residue pre-marks;
+    both, the branch stacks ``st_a``/``st_b``, the ``trail`` of assigned
+    points and its per-depth ``mark`` are working state changed in place.
+    ``uinv[c]`` is c^-1 mod n-1 for a unit c >= 2 and 0 for every other
+    point.
+
+    The position (nodes, depth, tlen) is the branch assignments so far, the
+    depth and the trail length; a fresh ``search_arrays`` starts at
+    (0, 0, 0).  Returns (status, nodes, depth, tlen).  On FOUND ``tau`` is a
+    survivor, and the returned position, with the same arrays, resumes the
+    search; DONE ends it.  OUT_OF_BUDGET stops at node budget + 1, which it
+    has marked as tried, so that stop does not resume.
+    """
+    m = n - 1
+    if n == 2 and depth == 0:
+        # tau is fully seeded and the relation has no row k in 1..n-2 to
+        # check, so the seed itself is the one certificate
+        return FOUND, nodes, -1, tlen
+
+    while depth >= 0:
+        a = st_a[depth]
+        # undo the previous candidate at this depth and everything it forced;
+        # point q owns the residue q - tau(q)
+        t0 = mark[depth]
+        while tlen > t0:
+            tlen -= 1
+            q = trail[tlen]
+            used[(q - tau[q]) % m] = 0
+            tau[q] = 0
+        # next admissible candidate, ascending; nb == m encodes tau(a) = a
+        nb = st_b[depth] + 1 if st_b[depth] != 0 else a + 1
+        while nb < m and (tau[nb] != 0 or used[(a - nb) % m] != 0 or used[(nb - a) % m] != 0):
+            nb += 1
+        if nb == m and used[0] != 0:
+            nb += 1
+        if nb > m:
+            depth -= 1
+            continue
+        st_b[depth] = nb
+        nodes += 1
+        if nodes > budget:
+            return OUT_OF_BUDGET, nodes, depth, tlen
+        v = a if nb == m else nb
+        tau[a] = v
+        tau[v] = a
+        used[(a - v) % m] = 1
+        used[(v - a) % m] = 1
+        trail[tlen] = a
+        tlen += 1
+        if v != a:
+            trail[tlen] = v
+            tlen += 1
+
+        # propagate to a fixpoint, with the trail past t0 as the queue; the
+        # module docstring says why these three revisits of each new point q
+        # reach every constraint
+        good = True
+        head = t0
+        while good and head < tlen:
+            q = trail[head]
+            head += 1
+            # symmetry: the conjugate by m_a, a = q^-1, maps 1 to
+            # q^-1 tau(q); a smaller key than tau(1)'s puts that conjugate
+            # first in branch order, so this node holds no orbit leader
+            if uinv[q] != 0:
+                r = uinv[q] * tau[q] % m
+                if (n + 1 if r == 1 else r) < (n + 1 if tau[1] == 1 else tau[1]):
+                    good = False
+                    break
+            # braid tau(rho(tau(p))) = rho(tau(rho(p))), f = rho, at p = q
+            s1 = rho[tau[q]]
+            s2 = rho[q]
+            x = tau[s1]
+            y = tau[s2]
+            u = 0
+            if x != 0 and y != 0:
+                good = x == rho[y]
+            elif x != 0:
+                u = s2
+                v = rho[x]
+            elif y != 0:
+                u = s1
+                v = rho[y]
+            if u != 0:
+                if u == v:
+                    good = used[0] == 0
+                else:
+                    good = tau[v] == 0 and used[(u - v) % m] == 0 and used[(v - u) % m] == 0
+                if good:
+                    tau[u] = v
+                    tau[v] = u
+                    used[(u - v) % m] = 1
+                    used[(v - u) % m] = 1
+                    trail[tlen] = u
+                    tlen += 1
+                    if u != v:
+                        trail[tlen] = v
+                        tlen += 1
+            if not good:
+                break
+            # relation tau(s1) = sigma^e1(tau(s2)), f = sigma^e1, with
+            # s1 = sigma^k(tau(p)), s2 = sigma^e2(p), e1 = tau(k) and
+            # e2 = tau(rho(e1))
+            for k in range(1, n - 1):
+                e1 = tau[k]
+                if e1 == 0:
+                    continue
+                e2 = tau[rho[e1]]
+                if e2 == 0:
+                    continue
+                full = k == q
+                for i in range(n if full else 1):
+                    p = i + 1 if full else q
+                    tp = tau[p]
+                    if tp == 0:
+                        continue
+                    s1 = sig[sig[tp] + k]
+                    s2 = sig[sig[p] + e2]
+                    x = tau[s1]
+                    y = tau[s2]
+                    u = 0
+                    if x != 0 and y != 0:
+                        good = x == sig[sig[y] + e1]
+                    elif x != 0:
+                        u = s2
+                        v = sig[sig[x] + m - e1]
+                    elif y != 0:
+                        u = s1
+                        v = sig[sig[y] + e1]
+                    if u != 0:
+                        if u == v:
+                            good = used[0] == 0
+                        else:
+                            good = tau[v] == 0 and used[(u - v) % m] == 0 and used[(v - u) % m] == 0
+                        if good:
+                            tau[u] = v
+                            tau[v] = u
+                            used[(u - v) % m] = 1
+                            used[(v - u) % m] = 1
+                            trail[tlen] = u
+                            tlen += 1
+                            if u != v:
+                                trail[tlen] = v
+                                tlen += 1
+                    if not good:
+                        break
+                if not good:
+                    break
+        if not good:
+            continue
+
+        na = 0
+        for p in range(a + 1, n - 1):
+            if tau[p] == 0:
+                na = p
+                break
+        if na == 0:
+            # complete: every constraint was read, and so checked, when the
+            # last pair it needs was revisited
+            return FOUND, nodes, depth, tlen
+        depth += 1
+        st_a[depth] = na
+        st_b[depth] = 0
+        mark[depth] = tlen
+    return DONE, nodes, depth, tlen
+
+
+def stops(body, n, budget, arrays, position=(0, 0, 0), limit=math.inf):
+    """Drive ``body`` from ``position`` until it is done, out of budget or
+    stopped at ``limit`` survivors.  Returns every stop as (status,
+    position, tau, used); tau holds the survivor at a FOUND."""
+    out = []
+    status = FOUND
+    while status == FOUND and len(out) < limit:
+        status, *position = body(n, budget, *position, *arrays)
+        out.append((status, tuple(position), list(arrays[3]), list(arrays[2])))
+    return out
+
+
+def assert_stack_holds_the_evaluable_rows(n, status, arrays, depth):
+    """Below a stop at ``depth``, the stack each depth's node started from
+    holds, once each, the rows evaluable on the points assigned before that
+    node: rows k with both k and rho(tau(k)) assigned.  At a survivor every
+    row is evaluable, so the stack holds each of 1..n-2 once."""
+    rho, tau, trail, mark, rows, rmark = (arrays[i] for i in (0, 3, 6, 7, 9, 10))
+    if status == FOUND:
+        assert sorted(rows[:n - 2]) == list(range(1, n - 1)), rows
+    for d in range(depth + 1):
+        assigned = set(trail[:mark[d]])
+        stacked = rows[:rmark[d]]
+        assert len(set(stacked)) == len(stacked), (d, stacked)
+        assert set(stacked) == {k for k in assigned if rho[tau[k]] in assigned}, d
+
+
+def compare_with_the_scan(n, budget, limit, copies=False):
+    """The kernel's stops against scan_search_body's on the same inputs;
+    with ``copies``, a deep copy taken at each FOUND also resumes to the
+    scan's remaining stops."""
+    want = stops(scan_search_body, n, budget, _tauengine.search_arrays(n)[:9], limit=limit)
+    arrays, got, position = _tauengine.search_arrays(n), [], (0, 0, 0)
+    while not got or (got[-1][0] == FOUND and len(got) < limit):
+        got += stops(_tauengine._search_body, n, budget, arrays, position, limit=1)
+        position = got[-1][1]
+        assert_stack_holds_the_evaluable_rows(n, got[-1][0], arrays, position[1])
+        if copies and got[-1][0] == FOUND:
+            rest = stops(_tauengine._search_body, n, budget, copy.deepcopy(arrays), position)
+            assert rest == want[len(got):], (n, budget, len(got))
+    assert got == want, (n, budget, limit)
+    return want
+
+
+@pytest.mark.parametrize("first_only", [0, 1])
+def test_row_stack_matches_the_scan(first_only):
+    """Every mode for n = 2..23 and first-only at n = 24, 25: the same
+    status, nodes, position and survivors at every stop, and a copy taken
+    at any FOUND resumes to the scan's remaining stops."""
+    ns = range(2, 26 if first_only else 24)
+    limit = 1 if first_only else math.inf
+    found = [n for n in ns if compare_with_the_scan(n, 10**7, limit, copies=not first_only)[0][0] == FOUND]
+    assert found == [n for n in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25) if n in ns]
+
+
+def test_budget_stops_match_the_scan():
+    """110 budgeted runs, 93 of them cut, anywhere from node 1 to the last:
+    the same stops, OUT_OF_BUDGET at node budget + 1 included."""
+    runs = cut = 0
+    for n in (5, 9, 11, 13, 16, 17, 19, 21):
+        for limit in (1, math.inf):
+            total = compare_with_the_scan(n, 10**7, limit)[-1][1][0]
+            for budget in sorted({0, 1, 2, total // 4, total // 2, 3 * total // 4, total - 1, total}):
+                got = compare_with_the_scan(n, budget, limit)
+                runs += 1
+                if budget < total:
+                    assert got[-1][0] == _tauengine.OUT_OF_BUDGET and got[-1][1][0] == budget + 1
+                    cut += 1
+    assert (runs, cut) == (110, 93)
 
 
 def expand(n, rows):
@@ -467,7 +723,7 @@ def test_flat_inputs_are_the_old_arrays_flattened():
     for n in range(2, 26):
         m = n - 1
         arrays = _tauengine.search_arrays(n)
-        rho, sig, used, tau, st_a, st_b, trail, mark, uinv = arrays
+        rho, sig, used, tau, st_a, st_b, trail, mark, uinv, rows, rmark = arrays
         assert all(type(xs) is list for xs in arrays)
         old = old_search_arrays(n)
         assert [rho, used, tau] == [old[i].ravel().tolist() for i in (0, 2, 3)]
@@ -611,3 +867,80 @@ def test_bench_tau_runs(flags, rows):
     lines = [line.split() for line in proc.stdout.splitlines()]
     assert ["n", "found" if flags else "reps", "nodes", "python"] in [row[:4] for row in lines]
     assert {int(row[0]): tuple(row[1:3]) for row in lines if row[0].isdigit()} == rows
+
+
+class Spy(list):
+    """A list that calls ``hook(index, value)`` after each item write."""
+
+    def __init__(self, items, hook):
+        super().__init__(items)
+        self.hook = hook
+
+    def __setitem__(self, index, value):
+        super().__setitem__(index, value)
+        self.hook(index, value)
+
+
+def first_pop_fails(n, rho, used, tau, uinv, a):
+    """Whether the written candidate at branch point a dies at its first
+    pop, at the symmetry or the braid check, as scan_search_body reads
+    them."""
+    m = n - 1
+    key = lambda t: n + 1 if t == 1 else t
+    if uinv[a] != 0 and key(uinv[a] * tau[a] % m) < key(tau[1]):
+        return True
+    s1, s2 = rho[tau[a]], rho[a]
+    x, y = tau[s1], tau[s2]
+    if x != 0 and y != 0:
+        return x != rho[y]
+    if x == y == 0:
+        return False
+    u, v = (s2, rho[x]) if x != 0 else (s1, rho[y])
+    if u == v:
+        return used[0] != 0
+    return tau[v] != 0 or used[(u - v) % m] != 0 or used[(v - u) % m] != 0
+
+
+@pytest.mark.parametrize("n", [13, 16, 17, 19, 21])
+def test_only_candidates_that_pass_their_first_pop_are_written(n):
+    """scan_search_body writes every counted candidate and then pops its
+    branch point first; the kernel writes exactly the candidates that pass
+    that pop's symmetry and braid checks, about half of them."""
+    m = n - 1
+    events = {"counted": False, "dead": 0, "written": 0}
+
+    def counted(index, value):  # the scan sets st_b to each candidate it counts
+        events["counted"] = value != 0
+
+    def on_trail(index, value):  # and then writes it: tau and used, then the trail
+        if events["counted"]:
+            events["counted"] = False
+            events["dead"] += first_pop_fails(n, rho, used, tau, uinv, value)
+
+    rho, sig, used, tau, st_a, st_b, trail, mark, uinv, rows, rmark = _tauengine.search_arrays(n)
+    arrays = [rho, sig, used, tau, st_a, Spy(st_b, counted), Spy(trail, on_trail), mark, uinv]
+    want = stops(scan_search_body, n, 10**7, arrays)
+    nodes = want[-1][1][0]
+
+    def written(index, value):  # the kernel sets st_b to each candidate it writes
+        events["written"] += 1 <= value <= m
+
+    arrays = list(_tauengine.search_arrays(n))
+    arrays[5] = Spy(arrays[5], written)
+    assert stops(_tauengine._search_body, n, 10**7, arrays) == want
+    assert events["written"] == nodes - events["dead"], (nodes, events)
+    assert 0.3 * nodes < events["dead"] < 0.7 * nodes, (nodes, events)
+
+
+def test_bench_tau_file_counts_reproduce():
+    """benchmarks/BENCH_tau.json, written by ``bench_tau.py --sizes 19,21,25
+    --repeats 3 --out ...``: each size searched again gives the nodes and
+    survivors the file records.  These counts do not depend on the machine;
+    its seconds do, and are not checked."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "BENCH_tau.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data["mode"] == "all" and [row["n"] for row in data["sizes"]] == [19, 21, 25]
+    for row in data["sizes"]:
+        status, nodes, survivors, _ = _tauengine.run(row["n"], data["budget"], "python")
+        assert status == DONE
+        assert (nodes, len(survivors)) == (row["nodes"], row["survivors"]), row["n"]
