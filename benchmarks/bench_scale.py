@@ -3,7 +3,7 @@
 For each symmetric group S_n named, a fresh interpreter runs three phases
 on Phi(S_n, {(1,2), (1,2,...,n)}) and reports each one's seconds:
 
-- ``parse_group``: closure, Cayley table and the group-axiom check;
+- ``parse_group``: closure, Cayley table and its generator-cost check;
 - ``build_phi``: levels, vertices and edges;
 - ``verify_structure``: the five structural checks (all must pass).
 

@@ -59,21 +59,23 @@ third, and it is read from each of its pairs:
   partner is queued with it;
 * the relation at probe p of row k is also the one at probe tau(p) of row
   e2 = tau(rho(e1)), with s1 and s2 swapped, and it is read from its other
-  two pairs by rows rho(e1) and rho(e2).  These rows need {k, e1},
-  {rho(e1), e2} and {rho(e2), rho(k)}, the last forced by the braid from
-  the first two before the queue reaches a later point.
+  two pairs by the couples (below) of rows rho(e1) and rho(e2).  These
+  rows need {k, e1}, {rho(e1), e2} and {rho(e2), rho(k)}, the last forced
+  by the braid from the first two before the queue reaches a later point.
 
 So when the last pair a constraint needs is revisited, it is read.
 
-Rows are visited from a stack, not by scanning 1..n-2.  Row k is evaluable
-once its pair {k, e1} and the pair {rho(e1), e2} are assigned.  So the
-write of a pair (u, v) makes row u evaluable when rho(v) is already
-assigned, and with it row tau(rho(v)), whose two pairs are the same; and
-likewise with u and v swapped.  Each write pushes the rows it makes
-evaluable onto ``rows``, once each where these coincide (rho fixes v, or
-swaps u and v), so the stack holds every evaluable row exactly once;
-``rmark`` rewinds it with the trail.  A popped point visits the rows that
-are on the stack when its relation revisit starts.
+Rows are visited from a stack, not by scanning 1..n-2, and only one row of
+each couple is.  Row k is evaluable once its pair {k, e1} and the pair
+{rho(e1), e2} are assigned.  Row e2 needs the same two pairs, and k and e2
+are swapped by the involution tau rho tau: they form a couple (one row
+when e2 = k), whose two rows hold the same constraints.  So the write of a
+pair (u, v) makes the couple of row u evaluable when rho(v) is already
+assigned, and pushes row u; likewise with u and v swapped, unless the two
+couples are one (u = v, or rho swaps u and v).  The stack holds one row of
+every evaluable couple, once; ``rmark`` rewinds it with the trail.  A
+popped point visits the rows that are on the stack when its relation
+revisit starts; ``_search_body`` says why one row per couple is enough.
 
 Two checks are read before the write.  The first point taken off a node's
 queue is its branch point a.  Its symmetry and braid checks read tau(1),
@@ -164,9 +166,9 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
     both, the branch stacks ``st_a``/``st_b``, the ``trail`` of assigned
     points and its per-depth ``mark`` are working state changed in place.
     ``uinv[c]`` is c^-1 mod n-1 for a unit c >= 2 and 0 for every other
-    point.  ``rows`` is the stack of evaluable rows and ``rmark`` its
-    per-depth mark; the stack's length is not part of the position,
-    because each candidate starts from ``rmark`` of its depth.
+    point.  ``rows`` is the stack of evaluable couples, one row each, and
+    ``rmark`` its per-depth mark; the stack's length is not part of the
+    position, because each candidate starts from ``rmark`` of its depth.
 
     The position (nodes, depth, tlen) is the branch assignments so far, the
     depth and the trail length; a fresh ``search_arrays`` starts at
@@ -182,6 +184,18 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
     1..n-2.  Propagation reaches the same fixpoint, or the same death, in
     any order of reads (module docstring), so neither step changes a node
     count, a survivor or a position.
+
+    The stack holds one row r of each evaluable couple {k, e2}, and that
+    reads every constraint the couple's other row would.  Probe p of one
+    row is probe tau(p) of the other, so it is enough that r reads each
+    probe whose pair is assigned, after that pair is.  Row r is pushed at
+    the write of r's own pair, so r is queued after the push, and when r is
+    popped its full sweep reads every probe p with tau(p) known by then.  A
+    pair {q, tau(q)} written later queues both points, and popping each
+    reads its probe of r: q reads probe q, the other row's probe tau(q),
+    and tau(q) reads probe tau(q), the other row's probe q.  So every read
+    of the other row is made, after the same assignment, and by the
+    fixpoint argument the order of the reads changes nothing.
     """
     m = n - 1
     if n == 2 and depth == 0:
@@ -250,17 +264,14 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
         if v != a:
             trail[tlen] = v
             tlen += 1
-        # push the rows this pair makes evaluable, each once
-        e = tau[rho[v]]
-        if e != 0:
+        # push one row of each couple this pair makes evaluable
+        if tau[rho[v]] != 0:
             rows[rlen] = a
-            rows[rlen + 1] = e
-            rlen += 1 if e == a else 2
+            rlen += 1
         e = tau[rho[a]]
         if e != 0 and e != a and a != v:
             rows[rlen] = v
-            rows[rlen + 1] = e
-            rlen += 1 if e == v else 2
+            rlen += 1
 
         # propagate to a fixpoint, with the trail past t0 as the queue; the
         # module docstring says why these three revisits of each new point q
@@ -307,16 +318,13 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
                     if u != v:
                         trail[tlen] = v
                         tlen += 1
-                    e = tau[rho[v]]
-                    if e != 0:
+                    if tau[rho[v]] != 0:
                         rows[rlen] = u
-                        rows[rlen + 1] = e
-                        rlen += 1 if e == u else 2
+                        rlen += 1
                     e = tau[rho[u]]
                     if e != 0 and e != u and u != v:
                         rows[rlen] = v
-                        rows[rlen + 1] = e
-                        rlen += 1 if e == v else 2
+                        rlen += 1
             if not good:
                 break
             # relation tau(s1) = sigma^e1(tau(s2)), f = sigma^e1, with
@@ -359,16 +367,13 @@ def _search_body(n, budget, nodes, depth, tlen, rho, sig, used, tau, st_a, st_b,
                             if u != v:
                                 trail[tlen] = v
                                 tlen += 1
-                            e = tau[rho[v]]
-                            if e != 0:
+                            if tau[rho[v]] != 0:
                                 rows[rlen] = u
-                                rows[rlen + 1] = e
-                                rlen += 1 if e == u else 2
+                                rlen += 1
                             e = tau[rho[u]]
                             if e != 0 and e != u and u != v:
                                 rows[rlen] = v
-                                rows[rlen + 1] = e
-                                rlen += 1 if e == v else 2
+                                rlen += 1
                     if not good:
                         break
                 if not good:
@@ -464,7 +469,7 @@ def search_arrays(n: int, backend: str = "python"):
     for c in range(2, m):
         if math.gcd(c, m) == 1:
             uinv[c] = pow(c, -1, m)
-    rows = [0] * (n + 2)  # at most n-2 rows, one spare slot for a push
+    rows = [0] * (n + 2)  # at most n-2 rows, one per couple
     flat = (rho, sig, used, tau, *stack, uinv, rows, [0] * (n + 2))
     if backend == "numba":
         import numpy as np

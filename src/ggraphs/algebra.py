@@ -14,10 +14,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceeded, NotAGroup, ParseError, PreconditionFailed, _index
+from .errors import (
+    CapExceeded, InternalAssertion, NotAGroup, ParseError, PreconditionFailed, _index,
+)
 # re-exported: the same objects as in perm
 from .perm import DEFAULT_CLOSURE_CAP, Perm, _check_degree, conjugate
 
@@ -40,7 +43,8 @@ class PermClosure:
 
     elems[0] is the identity and elems[j] = elems[parent[j]] * gens[gen[j]]
     for j > 0 (a Schreier vector); rmul[i, s] is the index of
-    elems[i] * gens[s]; index maps elems[i].tobytes() to i.
+    elems[i] * gens[s]; index maps elems[i].tobytes() to i.  rmul is read
+    off real compositions, so the table and its checks take it as given.
     """
 
     elems: np.ndarray  # (order, degree) int32
@@ -48,20 +52,69 @@ class PermClosure:
     gen: list[int]
     rmul: np.ndarray  # (order, number of generators)
     index: dict
+    gens: np.ndarray  # (number of generators, degree) int32
+
+    def indices(self, perms) -> list[int]:
+        """The index of each row of perms (int32 permutation arrays)."""
+        w = 4 * self.elems.shape[1]
+        blob = np.ascontiguousarray(perms, dtype=np.int32).tobytes()
+        return [self.index[blob[i * w : (i + 1) * w]] for i in range(len(perms))]
+
+    @cached_property
+    def lmul(self) -> np.ndarray:
+        """lmul[s, j] = the index of gens[s] * elems[j], from the products
+        and |G|·k lookups: computed apart from rmul, so that table can check
+        one against the other."""
+        return np.array(
+            [self.indices(g[self.elems]) for g in self.gens], dtype=np.int32
+        ).reshape(len(self.gens), len(self.elems))
+
+    def inverses(self, mul: np.ndarray) -> np.ndarray:
+        """inv[j] = the index of elems[j]^-1, read off this closure's table
+        mul along the Schreier vector: elems[j]^-1 = gens[gen[j]]^-1 *
+        elems[parent[j]]^-1, and a generator's inverse is where its row
+        holds the identity 0, its least entry."""
+        rows = [mul[np.argmin(mul[t])].tolist() for t in self.rmul[0]]
+        inv = [0] * len(self.parent)
+        for j in range(1, len(inv)):
+            inv[j] = rows[self.gen[j]][inv[self.parent[j]]]
+        return np.array(inv, dtype=np.int32)
 
     def table(self) -> np.ndarray:
-        """The Cayley table mul[i, j] = index of elems[i] * elems[j].
+        """The Cayley table mul[i, j] = index of elems[i] * elems[j], built
+        row by row and checked at generator cost.
 
-        Column j is one gather, because elems[i] * elems[j] =
-        (elems[i] * elems[parent[j]]) * gens[gen[j]]; columns are built as
-        rows of the transpose so that every write is contiguous."""
+        Row i is row parent[i] read through lmul[gen[i]], because
+        elems[i] * elems[j] = elems[parent[i]] * (gens[gen[i]] * elems[j]);
+        every write is one contiguous row.  By induction on i from row 0 =
+        0..n-1, the table is exact once lmul and the Schreier vector are.
+        Two checks make that so, each at |G|·k or |G|·k² cost, and a
+        mismatch raises InternalAssertion:
+
+        - lmul[s] maps 0 to gens[s] and commutes with every right
+          multiplication rmul[:, r] (left and right products associate).
+          Every index is reached from 0 by right multiplications along the
+          Schreier vector, so lmul[s] is left multiplication by gens[s].
+        - The generator columns equal rmul.  Row i is then left
+          multiplication by the element its parent chain spells, and its
+          column gens[r] names that element times gens[r], which rmul says
+          is elems[i] * gens[r]; so the chain spells elems[i].
+
+        The generator rows must also equal lmul.  An exact table is a group
+        table, so no axiom check runs on it."""
         n = len(self.parent)
         _check_order(n)
-        mul_t = np.empty((n, n), dtype=np.int32)
-        mul_t[0] = np.arange(n)
-        for j in range(1, n):
-            np.take(self.rmul[:, self.gen[j]], mul_t[self.parent[j]], out=mul_t[j])
-        return np.ascontiguousarray(mul_t.T)
+        lmul, rmul = self.lmul, self.rmul
+        at = rmul[0]  # the generators' indices
+        if not ((lmul[:, 0] == at).all() and (lmul[:, rmul] == rmul[lmul]).all()):
+            raise InternalAssertion("left multiplication disagrees with the closure")
+        mul = np.empty((n, n), dtype=np.int32)
+        mul[0] = np.arange(n)
+        for i in range(1, n):
+            np.take(mul[self.parent[i]], lmul[self.gen[i]], out=mul[i])
+        if not ((mul[:, at] == rmul).all() and (mul[at] == lmul).all()):
+            raise InternalAssertion("closure table disagrees with its generators")
+        return mul
 
 
 def perm_closure(gens, degree: int, cap: int = DEFAULT_CLOSURE_CAP) -> PermClosure:
@@ -88,7 +141,7 @@ def perm_closure(gens, degree: int, cap: int = DEFAULT_CLOSURE_CAP) -> PermClosu
     n = len(elems)
     return PermClosure(
         np.array(elems).reshape(n, degree), parent, gen,
-        np.array(rmul, dtype=np.int32).reshape(n, len(gens)), index,
+        np.array(rmul, dtype=np.int32).reshape(n, len(gens)), index, gens,
     )
 
 
@@ -201,30 +254,33 @@ def group_from_table(
     if mul.size and mul.dtype.kind not in "iu":
         raise NotAGroup("table entries are not integers")
     inv = check_group_axioms(mul, identity)
-    mul = mul.astype(np.int32, copy=False)
+    return _wrap_table(
+        mul.astype(np.int32, copy=False), inv, name, elem_names,
+        identity=identity, factor_orders=factor_orders, perms=perms,
+    )
+
+
+def _wrap_table(mul, inv, name, elem_names=None, **fields) -> FiniteGroup:
+    """Wrap a table known to be a group table, with its inverses, unchecked:
+    group_from_table's check, or a construction that proves it."""
     n = mul.shape[0]
     if elem_names is None:
         elem_names = tuple(str(i) for i in range(n))
     return FiniteGroup(
-        name=name,
-        order=n,
-        mul=mul,
-        inv=inv,
-        identity=identity,
-        elem_names=tuple(elem_names),
-        factor_orders=factor_orders,
-        perms=perms,
+        name=name, order=n, mul=mul, inv=inv, elem_names=tuple(elem_names), **fields
     )
 
 
 def cyclic_group(n: int) -> FiniteGroup:
+    """Z_n, addition mod n.  It is a group by construction (the integers mod
+    n), so no axiom check runs on its table."""
     n = _index(n, "n")
     if n < 1:
         raise PreconditionFailed("cyclic_group needs n >= 1")
     _check_order(n)
     idx = np.arange(n, dtype=np.int32)
     mul = (idx[:, None] + idx[None, :]) % n
-    return group_from_table(mul, name="Z%d" % n, factor_orders=(n,))
+    return _wrap_table(mul, (n - idx) % n, "Z%d" % n, factor_orders=(n,))
 
 
 def _product_names(factor_orders: tuple[int, ...]) -> tuple[str, ...]:
@@ -242,13 +298,18 @@ def _product_names(factor_orders: tuple[int, ...]) -> tuple[str, ...]:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """G1 x G2 with (a, b) encoded as a*|G2| + b."""
+    """G1 x G2 with (a, b) encoded as a*|G2| + b.
+
+    (a, b)(c, d) = (ac, bd) is associative because each coordinate is,
+    (e1, e2) is a two-sided identity and (a^-1, b^-1) inverts (a, b); so the
+    table is a group table by construction, and no axiom check runs on it."""
     n1, n2 = g1.order, g2.order
     _check_order(n1 * n2)
     mul = (
         g1.mul[:, None, :, None].astype(np.int64) * n2
         + g2.mul[None, :, None, :]
     ).reshape(n1 * n2, n1 * n2).astype(np.int32)
+    inv = (g1.inv[:, None] * n2 + g2.inv[None, :]).ravel().astype(np.int32)
     if g1.factor_orders is not None and g2.factor_orders is not None:
         factors = g1.factor_orders + g2.factor_orders
         names = _product_names(factors)
@@ -259,9 +320,9 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
             for a in range(n1)
             for b in range(n2)
         )
-    return group_from_table(
-        mul, name="%sx%s" % (g1.name, g2.name),
-        elem_names=names, factor_orders=factors,
+    return _wrap_table(
+        mul, inv, "%sx%s" % (g1.name, g2.name), names,
+        identity=g1.identity * n2 + g2.identity, factor_orders=factors,
     )
 
 
@@ -273,7 +334,12 @@ def perm_group(
 ) -> FiniteGroup:
     """Close a set of permutations and build the table; identity gets index 0,
     the rest are indexed in breadth-first discovery order.  Raises
-    CapExceeded above DEFAULT_CLOSURE_CAP elements."""
+    CapExceeded above DEFAULT_CLOSURE_CAP elements.
+
+    No axiom check runs: PermClosure.table proves its table exact by
+    induction over the Schreier vector, checked at generator cost, and the
+    Cayley table of a permutation group is a group table.  The inverses come
+    from the closure."""
     gens = list(generators)
     for p in gens:
         if p.degree != degree:
@@ -284,11 +350,10 @@ def perm_group(
     perms = tuple(
         Perm(tuple(x + 1 for x in row)) for row in closure.elems.tolist()
     )
-    return group_from_table(
-        closure.table(),
-        name=name or "Perm%d" % degree,
-        elem_names=tuple(p.cycle_string() for p in perms),
-        perms=perms,
+    mul = closure.table()
+    return _wrap_table(
+        mul, closure.inverses(mul), name or "Perm%d" % degree,
+        tuple(p.cycle_string() for p in perms), perms=perms,
     )
 
 
@@ -536,6 +601,8 @@ def parse_group(spec: str) -> FiniteGroup:
     m = re.fullmatch(r"perm:(\d+):(.+)", s, re.DOTALL)
     if m:
         degree = _check_degree(_spec_int(m.group(1)))
+        if degree < 1:
+            raise ParseError("perm group degree must be >= 1, got %d" % degree)
         gen_texts = split_top_level(m.group(2))
         if not gen_texts:
             raise ParseError("perm group needs at least one generator")

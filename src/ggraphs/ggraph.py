@@ -151,18 +151,31 @@ def build_psi(group: FiniteGroup, gens) -> GGraph:
 # shifts
 
 
+# rows of S_v and S_e filled or compared at a time, so that no temporary
+# is |G| by |G|
+_BLOCK = 64
+
+
 def _shift_arrays(gg: GGraph):
     """(S_v, S_e): vertex and edge maps of delta_g for all g, as int32
-    matrices; row g is delta_g: <s>x -> <s>xg with its edge action."""
+    matrices; row g is delta_g: <s>x -> <s>xg with its edge action.
+
+    They are filled _BLOCK rows at a time from column slices of the table:
+    rows r0:r1 of a level read mul[reps, r0:r1], its coset representatives
+    times g for each g of the strip, so a temporary holds at most
+    _BLOCK·|G| entries.  The strips tile the rows, so every entry is
+    written once, from the table entry mul[x, g] that defines it, as one
+    whole-table gather would."""
     grp = gg.group
     n = grp.order
+    strips = [(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
     S_v = np.empty((n, gg.graph.n_vertices), dtype=np.int32)
     for lvl in gg.levels:
-        reps = [c.rep for c in lvl.cosets]
+        reps = np.array([c.rep for c in lvl.cosets])
         # delta_g(<s>x) = <s>(x g); row g, columns = cosets of this level
-        cols = S_v[:, lvl.offset : lvl.offset + len(reps)]
-        cols[...] = lvl.membership[grp.mul[reps].T]
-        cols += lvl.offset
+        for r0, r1 in strips:
+            cols = S_v[r0:r1, lvl.offset : lvl.offset + len(reps)]
+            np.add(lvl.membership[grp.mul[reps, r0:r1].T], lvl.offset, out=cols)
     # delta_g maps the edge labelled x to the edge labelled xg of the same
     # block; pos[y] is where the label y sits in its block (None: at y)
     blocks = [None] * math.comb(gg.n_levels, 2)
@@ -174,10 +187,10 @@ def _shift_arrays(gg: GGraph):
     S_e = np.empty((n, gg.graph.n_edges), dtype=np.int32)
     for b, pos in enumerate(blocks):
         base = b * n
-        img = grp.mul[gg.edge_glabel[base : base + n]].T  # row g: labels times g
-        cols = S_e[:, base : base + n]
-        cols[...] = img if pos is None else pos[img]
-        cols += base
+        labels = gg.edge_glabel[base : base + n]
+        for r0, r1 in strips:
+            img = grp.mul[labels, r0:r1].T  # row g: labels times g
+            np.add(img if pos is None else pos[img], base, out=S_e[r0:r1, base : base + n])
     return S_v, S_e
 
 
@@ -224,10 +237,6 @@ class StructureReport:
             % (it.number, "PASS" if it.ok else "FAIL", it.name, it.detail)
             for it in self.items
         ]
-
-
-# rows of S_v and S_e compared at a time, so that no temporary has |G| rows
-_BLOCK = 64
 
 
 def verify_structure(gg: GGraph) -> StructureReport:

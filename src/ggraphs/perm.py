@@ -13,8 +13,8 @@ from functools import reduce
 
 from .errors import CapExceeded, ParseError, PreconditionFailed
 
-# Largest group order built: its int32 table takes 256 MiB (twice that
-# while PermClosure.table builds it).
+# Largest group order built: its int32 table takes 256 MiB, which
+# PermClosure.table writes in place.
 DEFAULT_CLOSURE_CAP = 8192
 
 

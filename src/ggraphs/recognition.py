@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import (
     FiniteGroup,
     PermClosure,
-    group_from_table,
+    _wrap_table,
     orbits,
     perm_closure,
 )
@@ -180,6 +180,8 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
     if len(bad):
         what = "edge" if v_ok[bad[0]] else "vertex"
         raise WitnessInvalid("an H element's %s map is not a permutation" % what)
+    if len({(v.tobytes(), e.tobytes()) for v, e in zip(V, E)}) != len(V):
+        raise WitnessInvalid("H contains repeated elements")
     for u in w.C:
         if not 0 <= u < nv:
             raise WitnessInvalid("C contains an unknown vertex id %r" % (u,))
@@ -193,12 +195,12 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
 
 
 def _closure_of(rows: np.ndarray) -> PermClosure | None:
-    """The group generated by generators picked greedily from the rows, or
-    None when it has more elements than there are distinct rows.  Each row
-    not yet generated joins the generators, so the group contains every
-    row, and it equals the rows exactly when they are closed under
-    composition."""
-    cap = len({row.tobytes() for row in rows})
+    """The group generated by generators picked greedily from the rows
+    (which are distinct), or None when it has more elements than there are
+    rows.  Each row not yet generated joins the generators, so the group
+    contains every row, and it equals the rows exactly when they are closed
+    under composition."""
+    cap = len(rows)
     gens: list[np.ndarray] = []
     closure = perm_closure(gens, rows.shape[1])
     for row in rows:
@@ -330,11 +332,19 @@ class ReconstructionResult:
 
 def _group_of(closure: PermClosure, rows: np.ndarray) -> FiniteGroup:
     """The multiplication table of the closed set of rows, indexed in the
-    order of the rows."""
-    at = np.array([closure.index[row.tobytes()] for row in rows])
-    pos = np.empty(len(closure.elems), dtype=np.int32)
-    pos[at] = np.arange(len(rows))
-    return group_from_table(pos[closure.table()[np.ix_(at, at)]], name="H")
+    order of the rows, which must be the closure's elements once each with
+    the identity first.  Relabelling the closure's checked table
+    (PermClosure.table) keeps it a group table, so no axiom check runs."""
+    at = np.array(closure.indices(rows), dtype=np.intp)
+    n = len(closure.elems)
+    if len(at) != n or at[0] != 0:
+        raise InternalAssertion("H is not its closure with the identity first")
+    pos = np.empty(n, dtype=np.int32)
+    pos[at] = np.arange(n)
+    table = closure.table()
+    mul = table[np.ix_(at, at)]
+    np.take(pos, mul, out=mul)
+    return _wrap_table(mul, pos[closure.inverses(table)[at]], "H")
 
 
 def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:

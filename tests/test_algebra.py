@@ -196,6 +196,9 @@ def test_group_axioms_reject_non_groups():
     )
     with pytest.raises(NotAGroup):
         al.check_group_axioms(loop)
+    # a caller's table keeps the full check
+    with pytest.raises(NotAGroup, match="associativity"):
+        al.group_from_table(loop)
     # Z300 with one intercalate flipped: a latin square with identity in
     # which few triples break associativity
     z300 = al.cyclic_group(300).mul.copy()
@@ -423,6 +426,8 @@ def test_parse_group_grammar():
         al.parse_group("F4")
     with pytest.raises(ParseError):
         al.parse_group("perm:3:")
+    with pytest.raises(ParseError, match="degree must be >= 1, got 0"):
+        al.parse_group("perm:0:()")
 
 
 def test_parse_element_forms():

@@ -338,6 +338,12 @@ def test_build_refuses_huge_permutation_degree(no_permutations):
     assert err.startswith("inconclusive: permutation degree 99999999 exceeds cap")
 
 
+def test_build_refuses_permutation_degree_zero():
+    code, out, err = cli("build", "-g", "perm:0:()", "-s", "()")
+    assert code == 3 and out == ""
+    assert "degree must be >= 1, got 0" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("ikn", "verify", "1000000000000", "--tau", "(1,2)"),
     ("ikn", "search", "100001"),

@@ -312,6 +312,18 @@ def test_empty_clique_is_refused():
         check(gg.graph, RecognitionWitness(w.H, []))
 
 
+def test_repeated_h_element_is_refused():
+    """A repeated element that fixes no vertex of C passes every condition,
+    so the witness check must refuse it, not the table of H."""
+    gg = build_phi(cyclic_group(6), [2, 3])
+    w = shifts_of(gg)
+    for x in (w.H[0], w.H[-1]):
+        with pytest.raises(WitnessInvalid, match="H contains repeated elements"):
+            check(gg.graph, RecognitionWitness(w.H + [x], w.C))
+        with pytest.raises(WitnessInvalid, match="H contains repeated elements"):
+            reconstruct(gg.graph, RecognitionWitness(w.H + [x], w.C))
+
+
 def test_witness_json_inferred_edge_maps():
     gg = build_phi(cyclic_group(6), [2, 3])
     w = shifts_of(gg)

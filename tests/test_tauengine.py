@@ -655,19 +655,27 @@ def stops(body, n, budget, arrays, position=(0, 0, 0), limit=math.inf):
     return out
 
 
-def assert_stack_holds_the_evaluable_rows(n, status, arrays, depth):
+def assert_stack_holds_one_row_per_couple(n, status, arrays, depth):
     """Below a stop at ``depth``, the stack each depth's node started from
-    holds, once each, the rows evaluable on the points assigned before that
-    node: rows k with both k and rho(tau(k)) assigned.  At a survivor every
-    row is evaluable, so the stack holds each of 1..n-2 once."""
+    holds one row, once, of each couple evaluable on the points assigned
+    before that node.  Row k is evaluable when k and rho(tau(k)) are
+    assigned, and its couple is {k, tau(rho(tau(k)))}.  At a survivor every
+    row is evaluable."""
     rho, tau, trail, mark, rows, rmark = (arrays[i] for i in (0, 3, 6, 7, 9, 10))
+
+    def couples(ks):
+        return [frozenset((k, tau[rho[tau[k]]])) for k in ks]
+
+    def assert_one_per_couple(stacked, assigned):
+        want = set(couples(k for k in assigned if rho[tau[k]] in assigned))
+        assert len(set(couples(stacked))) == len(stacked) == len(want), stacked
+        assert set(couples(stacked)) == want, stacked
+
     if status == FOUND:
-        assert sorted(rows[:n - 2]) == list(range(1, n - 1)), rows
+        points = range(1, n - 1)
+        assert_one_per_couple(rows[:len(set(couples(points)))], set(points))
     for d in range(depth + 1):
-        assigned = set(trail[:mark[d]])
-        stacked = rows[:rmark[d]]
-        assert len(set(stacked)) == len(stacked), (d, stacked)
-        assert set(stacked) == {k for k in assigned if rho[tau[k]] in assigned}, d
+        assert_one_per_couple(rows[:rmark[d]], set(trail[:mark[d]]))
 
 
 def compare_with_the_scan(n, budget, limit, copies=False):
@@ -679,7 +687,7 @@ def compare_with_the_scan(n, budget, limit, copies=False):
     while not got or (got[-1][0] == FOUND and len(got) < limit):
         got += stops(_tauengine._search_body, n, budget, arrays, position, limit=1)
         position = got[-1][1]
-        assert_stack_holds_the_evaluable_rows(n, got[-1][0], arrays, position[1])
+        assert_stack_holds_one_row_per_couple(n, got[-1][0], arrays, position[1])
         if copies and got[-1][0] == FOUND:
             rest = stops(_tauengine._search_body, n, budget, copy.deepcopy(arrays), position)
             assert rest == want[len(got):], (n, budget, len(got))
