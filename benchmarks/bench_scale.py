@@ -7,10 +7,13 @@ on Phi(S_n, {(1,2), (1,2,...,n)}) and reports each one's seconds:
 - ``build_phi``: levels, vertices and edges;
 - ``verify_structure``: the five structural checks (all must pass).
 
-Peak RSS is the process's high-water mark (``ru_maxrss``) read after each
-phase, so it includes the phases before it; ``import`` is the mark before
-the first phase.  A fresh interpreter per run keeps each group's mark its
-own.  ggraphs is imported from the ``src`` directory of the checkout that
+Before the timed phases the child runs all three once, untimed, on S3, so
+numpy's first-call costs land in no timed phase: a phase's time does not
+move when work moves between phases.  Peak RSS is the process's
+high-water mark (``ru_maxrss``) read after each phase, so it includes the
+phases before it; ``import`` is the mark before the first timed phase,
+after the imports and the warm-up.  A fresh interpreter per run keeps each
+group's mark its own.  ggraphs is imported from the ``src`` directory of the checkout that
 holds this script.  The report (JSON) records the machine, Python and
 numpy versions and every run.
 
@@ -41,6 +44,8 @@ def peak_mib():
 from ggraphs.algebra import parse_element, parse_group
 from ggraphs.ggraph import build_phi, verify_structure
 
+s3 = parse_group("S3")
+verify_structure(build_phi(s3, [parse_element(s3, "(1,2)"), parse_element(s3, "(1,2,3)")]))
 spec = sys.argv[1]
 n = int(spec[1:])
 peak = {"import": peak_mib()}

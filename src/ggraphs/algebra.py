@@ -510,25 +510,27 @@ def generating_set(mul: np.ndarray, identity: int = 0) -> tuple[int, ...]:
 
 
 def subgroup_group(g: FiniteGroup, elements, name: str | None = None) -> tuple[FiniteGroup, dict]:
-    """Reindex a subgroup (given as a sorted element set) as its own group.
+    """Reindex a subgroup (given as an element set) as its own group.
 
     Returns (subgroup, to_sub) where to_sub maps ambient indices to subgroup
     indices. The identity stays at index 0 because element 0 is minimal.
+    A closed nonempty subset of a finite group is a subgroup, so once the
+    set holds the identity and is closed, its table is a group table with
+    the ambient inverses, and no axiom check runs on it.
     """
-    sub = tuple(sorted(_index(x, "element", g.order) for x in elements))
+    sub = sorted({_index(x, "element", g.order) for x in elements})
     if not sub or sub[0] != g.identity:
         raise PreconditionFailed("subgroup must contain the identity")
     k = len(sub)
     pos = np.full(g.order, -1, dtype=np.int32)
-    pos[list(sub)] = np.arange(k)
+    pos[sub] = np.arange(k)
     mul = pos[g.mul[np.ix_(sub, sub)]]
     if (mul < 0).any():
         raise PreconditionFailed("element set is not closed")
-    names = tuple(g.elem_name(x) for x in sub)
-    sub_perms = tuple(g.perms[x] for x in sub) if g.perms is not None else None
-    grp = group_from_table(
-        mul, name=name or "%s-sub%d" % (g.name, k), elem_names=names,
-        perms=sub_perms,
+    grp = _wrap_table(
+        mul, pos[g.inv[sub]], name or "%s-sub%d" % (g.name, k),
+        elem_names=(g.elem_name(x) for x in sub),
+        perms=None if g.perms is None else tuple(g.perms[x] for x in sub),
     )
     return grp, {x: i for i, x in enumerate(sub)}
 

@@ -51,12 +51,20 @@ class _Parser(argparse.ArgumentParser):
 # shared helpers
 
 
-def _emit(out, lines) -> None:
-    out.write("\n".join(lines) + "\n")
+def _write(args, out, summary, data=None, graph=None) -> None:
+    """The one writer of a command's output, in the format args.output
+    names (summary when the command has no -o): data() as JSON, graph() as
+    Graphviz, or the summary() lines.  Each is a zero-argument callable, so
+    only the format written is built."""
+    fmt = getattr(args, "output", "summary")
+    if fmt == "json":
+        out.write(json.dumps(data(), indent=2) + "\n")
+    elif fmt == "dot":
+        from .multigraph import export_dot
 
-
-def _emit_json(out, data) -> None:
-    out.write(json.dumps(data, indent=2) + "\n")
+        out.write(export_dot(graph()))
+    else:
+        out.write("\n".join(summary()) + "\n")
 
 
 def _load_ggraph(args):
@@ -101,37 +109,27 @@ def _read_payload(value: str) -> str:
 def _cmd_build(args, out) -> int:
     from .algebra import element_order
     from .ggraph import export_ggraph_json
-    from .multigraph import connected_components, export_dot
+    from .multigraph import connected_components
 
     gg = _load_ggraph(args)
-    if args.output == "json":
-        _emit_json(out, export_ggraph_json(gg))
-    elif args.output == "dot":
-        out.write(export_dot(gg.graph))
-    else:
-        lines = [
+    grp = gg.group
+
+    def summary():
+        return [
             "format: 1",
             "graph: %s" % _graph_name(gg),
-            "group: %s (order %d)" % (gg.group.name, gg.group.order),
+            "group: %s (order %d)" % (grp.name, grp.order),
             "vertices: %d" % gg.graph.n_vertices,
             "edges: %d" % gg.graph.n_edges,
             "levels: %d" % gg.n_levels,
+            *("  level %d: gen %s (order %d), %d vertices"
+              % (i, grp.elem_name(lvl.gen), element_order(grp, lvl.gen), len(lvl.cosets))
+              for i, lvl in enumerate(gg.levels)),
+            "simple: %s" % _yesno(gg.is_simple()),
+            "connected: %s" % _yesno(len(connected_components(gg.graph)) == 1),
         ]
-        for i, lvl in enumerate(gg.levels):
-            lines.append(
-                "  level %d: gen %s (order %d), %d vertices"
-                % (
-                    i,
-                    gg.group.elem_name(lvl.gen),
-                    element_order(gg.group, lvl.gen),
-                    len(lvl.cosets),
-                )
-            )
-        lines.append("simple: %s" % _yesno(gg.is_simple()))
-        lines.append(
-            "connected: %s" % _yesno(len(connected_components(gg.graph)) == 1)
-        )
-        _emit(out, lines)
+
+    _write(args, out, summary, lambda: export_ggraph_json(gg), lambda: gg.graph)
     return EXIT_OK
 
 
@@ -140,18 +138,14 @@ def _cmd_verify(args, out) -> int:
 
     gg = _load_ggraph(args)
     report = verify_structure(gg)
-    lines = ["format: 1", "graph: %s" % _graph_name(gg)]
-    lines.extend(report.lines())
     ok = report.all_ok
-    lines.append(
-        "result: %s (%d/%d)"
-        % (
-            "PASS" if ok else "FAIL",
-            sum(1 for it in report.items if it.ok),
-            len(report.items),
-        )
-    )
-    _emit(out, lines)
+    passed = sum(1 for it in report.items if it.ok)
+    _write(args, out, lambda: [
+        "format: 1",
+        "graph: %s" % _graph_name(gg),
+        *report.lines(),
+        "result: %s (%d/%d)" % ("PASS" if ok else "FAIL", passed, len(report.items)),
+    ])
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
@@ -162,107 +156,73 @@ def _cmd_components(args, out) -> int:
     report = component_analysis(gg)
     sub = "{%s}" % ", ".join(gg.group.elem_name(x) for x in report.subgroup)
     partitions = report.cosets_partition(gg.group.order)
-    lines = [
+    _write(args, out, lambda: [
         "format: 1",
         "graph: %s" % _graph_name(gg),
         "generated subgroup: %s (order %d)" % (sub, len(report.subgroup)),
         "components: %d (expected %d)" % (report.count, report.expected_count),
         "all isomorphic to reference: %s" % _yesno(report.all_isomorphic),
         "component cosets partition G: %s" % _yesno(partitions),
-    ]
-    _emit(out, lines)
-    ok = (
-        report.count == report.expected_count
-        and report.all_isomorphic
-        and partitions
-    )
+    ])
+    ok = report.count == report.expected_count and report.all_isomorphic and partitions
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
 def _cmd_kmn(args, out) -> int:
     from .ggraph import export_ggraph_json, kmn_build
-    from .multigraph import export_dot
 
     gg, plan = kmn_build(args.m, args.n, args.l)
-    if args.output == "json":
-        data = export_ggraph_json(gg)
-        data["plan"] = plan.to_json()
-        _emit_json(out, data)
-    elif args.output == "dot":
-        out.write(export_dot(gg.graph))
-    else:
-        grp = gg.group
-        s = plan.s_coords
-        t = plan.t_coords
-        lines = [
-            "format: 1",
-            "kmn: K^%d_{%d,%d}" % (args.l, args.m, args.n),
-            "group: %s (order %d)" % (grp.name, grp.order),
-            "s: (%d, %d) (order %d)" % (s[0], s[1], args.m * args.l),
-            "t: (%d, %d) (order %d)" % (t[0], t[1], args.n * args.l),
-            "parts: (%d, %d)" % (args.m, args.n),
-            "multiplicity: %d" % args.l,
-            "verified: yes",
-        ]
-        _emit(out, lines)
+    s, t = plan.s_coords, plan.t_coords
+    _write(args, out, lambda: [
+        "format: 1",
+        "kmn: K^%d_{%d,%d}" % (args.l, args.m, args.n),
+        "group: %s (order %d)" % (gg.group.name, gg.group.order),
+        "s: (%d, %d) (order %d)" % (s[0], s[1], args.m * args.l),
+        "t: (%d, %d) (order %d)" % (t[0], t[1], args.n * args.l),
+        "parts: (%d, %d)" % (args.m, args.n),
+        "multiplicity: %d" % args.l,
+        "verified: yes",
+    ], lambda: {**export_ggraph_json(gg), "plan": plan.to_json()}, lambda: gg.graph)
     return EXIT_OK
 
 
 def _cmd_incidence_build(args, out) -> int:
     from .incidence import incidence_graph
-    from .multigraph import export_dot, export_json
+    from .multigraph import export_json
 
     gg = _load_ggraph(args)
     ig = incidence_graph(gg.graph)
-    if args.output == "json":
-        data = export_json(ig.graph)
-        data["incidence_of"] = _graph_name(gg)
-        data["n_source_vertices"] = ig.n_source_vertices
-        data["n_source_edges"] = ig.n_source_edges
-        data["outside_theorems"] = ig.outside_theorems
-        _emit_json(out, data)
-    elif args.output == "dot":
-        out.write(export_dot(ig.graph))
-    else:
-        _emit(
-            out,
-            [
-                "format: 1",
-                "incidence of: %s" % _graph_name(gg),
-                "source vertices: %d" % ig.n_source_vertices,
-                "source edges: %d" % ig.n_source_edges,
-                "vertices: %d" % ig.graph.n_vertices,
-                "edges: %d" % ig.graph.n_edges,
-                "source loops present: %s" % _yesno(ig.outside_theorems),
-            ],
-        )
+    _write(args, out, lambda: [
+        "format: 1",
+        "incidence of: %s" % _graph_name(gg),
+        "source vertices: %d" % ig.n_source_vertices,
+        "source edges: %d" % ig.n_source_edges,
+        "vertices: %d" % ig.graph.n_vertices,
+        "edges: %d" % ig.graph.n_edges,
+        "source loops present: %s" % _yesno(ig.outside_theorems),
+    ], lambda: {
+        **export_json(ig.graph),
+        "incidence_of": _graph_name(gg),
+        "n_source_vertices": ig.n_source_vertices,
+        "n_source_edges": ig.n_source_edges,
+        "outside_theorems": ig.outside_theorems,
+    }, lambda: ig.graph)
     return EXIT_OK
 
 
 def _cmd_incidence_preimage(args, out) -> int:
     from .incidence import incidence_preimage
-    from .multigraph import export_dot, export_json
+    from .multigraph import export_json
 
     gg = _load_ggraph(args)
-    result = incidence_preimage(gg)
-    pre = result.preimage
-    if args.output == "json":
-        data = export_json(pre)
-        data["preimage_of"] = _graph_name(gg)
-        _emit_json(out, data)
-    elif args.output == "dot":
-        out.write(export_dot(pre))
-    else:
-        _emit(
-            out,
-            [
-                "format: 1",
-                "preimage of: %s" % _graph_name(gg),
-                "vertices: %d" % pre.n_vertices,
-                "edges: %d" % pre.n_edges,
-                "isomorphism to incidence graph verified: yes",
-            ],
-        )
+    pre = incidence_preimage(gg).preimage
+    _write(args, out, lambda: [
+        "format: 1",
+        "preimage of: %s" % _graph_name(gg),
+        "vertices: %d" % pre.n_vertices,
+        "edges: %d" % pre.n_edges,
+        "isomorphism to incidence graph verified: yes",
+    ], lambda: {**export_json(pre), "preimage_of": _graph_name(gg)}, lambda: pre)
     return EXIT_OK
 
 
@@ -275,97 +235,77 @@ def _cmd_bipartite_test(args, out) -> int:
     grp = parse_group(args.group)
     s = parse_element(grp, args.s)
     t = parse_element(grp, args.t)
-    mode = "necessary" if args.necessary else "sufficient"
-    head = [
-        "format: 1",
-        "group: %s (order %d)" % (grp.name, grp.order),
-        "s: %s (order %d)" % (grp.elem_name(s), element_order(grp, s)),
-        "t: %s (order %d)" % (grp.elem_name(t), element_order(grp, t)),
-        "test: %s" % mode,
-    ]
-    if mode == "sufficient":
+    sufficient = args.mode == "sufficient"
+    if sufficient:
         w = sufficient_bipartite_test(grp, s, t)
     else:
         w = necessary_bipartite_witness(build_phi(grp, [s, t]), budget=budget)
-    if args.output == "json":
-        _emit_json(
-            out,
-            {
-                "format": 1,
-                "test": mode,
-                "found": w is not None,
-                "witness": None if w is None else w.to_json(),
-            },
-        )
-        return EXIT_OK if w is not None else EXIT_NEGATIVE
-    if mode == "sufficient":
+
+    def summary():
+        # the decision line, then the fields of the witness found
         if w is None:
-            _emit(out, head + ["decision: no endomorphism witness of the form"
-                               " f(s) in <t>, f(t) in <s> exists"])
-            return EXIT_NEGATIVE
-        _emit(
-            out,
-            head
-            + [
-                "decision: witness found; the incidence graph is a G-graph",
+            decision = [
+                "no endomorphism witness of the form f(s) in <t>, f(t) in <s> exists"
+                if sufficient else
+                "no level-swapping involution exists; the incidence graph is not a G-graph"
+            ]
+        else:
+            decision = [
+                "witness found; the incidence graph is a G-graph"
+                if sufficient else "witness found (necessary conditions hold)",
                 "f: %s" % list(w.f),
-                "m: %d" % w.m,
-                "n: %d" % w.n,
+                *(["m: %d" % w.m, "n: %d" % w.n] if sufficient else []),
                 "involutive: %s" % _yesno(w.involutive),
+                *([] if sufficient else ["fixes identity: %s" % _yesno(w.fixes_identity)]),
                 "homomorphism: %s" % _yesno(w.is_homomorphism),
-            ],
-        )
-        return EXIT_OK
-    if w is None:
-        _emit(out, head + ["decision: no level-swapping involution exists;"
-                           " the incidence graph is not a G-graph"])
-        return EXIT_NEGATIVE
-    _emit(
-        out,
-        head
-        + [
-            "decision: witness found (necessary conditions hold)",
-            "f: %s" % list(w.f),
-            "involutive: %s" % _yesno(w.involutive),
-            "fixes identity: %s" % _yesno(w.fixes_identity),
-            "homomorphism: %s" % _yesno(w.is_homomorphism),
-        ],
-    )
-    return EXIT_OK
+            ]
+        return [
+            "format: 1",
+            "group: %s (order %d)" % (grp.name, grp.order),
+            "s: %s (order %d)" % (grp.elem_name(s), element_order(grp, s)),
+            "t: %s (order %d)" % (grp.elem_name(t), element_order(grp, t)),
+            "test: %s" % args.mode,
+            "decision: " + decision[0],
+            *decision[1:],
+        ]
+
+    _write(args, out, summary, lambda: {
+        "format": 1,
+        "test": args.mode,
+        "found": w is not None,
+        "witness": None if w is None else w.to_json(),
+    })
+    return EXIT_OK if w is not None else EXIT_NEGATIVE
 
 
 def _cmd_recognize(args, out) -> int:
     from .algebra import element_order
     from .multigraph import import_json
-    from .recognition import check, check_with_loops, reconstruct, witness_from_json
+    from .recognition import check, reconstruct, witness_from_json
 
     g = import_json(_read_payload(args.graph))
     w = witness_from_json(g, _read_payload(args.witness))
-    report = check_with_loops(g, w) if args.loops else check(g, w)
+    report = check(g, w)
     lines = [
         "format: 1",
         "graph: %d vertices, %d edges" % (g.n_vertices, g.n_edges),
         "witness: |H| = %d, |C| = %d" % (len(w.H), len(w.C)),
         "with loops: %s" % _yesno(report.with_loops),
+        *report.lines(),
     ]
-    lines.extend(report.lines())
     if not report.ok:
         lines.append("decision: not verified as a G-graph by this witness")
-        _emit(out, lines)
-        return EXIT_NEGATIVE
-    lines.append("decision: G-graph witness verified")
-    if args.reconstruct:
-        result = reconstruct(g, w)
-        orders = [element_order(result.group, x) for x in result.gens]
-        lines.extend(
-            [
+    else:
+        lines.append("decision: G-graph witness verified")
+        if args.reconstruct:
+            result = reconstruct(g, w)
+            lines += [
                 "reconstructed group: order %d" % result.group.order,
-                "generator orders: %s" % orders,
+                "generator orders: %s" % [element_order(result.group, x) for x in result.gens],
                 "isomorphism verified: yes",
             ]
-        )
-    _emit(out, lines)
-    return EXIT_OK
+    _write(args, out, lambda: lines)
+    return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
 def _cmd_ikn_verify(args, out) -> int:
@@ -374,72 +314,47 @@ def _cmd_ikn_verify(args, out) -> int:
     _check_n(args.n)
     tau = Perm.parse(args.tau, args.n)
     report = verify_tau(args.n, tau)
-    lines = [
+    _write(args, out, lambda: [
         "format: 1",
         "n: %d" % args.n,
         "tau: %s" % tau.cycle_string(),
-    ]
-    if report.ok:
-        lines.append("valid certificate")
-        _emit(out, lines)
-        return EXIT_OK
-    lines.append("invalid certificate")
-    lines.extend("  " + f for f in report.failures)
-    _emit(out, lines)
-    return EXIT_NEGATIVE
-
-
-def _cert_lines(cert) -> list[str]:
-    return [
-        "tau: %s" % cert.cycles,
-        "canonical: %s" % _yesno(cert.canonical),
-    ]
+        "valid certificate" if report.ok else "invalid certificate",
+        *("  " + f for f in report.failures),
+    ])
+    return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
 def _cmd_ikn_search(args, out) -> int:
     from .ikn import search_tau
 
-    if args.all:
-        mode = "all"
-    elif args.canonical:
-        mode = "up_to_conjugacy"
-    else:
-        mode = "first_only"
     result = search_tau(
-        args.n, mode, budget=args.budget, short_circuit=not args.exhaustive
+        args.n, args.mode, budget=args.budget, short_circuit=not args.exhaustive
     )
-    if args.output == "json":
-        _emit_json(
-            out,
-            {
-                "format": 1,
-                "n": result.n,
-                "mode": result.mode,
-                "certificates": [c.to_json() for c in result.certificates],
-                "obstructions": [o.to_json() for o in result.obstructions],
-                "nodes": result.nodes,
-                "complete": result.complete,
-            },
-        )
-        return EXIT_OK if result.certificates else EXIT_NEGATIVE
-    lines = ["format: 1", "n: %d" % result.n]
-    if result.certificates:
-        lines.append(
-            "decision: certificate found"
-            if len(result.certificates) == 1
-            else "decision: %d certificates found" % len(result.certificates)
-        )
-        for cert in result.certificates:
-            lines.extend(_cert_lines(cert))
-        lines.append("nodes: %d" % result.nodes)
-        _emit(out, lines)
-        return EXIT_OK
-    lines.append("decision: no certificate")
-    for obs in result.obstructions:
-        lines.append("obstruction: %s (%s)" % (obs.kind, obs.describe()))
-    lines.append("nodes: %d" % result.nodes)
-    _emit(out, lines)
-    return EXIT_NEGATIVE
+    certs = result.certificates
+
+    def summary():
+        lines = ["format: 1", "n: %d" % result.n]
+        if certs:
+            lines.append("decision: certificate found" if len(certs) == 1
+                         else "decision: %d certificates found" % len(certs))
+            for cert in certs:
+                lines += ["tau: %s" % cert.cycles, "canonical: %s" % _yesno(cert.canonical)]
+        else:
+            lines.append("decision: no certificate")
+            lines += ["obstruction: %s (%s)" % (o.kind, o.describe())
+                      for o in result.obstructions]
+        return lines + ["nodes: %d" % result.nodes]
+
+    _write(args, out, summary, lambda: {
+        "format": 1,
+        "n": result.n,
+        "mode": result.mode,
+        "certificates": [c.to_json() for c in certs],
+        "obstructions": [o.to_json() for o in result.obstructions],
+        "nodes": result.nodes,
+        "complete": result.complete,
+    })
+    return EXIT_OK if certs else EXIT_NEGATIVE
 
 
 def _cmd_ikn_table(args, out) -> int:
@@ -447,7 +362,7 @@ def _cmd_ikn_table(args, out) -> int:
 
     _check_n(args.nmax)
     budget = resolve_budget(args.budget)  # refused before any row
-    _emit(out, ["format: 1"])
+    _write(args, out, lambda: ["format: 1"])
     code = EXIT_OK
     for n in range(2, args.nmax + 1):  # each row goes out once decided
         try:
@@ -460,7 +375,7 @@ def _cmd_ikn_table(args, out) -> int:
             certs, kinds = result.certificates, [o.kind for o in result.obstructions]
             row = ("certificate %s" % certs[0].cycles if certs
                    else "no certificate [%s]" % ", ".join(kinds))
-        _emit(out, ["n=%d: %s" % (n, row)])
+        _write(args, out, lambda: ["n=%d: %s" % (n, row)])
         out.flush()
     return code
 
@@ -515,26 +430,22 @@ def make_parser() -> argparse.ArgumentParser:
     _add_output_arg(q)
     q.set_defaults(func=_cmd_incidence_preimage)
 
-    p = sub.add_parser(
-        "bipartite-test",
-        help="test whether I(Phi(G,{s,t})) is a G-graph",
-    )
+    p = sub.add_parser("bipartite-test", help="test whether I(Phi(G,{s,t})) is a G-graph")
     p.add_argument("-g", "--group", required=True)
     p.add_argument("-s", required=True, help="first generator")
     p.add_argument("-t", required=True, help="second generator")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--sufficient", action="store_true",
+    mode.add_argument("--sufficient", dest="mode", action="store_const", const="sufficient",
                       help="endomorphism witness test (default)")
-    mode.add_argument("--necessary", action="store_true",
+    mode.add_argument("--necessary", dest="mode", action="store_const", const="necessary",
                       help="level-swapping involution search; absence is a proof")
     p.add_argument("--budget", type=int, default=None)
     _add_output_arg(p, choices=("json", "summary"))
-    p.set_defaults(func=_cmd_bipartite_test)
+    p.set_defaults(func=_cmd_bipartite_test, mode="sufficient")
 
     p = sub.add_parser("recognize", help="check a (graph, witness) pair and optionally rebuild (G,S)")
     p.add_argument("--graph", required=True, help="graph JSON (path or inline)")
     p.add_argument("--witness", required=True, help="witness JSON (path or inline)")
-    p.add_argument("--loops", action="store_true", help="force the with-loops conditions")
     p.add_argument("--reconstruct", action="store_true")
     p.set_defaults(func=_cmd_recognize)
 
@@ -546,16 +457,18 @@ def make_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_ikn_verify)
     q = ksub.add_parser("search", help="search for tau certificates")
     q.add_argument("n", type=int)
-    modes = q.add_mutually_exclusive_group()
-    modes.add_argument("--first", action="store_true", help="stop at the first certificate (default)")
-    modes.add_argument("--all", action="store_true", help="enumerate every certificate")
-    modes.add_argument("--canonical", action="store_true",
-                       help="one canonical certificate per conjugacy class")
+    mode = q.add_mutually_exclusive_group()
+    mode.add_argument("--first", dest="mode", action="store_const", const="first_only",
+                      help="stop at the first certificate (default)")
+    mode.add_argument("--all", dest="mode", action="store_const", const="all",
+                      help="enumerate every certificate")
+    mode.add_argument("--canonical", dest="mode", action="store_const", const="up_to_conjugacy",
+                      help="one canonical certificate per conjugacy class")
     q.add_argument("--budget", type=int, default=None)
     q.add_argument("--exhaustive", action="store_true",
                    help="skip the modular short-circuit and search anyway")
     _add_output_arg(q, choices=("json", "summary"))
-    q.set_defaults(func=_cmd_ikn_search)
+    q.set_defaults(func=_cmd_ikn_search, mode="first_only")
     q = ksub.add_parser("table", help="certificate or obstruction for each n up to nmax")
     q.add_argument("nmax", type=int)
     q.add_argument("--budget", type=int, default=None)

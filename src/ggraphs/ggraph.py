@@ -37,7 +37,7 @@ from .algebra import (
     right_cosets,
     subgroup_group,
 )
-from .errors import InternalAssertion, PreconditionFailed, _index
+from .errors import CapExceeded, InternalAssertion, PreconditionFailed, _index
 from .multigraph import (
     GraphAut,
     IsoWitness,
@@ -101,9 +101,21 @@ def _check_gens(group: FiniteGroup, gens) -> tuple[int, ...]:
     return out
 
 
+# the most edges _build makes, and the most shift-array entries, |G| per
+# vertex and per edge, that _shift_arrays allocates (1 GiB of int32)
+EDGE_CAP = 1 << 20
+SHIFT_CAP = 1 << 28
+
+
 def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
+    """Phi or Psi of (group, gens).  Its C(L,2)·|G| edges, plus L·|G| loops
+    for Psi, are counted before the first vertex is added: above
+    EDGE_CAP = 2^20 it raises CapExceeded."""
     gens = _check_gens(group, gens)
     n = group.order
+    n_edges = (math.comb(len(gens), 2) + (len(gens) if with_loops else 0)) * n
+    if n_edges > EDGE_CAP:
+        raise CapExceeded("G-graph with %d edges exceeds cap %d" % (n_edges, EDGE_CAP))
     graph = Multigraph()
     levels = []
     for i, s in enumerate(gens):
@@ -165,9 +177,15 @@ def _shift_arrays(gg: GGraph):
     times g for each g of the strip, so a temporary holds at most
     _BLOCK·|G| entries.  The strips tile the rows, so every entry is
     written once, from the table entry mul[x, g] that defines it, as one
-    whole-table gather would."""
+    whole-table gather would.
+
+    Together they hold |G|·(vertices + edges) entries; above
+    SHIFT_CAP = 2^28 (1 GiB) CapExceeded is raised before either exists."""
     grp = gg.group
     n = grp.order
+    entries = n * (gg.graph.n_vertices + gg.graph.n_edges)
+    if entries > SHIFT_CAP:
+        raise CapExceeded("shift arrays of %d entries exceed cap %d" % (entries, SHIFT_CAP))
     strips = [(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
     S_v = np.empty((n, gg.graph.n_vertices), dtype=np.int32)
     for lvl in gg.levels:

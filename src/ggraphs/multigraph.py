@@ -477,11 +477,11 @@ def import_json(data) -> Multigraph:
             raise ParseError("bad JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise ParseError("graph JSON must be an object")
-    try:
-        vspecs = list(data["vertices"])
-        especs = list(data.get("edges", []))
-    except (KeyError, TypeError):
-        raise ParseError("graph JSON needs a 'vertices' array") from None
+    vspecs, especs = data.get("vertices"), data.get("edges", [])
+    if not isinstance(vspecs, (list, tuple)):
+        raise ParseError("graph JSON needs a 'vertices' array")
+    if not isinstance(especs, (list, tuple)):
+        raise ParseError("graph JSON 'edges' must be an array")
     g = Multigraph()
     ids = []
     for it in vspecs:
@@ -504,6 +504,8 @@ def import_json(data) -> Multigraph:
     if len(set(eids)) != len(eids):
         raise ParseError("duplicate edge ids")
     for it in especs:
+        if "u" not in it or "v" not in it:
+            raise ParseError("edge entries need 'u' and 'v'")
         try:
             u = remap[_json_int(it["u"], "edge end")]
             v = remap[_json_int(it["v"], "edge end")]

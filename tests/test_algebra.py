@@ -406,6 +406,52 @@ def test_subgroup_group_reindexes():
     al.check_group_axioms(sub.mul)
 
 
+SUBGROUPS = [
+    ("S4", [["(1,2)", "(1,2,3,4)"], ["(1,2,3)"], ["(1,2)(3,4)", "(1,3)(2,4)"],
+            ["(1,2,3,4)"], ["(1,2)", "(3,4)"], ["(1,2,3)", "(1,2)"]]),
+    ("S5", [["(1,2,3,4,5)"], ["(1,2,3,4,5)", "(2,5)(3,4)"], ["(1,2,3)", "(3,4,5)"],
+            ["(1,2)", "(1,2,3,4,5)"]]),
+    ("S6", [["(1,2)", "(1,2,3,4,5,6)"], ["(1,2,3)(4,5,6)", "(1,4)"]]),
+    ("Z8xZ12", [["(2,0)"], ["(0,3)", "(4,0)"], ["(1,1)"], ["(2,4)", "(4,6)"]]),
+    ("Z4xZ4", [["(1,0)"], ["(2,2)"], ["(1,1)", "(0,2)"], ["(1,0)", "(0,1)"]]),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, gens",
+    [(spec, gens) for spec, sets in SUBGROUPS for gens in sets],
+    ids=["%s<%s>" % (spec, ",".join(gens)) for spec, sets in SUBGROUPS for gens in sets],
+)
+def test_subgroup_group_equals_the_checked_table(spec, gens):
+    """subgroup_group wraps its table unchecked; group_from_table's check
+    must give the same group."""
+    g = al.parse_group(spec)
+    gens = [al.parse_element(g, x) for x in gens]
+    elems = al.generated_subgroup(g, gens)
+    sub, pos = al.subgroup_group(g, elems, name="H")
+    checked = al.group_from_table(
+        sub.mul, name="H", elem_names=tuple(g.elem_name(x) for x in sorted(elems)),
+        perms=None if g.perms is None else tuple(g.perms[x] for x in sorted(elems)),
+    )
+    assert sub.order == checked.order == len(elems)
+    assert sub.mul.dtype == checked.mul.dtype and (sub.mul == checked.mul).all()
+    assert sub.inv.dtype == checked.inv.dtype and (sub.inv == checked.inv).all()
+    assert sub.elem_names == checked.elem_names
+    assert sub.perms == checked.perms
+    assert (sub.identity, sub.name, sub.factor_orders) == (0, "H", None)
+    # every entry is the ambient product and inverse, reindexed
+    inv = {x: int(g.inv[x]) for x in elems}
+    assert all(pos[inv[x]] == sub.inv[pos[x]] for x in elems)
+    assert all(sub.mul[pos[x], pos[t]] == pos[int(g.mul[x, t])] for x in elems for t in gens)
+
+
+def test_subgroup_group_ignores_repeated_elements():
+    g = al.cyclic_group(6)
+    sub, pos = al.subgroup_group(g, [0, 3, 3, 0])
+    assert sub.order == 2 and pos == {0: 0, 3: 1}
+    al.check_group_axioms(sub.mul)
+
+
 def test_factorize():
     assert al.factorize(1) == {}
     assert al.factorize(12) == {2: 2, 3: 1}

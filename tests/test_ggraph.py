@@ -7,15 +7,17 @@ module output is compared against it as an abstract edge multiset.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from ggraphs import algebra as al
 from ggraphs import ggraph as gg
 from ggraphs import multigraph as mg
-from ggraphs.errors import InternalAssertion, PreconditionFailed
+from ggraphs.errors import CapExceeded, InternalAssertion, PreconditionFailed
 
 
 # ---------------------------------------------------------------------------
@@ -387,3 +389,46 @@ def test_vertex_labels_and_lookup():
         lvl = x.vertex_level(v)
         for member in x.vertex_coset(v).elems:
             assert x.vertex_of(lvl, member) == v
+
+
+# ---------------------------------------------------------------------------
+# size guards
+
+
+def ggraph_cli(*argv):
+    import io
+
+    from ggraphs.cli import run
+
+    out, err = io.StringIO(), io.StringIO()
+    return run(list(argv), stdout=out, stderr=err), out.getvalue(), err.getvalue()
+
+
+def test_too_many_edges_are_refused_before_the_first_vertex(monkeypatch):
+    def forbidden():
+        raise AssertionError("a graph was allocated before the edge count check")
+
+    monkeypatch.setattr(gg, "Multigraph", forbidden)
+    # C(1500, 2) * 6 = 6,745,500 edges
+    code, out, err = ggraph_cli("build", "-g", "Z6", "-s", ",".join(["1"] * 1500))
+    assert (code, out) == (2, "")
+    assert err == "inconclusive: G-graph with 6745500 edges exceeds cap %d\n" % gg.EDGE_CAP
+    with pytest.raises(CapExceeded):
+        gg.build_psi(al.cyclic_group(6), [1] * 591)  # (C(591,2) + 591) * 6 edges
+    assert (math.comb(591, 2) + 591) * 6 > gg.EDGE_CAP >= math.comb(591, 2) * 6
+
+
+def test_oversized_shift_arrays_are_refused_before_allocating(monkeypatch):
+    class NumpyWithoutEmpty:
+        def __getattr__(self, name):
+            if name == "empty":
+                raise AssertionError("an array was allocated before the size check")
+            return getattr(np, name)
+
+    monkeypatch.setattr(gg, "np", NumpyWithoutEmpty())
+    gens = "(1,2),(1,2,3,4,5,6,7),(1,3),(2,3),(1,4),(1,5),(2,5),(3,4),(1,6),(2,7)"
+    code, out, err = ggraph_cli("verify", "-g", "S7", "-s", gens)
+    assert (code, out) == (2, "")
+    # 5040 * (vertices + 226,800 edges): 4.7 GiB as int32
+    assert err.startswith("inconclusive: shift arrays of ")
+    assert err.endswith(" entries exceed cap %d\n" % gg.SHIFT_CAP)

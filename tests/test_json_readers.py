@@ -219,3 +219,25 @@ def test_witness_reads_c_exactly(data):
     except GGraphError:
         return
     assert w.C == list(data["C"])
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"edges": []}, "graph JSON needs a 'vertices' array"),
+        ({"vertices": {"id": 0}}, "graph JSON needs a 'vertices' array"),
+        ({"vertices": "01"}, "graph JSON needs a 'vertices' array"),
+        ({"vertices": [{"id": 0}], "edges": 5}, "graph JSON 'edges' must be an array"),
+        ({"vertices": [{"id": 0}], "edges": None}, "graph JSON 'edges' must be an array"),
+        ({"vertices": [{"id": 0}], "edges": {"u": 0, "v": 0}},
+         "graph JSON 'edges' must be an array"),
+        ({"vertices": [{"id": 0}], "edges": [{"u": 0}]}, "edge entries need 'u' and 'v'"),
+        ({"vertices": [{"id": 0}], "edges": [{"v": 0}]}, "edge entries need 'u' and 'v'"),
+        ({"vertices": [{"id": 0}], "edges": [{"u": 0, "v": 1}]}, "edge references unknown vertex"),
+    ],
+)
+def test_import_json_names_the_key_at_fault(data, message):
+    for form in (data, json.dumps(data)):
+        with pytest.raises(ParseError) as info:
+            import_json(form)
+        assert str(info.value) == message
