@@ -12,10 +12,10 @@ numpy's first-call costs land in no timed phase: a phase's time does not
 move when work moves between phases.  Peak RSS is the process's
 high-water mark (``ru_maxrss``) read after each phase, so it includes the
 phases before it; ``import`` is the mark before the first timed phase,
-after the imports and the warm-up.  A fresh interpreter per run keeps each
-group's mark its own.  ggraphs is imported from the ``src`` directory of the checkout that
-holds this script.  The report (JSON) records the machine, Python and
-numpy versions and every run.
+after the imports and the warm-up.  A fresh interpreter per run keeps
+each group's mark its own.  ggraphs is imported from the ``src``
+directory of the checkout that holds this script.  The report (JSON)
+records the machine, Python and numpy versions and every run.
 
 Usage:
     python benchmarks/bench_scale.py

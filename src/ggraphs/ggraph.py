@@ -101,8 +101,8 @@ def _check_gens(group: FiniteGroup, gens) -> tuple[int, ...]:
     return out
 
 
-# the most edges _build makes, and the most shift-array entries, |G| per
-# vertex and per edge, that _shift_arrays allocates (1 GiB of int32)
+# size caps, each checked before its allocation: the edges of one G-graph,
+# and the entries of its shift arrays (1 GiB as int32)
 EDGE_CAP = 1 << 20
 SHIFT_CAP = 1 << 28
 
