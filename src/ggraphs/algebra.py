@@ -3,18 +3,22 @@
 
 Conventions used across the package:
 
-- group elements are dense indices 0..order-1 with the identity at index 0;
+- group elements are dense indices 0..order-1, and the identity of every
+  FiniteGroup is element 0 (``FiniteGroup.identity`` is that constant);
 - composition is right-to-left: (p*q)(x) = p(q(x)), and the table entry
   mul[a, b] is the element "a times b" under that same convention;
-- permutations act on points 1..n.
+- permutations act on points 1..n;
+- each group fact has one rule here: ``_powers`` is the one walk of <x>,
+  ``right_cosets`` gives every right coset, ``direct_product`` names
+  every product element.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -175,13 +179,14 @@ def orbits(maps, n_points: int, starts=None) -> list[np.ndarray]:
 
 @dataclass(eq=False)
 class FiniteGroup:
-    """A finite group given by its full multiplication table."""
+    """A finite group given by its full multiplication table, with its
+    identity at element 0."""
 
+    identity: ClassVar[int] = 0
     name: str
     order: int
     mul: np.ndarray  # (order, order); mul[a, b] = a*b
     inv: np.ndarray  # (order,)
-    identity: int = 0
     elem_names: tuple[str, ...] = ()
     # cyclic factor orders when the group is a direct product of cyclics
     factor_orders: tuple[int, ...] | None = None
@@ -241,22 +246,21 @@ def group_from_table(
     name: str = "G",
     elem_names: tuple[str, ...] | None = None,
     *,
-    identity: int = 0,
     factor_orders: tuple[int, ...] | None = None,
     perms: tuple[Perm, ...] | None = None,
 ) -> FiniteGroup:
-    """Validate a raw table and wrap it.  Entries must be integers: a float
-    is refused, not truncated."""
+    """Validate a raw table, whose identity must be element 0, and wrap it.
+    Entries must be integers: a float is refused, not truncated."""
     try:
         mul = np.asarray(mul)
     except ValueError:  # a ragged table
         raise NotAGroup("table is not a square array") from None
     if mul.size and mul.dtype.kind not in "iu":
         raise NotAGroup("table entries are not integers")
-    inv = check_group_axioms(mul, identity)
+    inv = check_group_axioms(mul)
     return _wrap_table(
         mul.astype(np.int32, copy=False), inv, name, elem_names,
-        identity=identity, factor_orders=factor_orders, perms=perms,
+        factor_orders=factor_orders, perms=perms,
     )
 
 
@@ -283,26 +287,14 @@ def cyclic_group(n: int) -> FiniteGroup:
     return _wrap_table(mul, (n - idx) % n, "Z%d" % n, factor_orders=(n,))
 
 
-def _product_names(factor_orders: tuple[int, ...]) -> tuple[str, ...]:
-    names = []
-    total = math.prod(factor_orders)
-    for idx in range(total):
-        digits = []
-        rem = idx
-        for f in reversed(factor_orders):
-            digits.append(rem % f)
-            rem //= f
-        digits.reverse()
-        names.append("(%s)" % ",".join(str(d) for d in digits))
-    return tuple(names)
-
-
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    """G1 x G2 with (a, b) encoded as a*|G2| + b.
+    """G1 x G2 with (a, b) encoded as a*|G2| + b, so (0, 0) is element 0.
 
     (a, b)(c, d) = (ac, bd) is associative because each coordinate is,
     (e1, e2) is a two-sided identity and (a^-1, b^-1) inverts (a, b); so the
-    table is a group table by construction, and no axiom check runs on it."""
+    table is a group table by construction, and no axiom check runs on it.
+    (a, b) is named "(a,b)", without the factors' own parentheses when both
+    are products of cyclic groups: Z2xZ3xZ4 has "(1,2,3)"."""
     n1, n2 = g1.order, g2.order
     _check_order(n1 * n2)
     mul = (
@@ -310,19 +302,15 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         + g2.mul[None, :, None, :]
     ).reshape(n1 * n2, n1 * n2).astype(np.int32)
     inv = (g1.inv[:, None] * n2 + g2.inv[None, :]).ravel().astype(np.int32)
-    if g1.factor_orders is not None and g2.factor_orders is not None:
-        factors = g1.factor_orders + g2.factor_orders
-        names = _product_names(factors)
-    else:
-        factors = None
-        names = tuple(
-            "(%s,%s)" % (g1.elem_name(a), g2.elem_name(b))
-            for a in range(n1)
-            for b in range(n2)
-        )
+    cyclic = g1.factor_orders is not None and g2.factor_orders is not None
+    a_names, b_names = (
+        [g.elem_name(x).strip("()") if cyclic else g.elem_name(x) for x in g.elements()]
+        for g in (g1, g2)
+    )
     return _wrap_table(
-        mul, inv, "%sx%s" % (g1.name, g2.name), names,
-        identity=g1.identity * n2 + g2.identity, factor_orders=factors,
+        mul, inv, "%sx%s" % (g1.name, g2.name),
+        ("(%s,%s)" % (a, b) for a in a_names for b in b_names),
+        factor_orders=g1.factor_orders + g2.factor_orders if cyclic else None,
     )
 
 
@@ -405,34 +393,30 @@ def quaternion_group() -> FiniteGroup:
 # element-level operations
 
 
-def power(g: FiniteGroup, x: int, k: int) -> int:
-    x, k = _index(x, "element", g.order), _index(k, "exponent")
-    if k < 0:
-        return power(g, int(g.inv[x]), -k)
-    y = g.identity
-    for _ in range(k):
+def _powers(g: FiniteGroup, x: int) -> list[int]:
+    """x^0, x^1, ..., x^(o(x)-1): the one walk of <x>, which ends where
+    the next power is the identity again."""
+    out, y = [0], x
+    while y != 0:
+        out.append(y)
         y = int(g.mul[y, x])
-    return y
+    return out
+
+
+def power(g: FiniteGroup, x: int, k: int) -> int:
+    """x^k for any integer k, as x^(k mod o(x)): O(o(x)) steps."""
+    x, k = _index(x, "element", g.order), _index(k, "exponent")
+    powers = _powers(g, x)
+    return powers[k % len(powers)]
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
-    x = _index(x, "element", g.order)
-    k, y = 1, x
-    while y != g.identity:
-        y = int(g.mul[y, x])
-        k += 1
-    return k
+    return len(_powers(g, _index(x, "element", g.order)))
 
 
 def cyclic_subgroup(g: FiniteGroup, x: int) -> tuple[int, ...]:
     """Sorted element set of <x>."""
-    x = _index(x, "element", g.order)
-    elems = {g.identity}
-    y = x
-    while y != g.identity:
-        elems.add(y)
-        y = int(g.mul[y, x])
-    return tuple(sorted(elems))
+    return tuple(sorted(_powers(g, _index(x, "element", g.order))))
 
 
 @dataclass(frozen=True)
@@ -442,9 +426,6 @@ class Coset:
     gen: int
     rep: int
     elems: tuple[int, ...]
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.elems
 
 
 def right_cosets(g: FiniteGroup, K) -> tuple[np.ndarray, np.ndarray]:
@@ -471,7 +452,7 @@ def right_coset(g: FiniteGroup, s: int, x: int) -> Coset:
 def generated_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:
     """Sorted element set of <gens> (identity included)."""
     right_mul = g.mul[:, [_index(x, "generator", g.order) for x in gens]].T
-    return tuple(orbits(right_mul, g.order, [g.identity])[0].tolist())
+    return tuple(orbits(right_mul, g.order, [0])[0].tolist())
 
 
 def generating_set(mul: np.ndarray, identity: int = 0) -> tuple[int, ...]:
@@ -513,13 +494,13 @@ def subgroup_group(g: FiniteGroup, elements, name: str | None = None) -> tuple[F
     """Reindex a subgroup (given as an element set) as its own group.
 
     Returns (subgroup, to_sub) where to_sub maps ambient indices to subgroup
-    indices. The identity stays at index 0 because element 0 is minimal.
+    indices. The identity, element 0, stays at index 0 because it is minimal.
     A closed nonempty subset of a finite group is a subgroup, so once the
     set holds the identity and is closed, its table is a group table with
     the ambient inverses, and no axiom check runs on it.
     """
     sub = sorted({_index(x, "element", g.order) for x in elements})
-    if not sub or sub[0] != g.identity:
+    if not sub or sub[0] != 0:
         raise PreconditionFailed("subgroup must contain the identity")
     k = len(sub)
     pos = np.full(g.order, -1, dtype=np.int32)

@@ -3,9 +3,10 @@
 Every subcommand writes deterministic output; text summaries start with a
 `format: 1` version line, JSON payloads carry a `"format": 1` key and
 re-import through the matching reader.  Exit codes: 0 success or positive
-decision, 1 negative decision, 2 inconclusive (search budget ran out),
-3 usage error, 4 internal error (a failed internal check, out of memory or
-any other unexpected exception).
+decision, 1 negative decision, 2 inconclusive (a search budget or a size
+cap stopped it; the `inconclusive:` line on stderr says which), 3 usage
+error, 4 internal error (a failed internal check, out of memory or any
+other unexpected exception).
 The environment variable GGRAPH_BUDGET overrides default search budgets.
 """
 

@@ -30,7 +30,6 @@ from .algebra import (
     cyclic_group,
     cyclic_subgroup,
     direct_product,
-    element_order,
     factorize,
     generated_subgroup,
     generating_set,
@@ -284,7 +283,7 @@ def verify_structure(gg: GGraph) -> StructureReport:
     items = []
 
     # 1. shifts are automorphisms forming a group isomorphic to G
-    gens = generating_set(grp.mul, grp.identity)
+    gens = generating_set(grp.mul)
     comp_ok = all(  # delta_a . delta_b = delta_{ba}
         (S[a][S[b]] == S[grp.mul[b, a]]).all()
         for a in gens for S in (S_v, S_e) for b in blocks
@@ -483,13 +482,11 @@ def replicate_components(gg: GGraph, k: int) -> GGraph:
 
 def is_pairwise_product_closed(g: FiniteGroup, s: int, t: int) -> bool:
     """True iff every element of <s, t> factors as s^m t^n; equivalent to the
-    level pair (V_s, V_t) inducing a complete bipartite multigraph."""
-    prods = {
-        int(g.mul[a, b])
-        for a in cyclic_subgroup(g, s)
-        for b in cyclic_subgroup(g, t)
-    }
-    return prods == set(generated_subgroup(g, [s, t]))
+    level pair (V_s, V_t) inducing a complete bipartite multigraph.  Sizes
+    decide it: <s><t> lies in <s, t>, and ab = a'b' exactly when a'^-1 a =
+    b' b^-1 lies in <s> & <t>, so <s><t> has |<s>||<t>| / |<s> & <t>| elements."""
+    S, T = set(cyclic_subgroup(g, s)), set(cyclic_subgroup(g, t))
+    return len(S) * len(T) == len(generated_subgroup(g, [s, t])) * len(S & T)
 
 
 @dataclass
@@ -569,21 +566,20 @@ def kmn_build(m: int, n: int, l: int):
 
     Every property the construction promises is asserted: generator orders
     m*l and n*l, intersection size l, level sizes (m, n), and the final
-    complete-bipartite shape.
+    complete-bipartite shape.  Above m*n*l = 3000 it raises CapExceeded
+    before kmn_plan factorises.
     """
     m, n, l = _check_mnl(m, n, l)
     if m * n * l > 3000:
-        raise PreconditionFailed("m*n*l too large to build a dense table")
+        raise CapExceeded("m*n*l = %d exceeds cap 3000" % (m * n * l))
     plan = kmn_plan(m, n, l)
     o1, o2 = m * plan.l1, n * plan.l2
     grp = direct_product(cyclic_group(o1), cyclic_group(o2))
     s = plan.s_coords[0] * o2 + plan.s_coords[1]
     t = plan.t_coords[0] * o2 + plan.t_coords[1]
-    if element_order(grp, s) != m * l or element_order(grp, t) != n * l:
-        raise InternalAssertion("kmn generator orders are wrong")
-    inter = set(cyclic_subgroup(grp, s)) & set(cyclic_subgroup(grp, t))
-    if len(inter) != l:
-        raise InternalAssertion("kmn intersection size != l")
+    S, T = set(cyclic_subgroup(grp, s)), set(cyclic_subgroup(grp, t))
+    if (len(S), len(T), len(S & T)) != (m * l, n * l, l):
+        raise InternalAssertion("kmn generator orders or intersection size are wrong")
     if not is_pairwise_product_closed(grp, s, t):
         raise InternalAssertion("kmn levels are not product-closed")
     if set(generated_subgroup(grp, [s, t])) != set(grp.elements()):

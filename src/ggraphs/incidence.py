@@ -18,11 +18,11 @@ import numpy as np
 
 from .algebra import (
     FiniteGroup,
+    _powers,
     cyclic_subgroup,
     element_order,
     generated_subgroup,
     generating_set,
-    power,
 )
 from .errors import (
     InternalAssertion,
@@ -197,7 +197,7 @@ def _is_homomorphism(g: FiniteGroup, f) -> bool:
     mul, f = g.mul, np.asarray(f)
     if f[g.identity] != g.identity:
         return False
-    gens = list(generating_set(mul, g.identity))
+    gens = list(generating_set(mul))
     return bool((f[mul[:, gens]] == mul[np.ix_(f, f[gens])]).all())
 
 
@@ -210,20 +210,18 @@ def sufficient_bipartite_test(
     f(sx) in <t>f(x), f(tx) in <s>f(x) reduce to the generator conditions,
     so candidates are the pairs (f(s), f(t)) = (t^m, s^n) in (m, n) order;
     each is extended over G by word evaluation and kept only when the
-    extension is consistent, which makes it a homomorphism, and involutive.
+    extension is consistent, which makes it a homomorphism, and involutive:
+    the homomorphism f.f is the identity when it fixes s and t.
     Finding a witness proves that I(Phi(G, {s,t})) is a G-graph; absence
     proves nothing.
     """
     if generated_subgroup(g, [s, t]) != tuple(range(g.order)):
         raise PreconditionFailed("s and t do not generate the group")
-    for m in range(element_order(g, t)):
-        fs = power(g, t, m)
-        for n in range(element_order(g, s)):
-            ft = power(g, s, n)
+    s_powers = _powers(g, s)
+    for m, fs in enumerate(_powers(g, t)):
+        for n, ft in enumerate(s_powers):
             f = _extend_by_words(g, s, t, fs, ft)
-            if f is None:
-                continue
-            if any(f[f[x]] != x for x in range(g.order)):
+            if f is None or f[f[s]] != s or f[f[t]] != t:
                 continue
             return IncidenceWitnessMap(
                 f=tuple(f),

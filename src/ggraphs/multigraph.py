@@ -12,19 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, CapExceeded, ParseError, _index, _json_int
+from .errors import BudgetExceeded, CapExceeded, InternalAssertion, ParseError, _index, _json_int
 
 ISO_SIZE_CAP = 2000
 
 
-@dataclass
+@dataclass(slots=True)
 class Vertex:
     id: int
     label: str = ""
     part: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     id: int
     u: int
@@ -164,38 +164,30 @@ def is_complete_bipartite_multi(g: Multigraph):
 
     With full part tags the classes are the tags and (m, n) follows tag
     order; otherwise the bipartition is derived and (m, n) is sorted.
+    Decided on the multi-edge index: m·n multi-edges, none inside a class
+    (a loop is one), so every pair across is one, and all of one
+    multiplicity.
     """
-    if g.n_vertices == 0 or g.has_loops():
-        return None
-    if g.fully_part_tagged():
-        parts = sorted({v.part for v in g.vertices})
-        if len(parts) != 2:
-            return None
-        a = [v.id for v in g.vertices if v.part == parts[0]]
-        b = [v.id for v in g.vertices if v.part == parts[1]]
+    tagged = g.fully_part_tagged()
+    if tagged:
+        tags = [v.part for v in g.vertices]
     else:
-        ok, color = is_bipartite(g)
+        ok, tags = is_bipartite(g)
         if not ok:
             return None
-        a = [v for v in range(g.n_vertices) if color[v] == 0]
-        b = [v for v in range(g.n_vertices) if color[v] == 1]
-    if not a or not b:
+    classes = sorted(set(tags))
+    if len(classes) != 2:
         return None
-    sa = set(a)
-    ls = {g.multiplicity(u, v) for u in a for v in b}
-    # any within-class edge breaks it
-    for e in g.edges:
-        if (e.u in sa) == (e.v in sa):
-            return None
-    if len(ls) != 1:
+    first = [c == classes[0] for c in tags]
+    m = sum(first)
+    n = len(first) - m
+    multi = g.multi_edges()
+    ls = {len(ids) for ids in multi.values()}
+    if len(multi) != m * n or len(ls) != 1 or any(first[u] == first[v] for u, v in multi):
         return None
-    l = ls.pop()
-    if l < 1:
-        return None
-    m, n = len(a), len(b)
-    if not g.fully_part_tagged():
+    if not tagged:
         m, n = min(m, n), max(m, n)
-    return m, n, l
+    return m, n, ls.pop()
 
 
 def induced_subgraph_with_maps(g: Multigraph, vertex_set):
@@ -423,6 +415,10 @@ def isomorphic(g1: Multigraph, g2: Multigraph) -> GraphAut | None:
     witness is the lex-first vertex map, so it is deterministic, with the
     edge map that induced_edge_map gives it.  Raises CapExceeded when the
     two graphs have more than ISO_SIZE_CAP vertices together.
+
+    A refined discrete colouring preserves parts, loops and multiplicities,
+    so the map found is an isomorphism; when its check says otherwise, that
+    is a bug, and it raises InternalAssertion rather than answer "no".
     """
     if g1.n_vertices + g2.n_vertices > ISO_SIZE_CAP:
         raise CapExceeded(
@@ -443,11 +439,9 @@ def isomorphic(g1: Multigraph, g2: Multigraph) -> GraphAut | None:
     if fwd is None:
         return None
     emap = induced_edge_map(g1, g2, fwd)
-    if emap is None:
-        return None
-    w = GraphAut(tuple(fwd), emap)
-    if not verify_iso_witness(g1, g2, w):
-        return None
+    w = None if emap is None else GraphAut(tuple(fwd), emap)
+    if w is None or not verify_iso_witness(g1, g2, w):
+        raise InternalAssertion("the refined map is not an isomorphism")
     return w
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    DEFAULT_CLOSURE_CAP,
     FiniteGroup,
     PermClosure,
     _wrap_table,
@@ -41,24 +42,21 @@ from .multigraph import (
 )
 
 
-# the largest automorphism subgroup close_under_composition builds
-CLOSURE_CAP = 20000
-
-
 def close_under_composition(g: Multigraph, gens) -> list[GraphAut]:
     """The subgroup generated by gens, sorted with the identity first.
 
     Each automorphism acts as one permutation of V and E taken together:
     the vertex map, then the edge map offset by n_vertices.  Sorting is by
     (vertex_map, edge_map); the identity is lexicographically minimal so it
-    always lands at index 0.
+    always lands at index 0.  Above DEFAULT_CLOSURE_CAP elements, the cap
+    on every group table, it raises CapExceeded.
     """
     nv = g.n_vertices
     rows = [a.vertex_map + tuple(nv + x for x in a.edge_map) for a in gens]
     try:
-        closure = perm_closure(rows, nv + g.n_edges, CLOSURE_CAP)
+        closure = perm_closure(rows, nv + g.n_edges)
     except CapExceeded:
-        raise CapExceeded("automorphism closure exceeds cap %d" % CLOSURE_CAP) from None
+        raise CapExceeded("automorphism closure exceeds cap %d" % DEFAULT_CLOSURE_CAP) from None
     return sorted(
         GraphAut(tuple(row[:nv]), tuple(x - nv for x in row[nv:]))
         for row in closure.elems.tolist()

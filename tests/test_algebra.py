@@ -7,6 +7,7 @@ oracles inside the test (different code path than the module under test), or
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -494,3 +495,78 @@ def test_split_top_level():
     assert al.split_top_level("(1 2)(3 4),(1 3)") == ["(1 2)(3 4)", "(1 3)"]
     with pytest.raises(ParseError):
         al.split_top_level("(1,2")
+
+
+# ---------------------------------------------------------------------------
+# one rule per group fact
+
+
+def test_identity_is_element_zero_for_every_group():
+    groups = [al.cyclic_group(6), al.parse_group("Z2xZ3xZ4"), al.symmetric_group(4),
+              al.quaternion_group(), al.direct_product(al.symmetric_group(3), al.cyclic_group(2))]
+    for g in groups:
+        assert g.identity == 0 == al.FiniteGroup.identity, g.name
+        assert g.mul[0].tolist() == list(range(g.order)), g.name
+    assert "identity" not in {f.name for f in dataclasses.fields(al.FiniteGroup)}
+
+
+def test_group_from_table_refuses_an_identity_elsewhere():
+    """Z6 relabelled so that its identity is element 3 is not a FiniteGroup
+    table: there is no identity keyword, and element 0 must be the identity."""
+    z6 = al.cyclic_group(6)
+    new = np.array([3, 1, 2, 0, 4, 5])  # swap 0 and 3
+    old = np.argsort(new)
+    mul = new[z6.mul[np.ix_(old, old)]]
+    assert al.check_group_axioms(mul, 3).tolist() == new[z6.inv[old]].tolist()
+    with pytest.raises(NotAGroup, match="index 0 is not an identity"):
+        al.group_from_table(mul)
+    with pytest.raises(TypeError):
+        al.group_from_table(mul, identity=3)
+
+
+def test_power_reduces_the_exponent_mod_the_order():
+    z6 = al.cyclic_group(6)
+    assert al.power(z6, 1, 10**12) == 4
+    assert al.power(z6, 5, -10**12) == 4
+    s5 = al.symmetric_group(5)
+    for x in range(0, s5.order, 7):
+        o = oracle_order(s5.mul, x)
+        assert al.element_order(s5, x) == o
+        y = 0
+        for k in range(2 * o + 1):
+            assert al.power(s5, x, k) == y
+            assert al.power(s5, int(s5.inv[x]), -k) == y
+            y = int(s5.mul[y, x])
+        assert al.cyclic_subgroup(s5, x) == tuple(sorted(al._powers(s5, x)))
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("Z2xZ3", ["(0,0)", "(0,1)", "(0,2)", "(1,0)"]),
+        ("Z2xZ3xZ4", ["(0,0,0)", "(0,0,1)", "(0,0,2)", "(0,0,3)", "(0,1,0)"]),
+        ("Z2xZ2xZ2xZ2", ["(0,0,0,0)", "(0,0,0,1)", "(0,0,1,0)"]),
+    ],
+)
+def test_product_names_are_flat_tuples_of_coordinates(spec, want):
+    g = al.parse_group(spec)
+    assert list(g.elem_names[: len(want)]) == want
+    orders = g.factor_orders
+    for x in range(g.order):  # mixed radix, last factor fastest
+        digits, rem = [], x
+        for f in reversed(orders):
+            digits.append(rem % f)
+            rem //= f
+        assert g.elem_names[x] == "(%s)" % ",".join(map(str, reversed(digits)))
+        assert al.parse_element(g, g.elem_names[x]) == x
+
+
+def test_product_names_ignore_the_bracketing_of_cyclic_factors():
+    z2, z3, z4 = (al.cyclic_group(n) for n in (2, 3, 4))
+    left = al.direct_product(al.direct_product(z2, z3), z4)
+    right = al.direct_product(z2, al.direct_product(z3, z4))
+    assert left.elem_names == right.elem_names == al.parse_group("Z2xZ3xZ4").elem_names
+    assert left.factor_orders == right.factor_orders == (2, 3, 4)
+    mixed = al.direct_product(al.symmetric_group(3), al.parse_group("Z2xZ2"))
+    assert mixed.factor_orders is None
+    assert mixed.elem_names[1] == "((1)(2)(3),(0,1))"

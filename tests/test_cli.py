@@ -12,6 +12,7 @@ import pytest
 
 from ggraphs import _tauengine
 from ggraphs import cli as cli_module
+from ggraphs import multigraph as mg
 from ggraphs.algebra import parse_group
 from ggraphs.cli import run
 from ggraphs.errors import InternalAssertion, NotAGroup
@@ -65,13 +66,47 @@ def test_usage_errors_exit_three():
         ["build", "-g", "Zoup", "-s", "1"],  # bad group spec
         ["build", "-g", "Z6", "-s", ""],  # empty generator list
         ["ikn", "verify", "1", "--tau", "(1)"],  # n < 2
-        ["kmn", "100", "100", "4"],  # precondition: table too large
-        # too large, refused before factorising 10^18 + 3
-        ["kmn", "1000000000000000003", "1", "1"],
     ):
         code, _, err = cli(*argv)
         assert code == 3, argv
         assert err != "", argv
+
+
+def test_size_caps_exit_two():
+    """A size refusal is inconclusive (exit 2), like a budget stop, and the
+    stderr line names the cap."""
+    for argv in (
+        ["kmn", "100", "100", "4"],  # m*n*l = 40000
+        # too large, refused before factorising 10^18 + 3
+        ["kmn", "1000000000000000003", "1", "1"],
+        ["build", "-g", "Z2", "-s", ",".join(["1"] * 1100)],  # 1,208,900 edges
+    ):
+        code, out, err = cli(*argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("inconclusive: ") and "exceeds cap" in err, argv
+
+
+def test_recognize_refuses_a_closure_above_the_table_cap():
+    """S7 x Z2 on 9 isolated vertices: |H| = 10080 exceeds 8192."""
+    graph = {"format": 1, "vertices": [{"id": v} for v in range(9)], "edges": []}
+    witness = {"H_generators": [[1, 0, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 0, 7, 8],
+                                [0, 1, 2, 3, 4, 5, 6, 8, 7]], "C": [0]}
+    code, out, err = cli("recognize", "--graph", json.dumps(graph),
+                         "--witness", json.dumps(witness))
+    assert (code, out) == (2, "")
+    assert err == "inconclusive: automorphism closure exceeds cap 8192\n"
+
+
+def test_components_internal_fault_is_not_a_negative(monkeypatch):
+    """A component map that fails its isomorphism check exits 4, not 1."""
+    assert cli("components", "-g", "Z8", "-s", "2,4")[0] == 0
+    monkeypatch.setattr(
+        mg, "_first_map", lambda g1, g2, c, **kw: [(v + 1) % g1.n_vertices for v in range(g1.n_vertices)]
+    )
+    code, _, err = cli("components", "-g", "Z8", "-s", "2,4")
+    assert code == 4
+    assert err.startswith("internal error: InternalAssertion")
 
 
 def test_budget_exhaustion_exit_two():

@@ -345,7 +345,7 @@ def test_kmn_build_shapes():
 def test_kmn_rejects_bad_input():
     with pytest.raises(PreconditionFailed):
         gg.kmn_plan(0, 1, 1)
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(CapExceeded):
         gg.kmn_build(100, 100, 9)
 
 

@@ -29,7 +29,9 @@ from ggraphs.incidence import (
     sufficient_bipartite_test,
     witness_automorphism,
 )
-from ggraphs.multigraph import Multigraph, induced_edge_map, isomorphic
+from ggraphs.multigraph import (
+    Multigraph, induced_edge_map, isomorphic, verify_iso_witness,
+)
 from ggraphs.recognition import (
     GraphAut,
     RecognitionWitness,
@@ -204,6 +206,21 @@ def test_preimage_of_k23_is_tripled_edge():
     assert result.preimage.n_vertices == 2
     assert result.preimage.n_edges == 3
     assert result.preimage.multiplicity(0, 1) == 3
+
+
+def test_preimage_with_the_order_two_generator_first():
+    """The first generator plays t when only it has order 2."""
+    grp = symmetric_group(3)
+    gens = [parse_element(grp, "(1,2)"), parse_element(grp, "(1,2,3)")]
+    gg = build_phi(grp, gens)
+    result = incidence_preimage(gg)
+    # the 2 cosets of <(1,2,3)> are the vertices, the 3 of <(1,2)> the edges
+    assert (result.preimage.n_vertices, result.preimage.n_edges) == (2, 3)
+    assert result.preimage.multiplicity(0, 1) == 3
+    assert verify_iso_witness(
+        gg.graph, result.incidence.graph, result.iso, respect_parts=False
+    )
+    assert [v.label for v in result.preimage.vertices] == ["1:0", "1:1"]
 
 
 def preimage_zoo():
@@ -494,3 +511,37 @@ def test_sufficient_witness_feeds_recognition_of_incidence_graph():
     assert report.ok, report.details
     result = reconstruct(ig.graph, RecognitionWitness(H, C))
     assert result.group.order == len(H)
+
+
+def oracle_sufficient(g, s, t):
+    """The first (m, n) whose word extension is a homomorphism with f.f = id
+    on every element, with powers taken one product at a time."""
+    def powers(x):
+        out = [0]
+        while len(out) == 1 or out[-1] != 0:
+            out.append(int(g.mul[out[-1], x]))
+        return out[:-1]
+
+    for m, fs in enumerate(powers(t)):
+        for n, ft in enumerate(powers(s)):
+            f = _extend_by_words(g, s, t, fs, ft)
+            if f is not None and all(f[f[x]] == x for x in range(g.order)):
+                return tuple(f), m, n
+    return None
+
+
+def test_sufficient_test_checks_the_involution_on_generators_only():
+    """A homomorphism f with f.f fixing s and t is an involution, so the
+    generator check gives the same witness as the all-element check."""
+    groups = [cyclic_group(6), cyclic_group(8), parse_group("Z2xZ4"),
+              symmetric_group(3), dihedral_group(4), quaternion_group()]
+    found = 0
+    for grp in groups:
+        for s, t in itertools.product(range(grp.order), repeat=2):
+            if generated_subgroup(grp, [s, t]) != tuple(range(grp.order)):
+                continue
+            w = sufficient_bipartite_test(grp, s, t)
+            got = None if w is None else (w.f, w.m, w.n)
+            assert got == oracle_sufficient(grp, s, t), (grp.name, s, t)
+            found += w is not None
+    assert found > 0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ggraphs import multigraph as mg
-from ggraphs.errors import CapExceeded, ParseError
+from ggraphs.errors import CapExceeded, InternalAssertion, ParseError
 
 
 def build(n, edges, parts=None, labels=None):
@@ -478,3 +478,99 @@ def test_map_rows_match_the_per_row_conversion(maps):
     got = mg._map_rows(maps, 3)
     assert got.dtype == np.int32
     assert got.tolist() == per_row_map_rows(maps, 3).tolist()
+
+
+def rotated_map(g1, g2, colors, **kwargs):
+    """A stand-in for _first_map that returns a bijection that is no
+    isomorphism of the graphs below: vertex v goes to v + 1 mod n."""
+    n = g1.n_vertices
+    return [(v + 1) % n for v in range(n)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        build(3, [(0, 1), (1, 2)]),  # the path: an edge goes to a non-edge
+        build(2, [(0, 1)], parts=[0, 1]),  # K2 tagged: the parts swap
+    ],
+    ids=["edges", "parts"],
+)
+def test_isomorphic_raises_when_the_refined_map_fails_its_check(monkeypatch, g):
+    """The refined map is an isomorphism by construction; a map that fails
+    its check is an internal fault, never a "not isomorphic"."""
+    assert mg.isomorphic(g, g) is not None
+    monkeypatch.setattr(mg, "_first_map", rotated_map)
+    with pytest.raises(InternalAssertion):
+        mg.isomorphic(g, g)
+
+
+def oracle_complete_bipartite(g):
+    """is_complete_bipartite_multi by one multiplicity lookup per pair."""
+    if g.n_vertices == 0 or g.has_loops():
+        return None
+    if g.fully_part_tagged():
+        parts = sorted({v.part for v in g.vertices})
+        if len(parts) != 2:
+            return None
+        a = [v.id for v in g.vertices if v.part == parts[0]]
+        b = [v.id for v in g.vertices if v.part == parts[1]]
+    else:
+        ok, color = mg.is_bipartite(g)
+        if not ok:
+            return None
+        a = [v for v in range(g.n_vertices) if color[v] == 0]
+        b = [v for v in range(g.n_vertices) if color[v] == 1]
+    if not a or not b:
+        return None
+    mults = {len(g.edges_between(u, v)) for u in a for v in b}
+    inside = any((e.u in a) == (e.v in a) for e in g.edges)
+    if inside or len(mults) != 1 or 0 in mults:
+        return None
+    m, n = len(a), len(b)
+    return (m, n, mults.pop()) if g.fully_part_tagged() else (min(m, n), max(m, n), mults.pop())
+
+
+def test_complete_bipartite_from_the_multi_edge_index_matches_the_pairwise_oracle():
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(600):
+        m, n, l = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        edges = [(u, m + v) for u in range(m) for v in range(n) for _ in range(l)]
+        rng.shuffle(edges)
+        kind = rng.randrange(5)
+        if kind == 1 and edges:
+            edges.pop()  # one multiplicity lower
+        elif kind == 2:
+            edges.append((0, m + n - 1))  # one multiplicity higher
+        elif kind == 3 and m > 1:
+            edges.append((0, 1))  # an edge inside a class
+        tagged = rng.random() < 0.5
+        parts = [0] * m + [1] * n if tagged else None
+        g = build(m + n, edges, parts=parts)
+        want = oracle_complete_bipartite(g)
+        assert mg.is_complete_bipartite_multi(g) == want, (m, n, l, kind, edges)
+        seen[want is None] += 1
+    assert seen[True] and seen[False]
+
+
+def test_per_edge_records_stay_small():
+    """Vertex and Edge carry __slots__: Phi(Z6) over 150 copies of 1, with
+    67,050 edges, retains at most 128 bytes per edge once built."""
+    import gc
+    import tracemalloc
+
+    from ggraphs.algebra import cyclic_group
+    from ggraphs.ggraph import build_phi
+
+    z6 = cyclic_group(6)
+    build_phi(z6, [1, 1])  # first-call allocations outside the count
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gg = build_phi(z6, [1] * 150)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert gg.graph.n_edges == 67050
+    assert retained / gg.graph.n_edges <= 128

@@ -12,7 +12,7 @@ from ggraphs.algebra import (
     quaternion_group,
     symmetric_group,
 )
-from ggraphs.errors import ParseError, PreconditionFailed, WitnessInvalid
+from ggraphs.errors import CapExceeded, ParseError, PreconditionFailed, WitnessInvalid
 from ggraphs.ggraph import build_phi, build_psi, level_vertices
 from ggraphs.multigraph import Multigraph, isomorphic
 from ggraphs.recognition import (
@@ -312,6 +312,33 @@ def test_empty_clique_is_refused():
         check(gg.graph, RecognitionWitness(w.H, []))
 
 
+@pytest.mark.parametrize(
+    "C, H, error",
+    [
+        ([0, 7], None, "C contains an unknown vertex id 7"),
+        ([0, 0], None, "C contains repeated vertices"),
+        ([0], [], "H is empty"),
+    ],
+    ids=["unknown-vertex", "repeated-vertex", "empty-H"],
+)
+def test_malformed_witness_is_refused(C, H, error):
+    gg = build_phi(cyclic_group(6), [2, 3])
+    w = shifts_of(gg)
+    with pytest.raises(WitnessInvalid, match=error):
+        check(gg.graph, RecognitionWitness(w.H if H is None else H, C))
+
+
+def test_with_loops_clique_vertex_without_a_loop_fails():
+    g = Multigraph()
+    g.add_vertex()
+    g.add_vertex()
+    g.add_edge(0, 0)
+    identity = GraphAut((0, 1), (0,))
+    report = check_with_loops(g, RecognitionWitness([identity], [1]))
+    assert not report.witness_ok
+    assert "C vertex 1 carries no loop" in report.details
+
+
 def test_repeated_h_element_is_refused():
     """A repeated element that fixes no vertex of C passes every condition,
     so the witness check must refuse it, not the table of H."""
@@ -390,3 +417,18 @@ def test_witness_json_rejects_bad_edge_maps(edge_maps, error):
     data["H_generator_edge_maps"] = edge_maps
     with pytest.raises(error):
         witness_from_json(gg.graph, data)
+
+
+def test_witness_closure_above_the_table_cap_is_refused():
+    """S7 x Z2 acting on 9 isolated vertices has 10080 > 8192 elements: its
+    closure is refused before any check, as reconstruct's table would be."""
+    g = Multigraph()
+    for _ in range(9):
+        g.add_vertex()
+    gens = [[1, 0, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 0, 7, 8],
+            [0, 1, 2, 3, 4, 5, 6, 8, 7]]
+    with pytest.raises(CapExceeded, match="automorphism closure exceeds cap 8192"):
+        witness_from_json(g, {"H_generators": gens, "C": [0]})
+    # S7 alone (5040 elements) still closes
+    w = witness_from_json(g, {"H_generators": gens[:2], "C": [0]})
+    assert len(w.H) == 5040
