@@ -10,12 +10,16 @@ Conventions used across the package:
 - permutations act on points 1..n;
 - each group fact has one rule here: ``_powers`` is the one walk of <x>,
   ``right_cosets`` gives every right coset, ``direct_product`` names
-  every product element.
+  every product element;
+- element names, and a permutation group's ``Perm`` objects, are computed
+  on first read: a group holds a function that names one element.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -180,18 +184,25 @@ def orbits(maps, n_points: int, starts=None) -> list[np.ndarray]:
 @dataclass(eq=False)
 class FiniteGroup:
     """A finite group given by its full multiplication table, with its
-    identity at element 0."""
+    identity at element 0.
+
+    Names are computed on first read: elem_name(x) names x alone, and
+    elem_names builds the whole tuple once.  A permutation group keeps its
+    elements as integer rows, and perms builds their Perm objects the same
+    way; perm_rows is not None exactly when it is a permutation group."""
 
     identity: ClassVar[int] = 0
     name: str
     order: int
     mul: np.ndarray  # (order, order); mul[a, b] = a*b
     inv: np.ndarray  # (order,)
-    elem_names: tuple[str, ...] = ()
     # cyclic factor orders when the group is a direct product of cyclics
     factor_orders: tuple[int, ...] | None = None
-    # underlying permutations for permutation-built groups
-    perms: tuple[Perm, ...] | None = None
+    # permutation groups: row x is element x as the images of the points
+    # 0..degree-1 (int32)
+    perm_rows: np.ndarray | None = field(default=None, repr=False)
+    _namer: Callable[[int], str] = field(default=str, repr=False)  # names one element
+    _perm_index: dict | None = field(default=None, repr=False)  # row bytes -> element
     _name_index: dict = field(default=None, repr=False, compare=False)
 
     def elements(self) -> range:
@@ -201,7 +212,25 @@ class FiniteGroup:
         return bool((self.mul == self.mul.T).all())
 
     def elem_name(self, x: int) -> str:
-        return self.elem_names[x] if self.elem_names else str(x)
+        return self._namer(_index(x, "element", self.order))
+
+    @cached_property
+    def elem_names(self) -> tuple[str, ...]:
+        return tuple(map(self._namer, range(self.order)))
+
+    @cached_property
+    def perms(self) -> tuple[Perm, ...] | None:
+        """Each element's Perm for a permutation group, else None."""
+        if self.perm_rows is None:
+            return None
+        return tuple(Perm(tuple(x + 1 for x in row)) for row in self.perm_rows.tolist())
+
+    def perm_element(self, p: Perm) -> int | None:
+        """The element that is the permutation p; None when p is not in this
+        permutation group."""
+        if self._perm_index is None:
+            self._perm_index = {row.tobytes(): x for x, row in enumerate(self.perm_rows)}
+        return self._perm_index.get((np.array(p.img, dtype=np.int32) - 1).tobytes())
 
     def name_index(self) -> dict:
         if self._name_index is None:
@@ -258,21 +287,30 @@ def group_from_table(
     if mul.size and mul.dtype.kind not in "iu":
         raise NotAGroup("table entries are not integers")
     inv = check_group_axioms(mul)
+    rows = None
+    if perms is not None:
+        if len(perms) != len(inv) or len({p.degree for p in perms}) != 1:
+            raise PreconditionFailed("perms must be one permutation per element, all of one degree")
+        rows = np.array([p.img for p in perms], dtype=np.int32) - 1
     return _wrap_table(
         mul.astype(np.int32, copy=False), inv, name, elem_names,
-        factor_orders=factor_orders, perms=perms,
+        factor_orders=factor_orders, perm_rows=rows,
     )
 
 
 def _wrap_table(mul, inv, name, elem_names=None, **fields) -> FiniteGroup:
     """Wrap a table known to be a group table, with its inverses, unchecked:
-    group_from_table's check, or a construction that proves it."""
-    n = mul.shape[0]
+    group_from_table's check, or a construction that proves it.
+
+    elem_names is a sequence of names, or a function that names one
+    element when a name is read; by default element x is named str(x)."""
     if elem_names is None:
-        elem_names = tuple(str(i) for i in range(n))
-    return FiniteGroup(
-        name=name, order=n, mul=mul, inv=inv, elem_names=tuple(elem_names), **fields
-    )
+        namer = str
+    elif callable(elem_names):
+        namer = elem_names
+    else:
+        namer = tuple(elem_names).__getitem__
+    return FiniteGroup(name=name, order=mul.shape[0], mul=mul, inv=inv, _namer=namer, **fields)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -293,23 +331,27 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     (a, b)(c, d) = (ac, bd) is associative because each coordinate is,
     (e1, e2) is a two-sided identity and (a^-1, b^-1) inverts (a, b); so the
     table is a group table by construction, and no axiom check runs on it.
+    It is written in int32, one block of |G2| rows per element a of G1,
+    with no temporary the size of the table.
     (a, b) is named "(a,b)", without the factors' own parentheses when both
     are products of cyclic groups: Z2xZ3xZ4 has "(1,2,3)"."""
     n1, n2 = g1.order, g2.order
     _check_order(n1 * n2)
-    mul = (
-        g1.mul[:, None, :, None].astype(np.int64) * n2
-        + g2.mul[None, :, None, :]
-    ).reshape(n1 * n2, n1 * n2).astype(np.int32)
+    mul = np.empty((n1 * n2, n1 * n2), dtype=np.int32)
+    for a in range(n1):
+        # rows (a, b) for every b: entry (c, d) is mul1[a, c]*|G2| + mul2[b, d]
+        block = mul[a * n2 : (a + 1) * n2].reshape(n2, n1, n2)
+        np.add((g1.mul[a] * n2)[:, None], g2.mul[:, None, :], out=block)
     inv = (g1.inv[:, None] * n2 + g2.inv[None, :]).ravel().astype(np.int32)
     cyclic = g1.factor_orders is not None and g2.factor_orders is not None
-    a_names, b_names = (
-        [g.elem_name(x).strip("()") if cyclic else g.elem_name(x) for x in g.elements()]
-        for g in (g1, g2)
-    )
+
+    def coordinate(namer):
+        return (lambda x: namer(x).strip("()")) if cyclic else namer
+
+    a_name, b_name = coordinate(g1._namer), coordinate(g2._namer)
     return _wrap_table(
         mul, inv, "%sx%s" % (g1.name, g2.name),
-        ("(%s,%s)" % (a, b) for a in a_names for b in b_names),
+        lambda x: "(%s,%s)" % (a_name(x // n2), b_name(x % n2)),
         factor_orders=g1.factor_orders + g2.factor_orders if cyclic else None,
     )
 
@@ -327,7 +369,8 @@ def perm_group(
     No axiom check runs: PermClosure.table proves its table exact by
     induction over the Schreier vector, checked at generator cost, and the
     Cayley table of a permutation group is a group table.  The inverses come
-    from the closure."""
+    from the closure, and so do the element rows and their index, so no Perm
+    object or name is built until one is read."""
     gens = list(generators)
     for p in gens:
         if p.degree != degree:
@@ -335,13 +378,12 @@ def perm_group(
         if sorted(p.img) != list(range(1, degree + 1)):
             raise PreconditionFailed("generator %r is not a permutation of 1..%d" % (p.img, degree))
     closure = perm_closure([np.array(p.img) - 1 for p in gens], degree)
-    perms = tuple(
-        Perm(tuple(x + 1 for x in row)) for row in closure.elems.tolist()
-    )
     mul = closure.table()
+    rows = closure.elems
     return _wrap_table(
         mul, closure.inverses(mul), name or "Perm%d" % degree,
-        tuple(p.cycle_string() for p in perms), perms=perms,
+        lambda x: Perm(tuple(v + 1 for v in rows[x].tolist())).cycle_string(),
+        perm_rows=rows, _perm_index=closure.index,
     )
 
 
@@ -508,10 +550,11 @@ def subgroup_group(g: FiniteGroup, elements, name: str | None = None) -> tuple[F
     mul = pos[g.mul[np.ix_(sub, sub)]]
     if (mul < 0).any():
         raise PreconditionFailed("element set is not closed")
+    ambient = g._namer
     grp = _wrap_table(
         mul, pos[g.inv[sub]], name or "%s-sub%d" % (g.name, k),
-        elem_names=(g.elem_name(x) for x in sub),
-        perms=None if g.perms is None else tuple(g.perms[x] for x in sub),
+        lambda i: ambient(sub[i]),
+        perm_rows=None if g.perm_rows is None else g.perm_rows[sub],
     )
     return grp, {x: i for i, x in enumerate(sub)}
 
@@ -577,6 +620,7 @@ def parse_group(spec: str) -> FiniteGroup:
         orders = [_spec_int(t) for t in re.findall(r"Z(\d+)", s)]
         if any(o < 1 for o in orders):
             raise ParseError("cyclic factors must be >= 1: %r" % spec)
+        _check_order(math.prod(orders))  # before any factor's table
         grp = cyclic_group(orders[0])
         for o in orders[1:]:
             grp = direct_product(grp, cyclic_group(o))
@@ -598,12 +642,12 @@ def parse_element(g: FiniteGroup, text: str) -> int:
     """Accepts an index for cyclic groups, a tuple for products, cycle
     notation for permutation groups, or an exact element name."""
     t = text.strip()
-    if g.perms is not None:
-        p = Perm.parse(t, g.perms[0].degree)
-        for i, q in enumerate(g.perms):
-            if q == p:
-                return i
-        raise ParseError("permutation %s is not in %s" % (p, g.name))
+    if g.perm_rows is not None:
+        p = Perm.parse(t, g.perm_rows.shape[1])
+        x = g.perm_element(p)
+        if x is None:
+            raise ParseError("permutation %s is not in %s" % (p, g.name))
+        return x
     if g.factor_orders is not None and len(g.factor_orders) > 1:
         m = re.fullmatch(r"\(([^()]*)\)", t)
         if not m:

@@ -109,7 +109,7 @@ def _read_payload(value: str) -> str:
 
 def _cmd_build(args, out) -> int:
     from .algebra import element_order
-    from .ggraph import export_ggraph_json
+    from .ggraph import export_ggraph_json, named_graph
     from .multigraph import connected_components
 
     gg = _load_ggraph(args)
@@ -130,7 +130,7 @@ def _cmd_build(args, out) -> int:
             "connected: %s" % _yesno(len(connected_components(gg.graph)) == 1),
         ]
 
-    _write(args, out, summary, lambda: export_ggraph_json(gg), lambda: gg.graph)
+    _write(args, out, summary, lambda: export_ggraph_json(gg), lambda: named_graph(gg))
     return EXIT_OK
 
 
@@ -170,7 +170,7 @@ def _cmd_components(args, out) -> int:
 
 
 def _cmd_kmn(args, out) -> int:
-    from .ggraph import export_ggraph_json, kmn_build
+    from .ggraph import export_ggraph_json, kmn_build, named_graph
 
     gg, plan = kmn_build(args.m, args.n, args.l)
     s, t = plan.s_coords, plan.t_coords
@@ -183,16 +183,17 @@ def _cmd_kmn(args, out) -> int:
         "parts: (%d, %d)" % (args.m, args.n),
         "multiplicity: %d" % args.l,
         "verified: yes",
-    ], lambda: {**export_ggraph_json(gg), "plan": plan.to_json()}, lambda: gg.graph)
+    ], lambda: {**export_ggraph_json(gg), "plan": plan.to_json()}, lambda: named_graph(gg))
     return EXIT_OK
 
 
 def _cmd_incidence_build(args, out) -> int:
+    from .ggraph import named_graph
     from .incidence import incidence_graph
     from .multigraph import export_json
 
     gg = _load_ggraph(args)
-    ig = incidence_graph(gg.graph)
+    ig = incidence_graph(named_graph(gg))
     _write(args, out, lambda: [
         "format: 1",
         "incidence of: %s" % _graph_name(gg),

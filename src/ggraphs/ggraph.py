@@ -13,6 +13,13 @@ Block p < P, for the p-th level pair (i, j) with i < j in lexicographic order
 and P the number of pairs, holds the cross edges: edge p*|G| + x is labelled
 x.  In Psi, block P + i holds the loops of level i, in coset order and
 ascending within each coset.  Everything downstream relies on this rule.
+
+The edges of ``gg.graph`` carry no label string: ``gg.edge_glabel[e]`` is
+the element of edge e.  Names are computed only when written out:
+``named_graph(gg)`` is the graph with each edge labelled by its element's
+name, and the writers (``export_ggraph_json``, the CLI's Graphviz output
+and its incidence graph) read that.  ``incidence_graph(gg.graph)`` called
+directly therefore labels its edge vertices ``e<id>``.
 """
 
 from __future__ import annotations
@@ -128,15 +135,14 @@ def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
     # edges in the order of the module docstring's layout rule
     glabels = []
     for li, lj in combinations(levels, 2):
-        ends = zip(li.membership.tolist(), lj.membership.tolist())
-        for x, (a, b) in enumerate(ends):
-            graph.add_edge(li.offset + a, lj.offset + b, label=group.elem_name(x))
+        for a, b in zip(li.membership.tolist(), lj.membership.tolist()):
+            graph.add_edge(li.offset + a, lj.offset + b)
         glabels.extend(range(n))
     if with_loops:
         for lvl in levels:
             for v, c in enumerate(lvl.cosets, lvl.offset):
-                for x in c.elems:
-                    graph.add_edge(v, v, label=group.elem_name(x))
+                for _ in c.elems:
+                    graph.add_edge(v, v)
                 glabels.extend(c.elems)
     return GGraph(
         group=group,
@@ -598,10 +604,23 @@ def kmn_build(m: int, n: int, l: int):
 # serialization
 
 
+def named_graph(gg: GGraph) -> Multigraph:
+    """A copy of gg.graph with each edge labelled by its element's name,
+    for the writers that show edge labels."""
+    names = gg.group.elem_names
+    out = Multigraph()
+    for v in gg.graph.vertices:
+        out.add_vertex(v.label, v.part)
+    for e, x in zip(gg.graph.edges, gg.edge_glabel.tolist()):
+        out.add_edge(e.u, e.v, names[x])
+    return out
+
+
 def export_ggraph_json(gg: GGraph) -> dict:
-    """Multigraph JSON extended with levels and group labels; re-imports
-    through the plain multigraph reader (extra keys are ignored there)."""
-    graph = export_json(gg.graph)
+    """Multigraph JSON of named_graph(gg), extended with levels and group
+    labels; re-imports through the plain multigraph reader (extra keys are
+    ignored there)."""
+    graph = export_json(named_graph(gg))
     for e, x in zip(graph["edges"], gg.edge_glabel.tolist()):
         e["glabel"] = x
     return {

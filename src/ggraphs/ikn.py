@@ -379,32 +379,40 @@ class BuildReport:
 def build_and_verify(n: int, tau: Perm) -> BuildReport:
     """Build Phi(<sigma,tau>, {sigma,tau}) and audit that it is I(K_n).
 
-    The audit asserts |<sigma,tau>| = n(n-1) and that the graph is bipartite
-    with one part of n vertices of degree n-1, the other of n(n-1)/2 vertices
-    of degree 2, whose neighbour pairs enumerate every 2-subset of the first
-    part (equivalently: the graph is simple with no 4-cycle)."""
+    The audit asserts |<sigma,tau>| = n(n-1), then _audit_graph's items 2-5
+    on the graph built."""
     from .algebra import perm_group
-    from .ggraph import ItemReport, build_phi, level_vertices
+    from .ggraph import ItemReport, build_phi
 
     _check_tau_arg(n, tau)
     rs = make_rho_sigma(n)
     grp = perm_group(n, [rs.sigma, tau], name="IK%d" % n)
     expected = n * (n - 1)
-    items = [
-        ItemReport(
-            1,
-            "group order is n(n-1)",
-            grp.order == expected,
-            "|<sigma,tau>| = %d, expected %d" % (grp.order, expected),
-        )
-    ]
-    gg = build_phi(grp, [grp.perms.index(rs.sigma), grp.perms.index(tau)])
+    item1 = ItemReport(
+        1,
+        "group order is n(n-1)",
+        grp.order == expected,
+        "|<sigma,tau>| = %d, expected %d" % (grp.order, expected),
+    )
+    gg = build_phi(grp, [grp.perm_element(rs.sigma), grp.perm_element(tau)])
+    return BuildReport(n, grp, gg, (item1, *_audit_graph(n, gg)))
+
+
+def _audit_graph(n: int, gg: GGraph) -> list[ItemReport]:
+    """Items 2-5 of the audit that a two-level G-graph is I(K_n): every edge
+    joins the two levels, the first level has n vertices of degree n-1, the
+    second n(n-1)/2 vertices of degree 2, and the neighbour pairs of the
+    second level are distinct, so they enumerate every 2-subset of the
+    first (equivalently: the graph is simple with no 4-cycle)."""
+    from .ggraph import ItemReport, level_vertices
+
+    expected = n * (n - 1)
     part0 = level_vertices(gg, 0)
     part1 = level_vertices(gg, 1)
     crossing = all(
         gg.vertex_level(e.u) != gg.vertex_level(e.v) for e in gg.graph.edges
     )
-    items.append(ItemReport(2, "edges join the two levels", crossing, ""))
+    items = [ItemReport(2, "edges join the two levels", crossing, "")]
     deg0 = [gg.graph.degree(v) for v in part0]
     items.append(
         ItemReport(
@@ -424,7 +432,7 @@ def build_and_verify(n: int, tau: Perm) -> BuildReport:
         )
     )
     adj = gg.graph.adj()
-    pairs = [frozenset(adj[v]) for v in part1]
+    pairs = [frozenset(w for _, w in adj[v]) for v in part1]  # ends, not (edge id, end) pairs
     bijection = all(len(p) == 2 for p in pairs) and len(set(pairs)) == (
         n * (n - 1) // 2
     )
@@ -436,7 +444,7 @@ def build_and_verify(n: int, tau: Perm) -> BuildReport:
             "%d distinct neighbour pairs" % len(set(pairs)),
         )
     )
-    return BuildReport(n, grp, gg, tuple(items))
+    return items
 
 
 # ---------------------------------------------------------------------------

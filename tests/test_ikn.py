@@ -1,5 +1,6 @@
 """Certificate verification, obstructions, and the tau search for I(K_n)."""
 
+import dataclasses
 import json
 import math
 import random
@@ -24,6 +25,7 @@ from ggraphs.ikn import (
     search_tau,
     verify_tau,
 )
+from ggraphs.ggraph import level_vertices
 from ggraphs.multigraph import Multigraph, isomorphic
 
 
@@ -565,6 +567,57 @@ def test_build_and_verify_small():
     assert levels == [8, 28]
     bad = build_and_verify(5, Perm.parse("(1,3)(2)(4,5)", 5))
     assert not bad.ok
+
+
+def _rewired(gg, ends):
+    """gg with its graph's edges replaced by ends, one (u, v) per edge id."""
+    g = Multigraph()
+    for v in gg.graph.vertices:
+        g.add_vertex(v.label, v.part)
+    for u, v in ends:
+        g.add_edge(u, v)
+    return dataclasses.replace(gg, graph=g)
+
+
+def _audit(n, gg):
+    return {item.number: item for item in ikn._audit_graph(n, gg)}
+
+
+def test_audit_fails_item_5_when_three_vertices_share_their_ends():
+    """Three degree-2 vertices all joined to the same two vertices: the
+    degrees of the tau level are right, its neighbour pairs are not."""
+    gg = build_and_verify(3, known_tau(3)).graph
+    assert all(item.ok for item in _audit(3, gg).values())
+    a, b = level_vertices(gg, 0)[:2]
+    seen = {v: 0 for v in level_vertices(gg, 1)}
+    ends = []
+    for e in gg.graph.edges:  # e.u on the sigma level, e.v on the tau level
+        ends.append(((a, b)[seen[e.v]], e.v))
+        seen[e.v] += 1
+    items = _audit(3, _rewired(gg, ends))
+    assert items[2].ok and items[4].ok
+    assert not items[5].ok
+    assert items[5].detail == "1 distinct neighbour pairs"
+
+
+def test_audit_fails_item_5_when_one_tau_edge_is_repointed():
+    """Phi for n = 5 with one tau-level edge moved so that its vertex has
+    the neighbour pair of another tau vertex: 9 distinct pairs of 10."""
+    gg = build_and_verify(5, known_tau(5)).graph
+    adj = gg.graph.adj()
+    ends_of = {v: {w for _, w in adj[v]} for v in level_vertices(gg, 1)}
+    v0 = min(ends_of)
+    a, b = sorted(ends_of[v0])
+    (c,) = next(
+        ends_of[v] - {b} for v in ends_of if v != v0 and b in ends_of[v] and a not in ends_of[v]
+    )
+    moved = next(eid for eid, w in adj[v0] if w == a)
+    ends = [(c, e.v) if e.id == moved else (e.u, e.v) for e in gg.graph.edges]
+    items = _audit(5, _rewired(gg, ends))
+    assert items[2].ok and items[4].ok
+    assert not items[3].ok  # a loses a degree and c gains one
+    assert not items[5].ok
+    assert items[5].detail == "9 distinct neighbour pairs"
 
 
 def test_certificate_json_round_trip():
