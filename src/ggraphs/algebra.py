@@ -321,7 +321,9 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise PreconditionFailed("cyclic_group needs n >= 1")
     _check_order(n)
     idx = np.arange(n, dtype=np.int32)
-    mul = (idx[:, None] + idx[None, :]) % n
+    mul = np.empty((n, n), dtype=np.int32)  # x + y, reduced in place
+    np.add(idx[:, None], idx[None, :], out=mul)
+    np.remainder(mul, n, out=mul)
     return _wrap_table(mul, (n - idx) % n, "Z%d" % n, factor_orders=(n,))
 
 
@@ -437,9 +439,12 @@ def quaternion_group() -> FiniteGroup:
 
 def _powers(g: FiniteGroup, x: int) -> list[int]:
     """x^0, x^1, ..., x^(o(x)-1): the one walk of <x>, which ends where
-    the next power is the identity again."""
+    the next power is the identity again.  A table changed after its check
+    may never get there: after |G| powers it raises NotAGroup."""
     out, y = [0], x
     while y != 0:
+        if len(out) == g.order:
+            raise NotAGroup("the powers of %d do not return to the identity" % x)
         out.append(y)
         y = int(g.mul[y, x])
     return out

@@ -184,21 +184,12 @@ def _shift_arrays(gg: GGraph):
     written once, from the table entry mul[x, g] that defines it, as one
     whole-table gather would.
 
-    Together they hold |G|·(vertices + edges) entries; above
+    Their columns are the vertices and edges that the layout rule gives the
+    levels, not those of gg.graph, so an extra edge there leaves no column
+    unwritten.  Together they hold |G|·(vertices + edges) entries; above
     SHIFT_CAP = 2^28 (1 GiB) CapExceeded is raised before either exists."""
     grp = gg.group
     n = grp.order
-    entries = n * (gg.graph.n_vertices + gg.graph.n_edges)
-    if entries > SHIFT_CAP:
-        raise CapExceeded("shift arrays of %d entries exceed cap %d" % (entries, SHIFT_CAP))
-    strips = [(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
-    S_v = np.empty((n, gg.graph.n_vertices), dtype=np.int32)
-    for lvl in gg.levels:
-        reps = np.array([c.rep for c in lvl.cosets])
-        # delta_g(<s>x) = <s>(x g); row g, columns = cosets of this level
-        for r0, r1 in strips:
-            cols = S_v[r0:r1, lvl.offset : lvl.offset + len(reps)]
-            np.add(lvl.membership[grp.mul[reps, r0:r1].T], lvl.offset, out=cols)
     # delta_g maps the edge labelled x to the edge labelled xg of the same
     # block; pos[y] is where the label y sits in its block (None: at y)
     blocks = [None] * math.comb(gg.n_levels, 2)
@@ -207,7 +198,19 @@ def _shift_arrays(gg: GGraph):
             pos = np.empty(n, dtype=np.int32)
             pos[np.argsort(lvl.membership, kind="stable")] = np.arange(n)
             blocks.append(pos)
-    S_e = np.empty((n, gg.graph.n_edges), dtype=np.int32)
+    n_v = sum(len(lvl.cosets) for lvl in gg.levels)
+    entries = n * (n_v + len(blocks) * n)
+    if entries > SHIFT_CAP:
+        raise CapExceeded("shift arrays of %d entries exceed cap %d" % (entries, SHIFT_CAP))
+    strips = [(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
+    S_v = np.empty((n, n_v), dtype=np.int32)
+    for lvl in gg.levels:
+        reps = np.array([c.rep for c in lvl.cosets])
+        # delta_g(<s>x) = <s>(x g); row g, columns = cosets of this level
+        for r0, r1 in strips:
+            cols = S_v[r0:r1, lvl.offset : lvl.offset + len(reps)]
+            np.add(lvl.membership[grp.mul[reps, r0:r1].T], lvl.offset, out=cols)
+    S_e = np.empty((n, len(blocks) * n), dtype=np.int32)
     for b, pos in enumerate(blocks):
         base = b * n
         labels = gg.edge_glabel[base : base + n]
@@ -268,19 +271,29 @@ def verify_structure(gg: GGraph) -> StructureReport:
     Row x of the shift arrays is delta_x.  Item 1's composition law
     delta_a . delta_b = delta_{ba} is checked for every b and each a of a
     generating set: the a that satisfy it for all b are closed under
-    products, and every element is a product of generators.  Once the law
-    holds, the rest of item 1 reads generators only, because G is a group:
+    products, and every element is a product of generators.  It is the one
+    step that reads every shift.  Once it holds, delta_{xt} = delta_t .
+    delta_x for every x and every generator t, so each shift is delta_e
+    followed by generator shifts, and the other steps read less:
 
-    - delta_{xt} = delta_t . delta_x, so every shift is a composition of
-      delta_e and generator shifts, and all are automorphisms when those
-      are;
-    - x -> delta_x maps G onto a group of maps, so delta_x = delta_y exactly
-      when x y^-1 lies in the kernel {x : delta_x = delta_e}, and there are
-      |G| / |kernel| distinct shifts.
+    - automorphisms (item 1) and levels (item 2): delta_e and the generator
+      shifts, since a composition of automorphisms that keep every vertex's
+      level is one;
+    - the kernel {x : delta_x = delta_e}: x -> delta_x maps G onto a group
+      of maps, so delta_x = delta_y exactly when x y^-1 lies in the kernel,
+      and there are |G| / |kernel| distinct shifts.  A kernel row agrees
+      with delta_e in column 0, so only the rows that do are compared in
+      full: the o(s) rows of <s> when vertex 0 is the coset <s>;
+    - cliqueness (item 3): once the permutation law delta_t(C_x) = C_{xt}
+      holds for the generators t, C_{t_1...t_k} = delta_{t_k} ...
+      delta_{t_1}(C_e).  When the generator shifts are also automorphisms,
+      each C_g is an automorphic image of C_e, and a clique when C_e is.
 
-    Item 3's permutation law needs generators by the same law.  Item 2 and
-    the kernel read every shift, _BLOCK rows at a time.  When the law fails,
-    item 1 reads every shift."""
+    Where a premise fails, that item reads every shift or colour, _BLOCK
+    rows at a time, so the report is the same either way.  Item 4 counts
+    the edges of each level pair from the multi-edge index.  Item 5 takes
+    each vertex's level and coset from the layout rule, not from its part
+    tag, which items 2 and 4 check."""
     grp = gg.group
     n = grp.order
     g = gg.graph
@@ -294,16 +307,18 @@ def verify_structure(gg: GGraph) -> StructureReport:
         (S[a][S[b]] == S[grp.mul[b, a]]).all()
         for a in gens for S in (S_v, S_e) for b in blocks
     )
+    e = grp.identity
+    # the rows that item 1's automorphism check and item 2 read
+    read = [[e, *gens]] if comp_ok else blocks
+    aut_ok = all(map_defect(g, g, S_v[r], S_e[r]) is None for r in read)
     if comp_ok:
-        e = grp.identity
-        aut_ok = map_defect(g, g, S_v[[e, *gens]], S_e[[e, *gens]]) is None
+        near = np.flatnonzero(S_v[:, 0] == S_v[e, 0])  # holds the kernel
         kernel = sum(
-            int(((S_v[b] == S_v[e]).all(axis=1) & (S_e[b] == S_e[e]).all(axis=1)).sum())
-            for b in blocks
+            int(((S_v[r] == S_v[e]).all(axis=1) & (S_e[r] == S_e[e]).all(axis=1)).sum())
+            for r in np.split(near, range(_BLOCK, len(near), _BLOCK))
         )
         distinct = n // kernel
     else:
-        aut_ok = map_defect(g, g, S_v, S_e) is None
         distinct = len({(S_v[x].tobytes(), S_e[x].tobytes()) for x in range(n)})
     ok1 = aut_ok and distinct == n and comp_ok
     items.append(
@@ -318,25 +333,22 @@ def verify_structure(gg: GGraph) -> StructureReport:
 
     # 2. every level is stabilized setwise by every shift
     parts = np.array([v.part for v in g.vertices], dtype=np.int64)
-    ok2 = all((parts[S_v[b]] == parts).all() for b in blocks)
+    ok2 = all((parts[S_v[r]] == parts).all() for r in read)
     items.append(ItemReport(2, "levels stable", ok2, "checked all |G| shifts"))
 
     # 3. shifts permute colour cliques: delta_g'(C_g) = C_{g g'}
     C = np.empty((n, gg.n_levels), dtype=np.int64)
     for i, lvl in enumerate(gg.levels):
         C[:, i] = lvl.offset + lvl.membership.astype(np.int64)
-    # the reduction to generators uses the composition law of item 1
-    ok3 = comp_ok
-    for gp in gens:
-        if not (S_v[gp][C] == C[grp.mul[:, gp]]).all():
-            ok3 = False
-            break
     by_pair = g.multi_edges()
-    clique_ok = all(
-        (min(a, b), max(a, b)) in by_pair
-        for row in C.tolist() for i, a in enumerate(row) for b in row[i + 1:]
+    ok3 = (
+        comp_ok
+        and all((S_v[t][C] == C[grp.mul[:, t]]).all() for t in gens)
+        and all(
+            (min(a, b), max(a, b)) in by_pair
+            for row in (C[[e]] if aut_ok else C).tolist() for a, b in combinations(row, 2)
+        )
     )
-    ok3 = ok3 and clique_ok
     items.append(
         ItemReport(
             3, "colour cliques", ok3,
@@ -350,9 +362,9 @@ def verify_structure(gg: GGraph) -> StructureReport:
     want = Counter({(i, j, False): n for i in range(L) for j in range(i + 1, L)})
     if gg.with_loops:
         want.update({(i, i, True): n for i in range(L)})
-    got = Counter(
-        (*sorted((int(parts[e.u]), int(parts[e.v]))), e.u == e.v) for e in g.edges
-    )
+    got = Counter()
+    for (u, v), ids in by_pair.items():
+        got[(*sorted((int(parts[u]), int(parts[v]))), u == v)] += len(ids)
     expected = sum(want.values())
     ok4 = got == want
     items.append(
@@ -368,16 +380,17 @@ def verify_structure(gg: GGraph) -> StructureReport:
         (i, j): right_cosets(grp, sorted(a & b))
         for i, a in enumerate(subs) for j, b in enumerate(subs)
     }
+    # each vertex's level and coset by the layout rule, whatever its tag
+    level = [lvl.index for lvl in gg.levels for _ in lvl.cosets]
+    coset = [c.elems for lvl in gg.levels for c in lvl.cosets]
     ok5 = True
     bad = ""
     for (u, v), ids in by_pair.items():
         labels = gg.edge_glabel[ids].tolist()
-        rows, membership = meet[int(parts[u]), int(parts[v])]
+        rows, membership = meet[level[u], level[v]]
         # labels must be exactly the coset intersection, which in turn must
         # be the right coset (<s> inter <t>) * min
-        cosets_meet = sorted(
-            set(gg.vertex_coset(u).elems) & set(gg.vertex_coset(v).elems)
-        )
+        cosets_meet = sorted(set(coset[u]).intersection(coset[v]))
         if (
             not cosets_meet  # the ends share no element
             or sorted(labels) != cosets_meet

@@ -236,33 +236,39 @@ class GraphAut:
 IsoWitness = GraphAut
 
 
-def _map_rows(maps, width: int) -> np.ndarray:
-    """k maps as a (k, width) int32 array; an array passes through.  A map of
-    another length, or with an entry that is no int32, becomes a row of -1s,
-    which is no permutation."""
+def _map_rows(maps, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """k maps as a (k, width) int32 array, and which of them fit it: a map
+    of another length, or with an entry that is no int32, does not, and its
+    row is left as -1s.  An array of width columns passes through."""
     if isinstance(maps, np.ndarray) and maps.shape[1:] == (width,):
-        return maps
+        return maps, np.ones(len(maps), dtype=bool)
     try:
         rows = np.array(maps, dtype=np.int32)
         if rows.shape == (len(maps), width):
-            return rows
+            return rows, np.ones(len(maps), dtype=bool)
     except (OverflowError, TypeError, ValueError):
         pass  # some row is malformed: convert row by row
     rows = np.full((len(maps), width), -1, dtype=np.int32)
+    fits = np.zeros(len(maps), dtype=bool)
     for i, row in enumerate(maps):
         if len(row) == width:
             try:
                 rows[i] = row
+                fits[i] = True
             except (OverflowError, TypeError, ValueError):
                 pass
-    return rows
+    return rows, fits
 
 
-def _permutation_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Which rows of a (k, width) array are permutations of 0..n-1."""
-    if rows.shape[1] != n:
-        return np.zeros(len(rows), dtype=bool)
-    return (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
+def _permutation_rows(maps, width: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k maps as _map_rows gives them, and which of them are
+    permutations of 0..n-1.  A map's validity is read from its length, so a
+    map of the wrong length is none even at width 0, where its row is
+    empty."""
+    rows, fits = _map_rows(maps, width)
+    if width != n:
+        return rows, np.zeros(len(rows), dtype=bool)
+    return rows, fits & (np.sort(rows, axis=1) == np.arange(n)).all(axis=1)
 
 
 def map_defect(g1: Multigraph, g2: Multigraph, vertex_maps, edge_maps) -> str | None:
@@ -274,10 +280,8 @@ def map_defect(g1: Multigraph, g2: Multigraph, vertex_maps, edge_maps) -> str | 
     joins the images of its ends; a reason of the second kind names the
     first edge whose image does not.
     """
-    V = _map_rows(vertex_maps, g1.n_vertices)
-    E = _map_rows(edge_maps, g1.n_edges)
-    v_ok = _permutation_rows(V, g2.n_vertices)
-    e_ok = _permutation_rows(E, g2.n_edges)
+    V, v_ok = _permutation_rows(vertex_maps, g1.n_vertices, g2.n_vertices)
+    E, e_ok = _permutation_rows(edge_maps, g1.n_edges, g2.n_edges)
     bad = np.flatnonzero(~(v_ok & e_ok))
     k = int(bad[0]) if len(bad) else len(V)
     # end-points only for the pairs before the first that is no bijection

@@ -35,7 +35,6 @@ from .multigraph import (
     GraphAut,
     IsoWitness,
     Multigraph,
-    _map_rows,
     _permutation_rows,
     map_defect,
     verify_iso_witness,
@@ -170,10 +169,8 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
     Returns H's vertex maps and edge maps as (|H|, n) int32 arrays, in the
     order of w.H."""
     nv, ne = g.n_vertices, g.n_edges
-    V = _map_rows([a.vertex_map for a in w.H], nv)
-    E = _map_rows([a.edge_map for a in w.H], ne)
-    v_ok = _permutation_rows(V, nv)
-    e_ok = _permutation_rows(E, ne)
+    V, v_ok = _permutation_rows([a.vertex_map for a in w.H], nv, nv)
+    E, e_ok = _permutation_rows([a.edge_map for a in w.H], ne, ne)
     bad = np.flatnonzero(~(v_ok & e_ok))
     if len(bad):
         what = "edge" if v_ok[bad[0]] else "vertex"

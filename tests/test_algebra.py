@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,6 +114,24 @@ def test_perm_inverse_roundtrip_random():
 
 # ---------------------------------------------------------------------------
 # group constructors
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_cyclic_group_table_is_the_sum_mod_n(n):
+    idx = np.arange(n, dtype=np.int32)
+    want = (idx[:, None] + idx[None, :]) % n
+    mul = al.cyclic_group(n).mul
+    assert mul.dtype == want.dtype and (mul == want).all()
+
+
+def test_cyclic_group_table_has_no_table_sized_temporary():
+    tracemalloc.start()
+    try:
+        z = al.cyclic_group(2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * z.mul.nbytes, peak / z.mul.nbytes
 
 
 def test_cyclic_group_table():

@@ -280,6 +280,47 @@ def test_wrong_lengths_and_out_of_range_entries():
     assert map_defect(g, g, [], []) is None
 
 
+def isolated(n):
+    g = Multigraph()
+    for _ in range(n):
+        g.add_vertex()
+    return g
+
+
+# A graph with no edges gives an edge map width 0, where a map of the wrong
+# length has an empty row: its validity comes from its length.
+
+
+def test_an_edge_map_of_the_wrong_length_is_refused_at_width_0():
+    g = isolated(2)
+    assert map_defect(g, g, [(0, 1)], [(5,)]) == "edge map is not a permutation of the edges"
+    assert map_defect(g, g, [(1, 0)], [()]) is None
+
+
+def test_a_witness_of_the_wrong_length_is_refused_at_width_0():
+    g = isolated(2)
+    assert verify_iso_witness(g, g, GraphAut((0, 1), (5, 7))) is False
+    assert verify_iso_witness(g, g, GraphAut((1, 0), ())) is True
+
+
+def test_a_vertex_map_of_the_wrong_length_is_refused_at_width_0():
+    g = Multigraph()
+    assert map_defect(g, g, [(3,)], [()]) == "vertex map is not a permutation of the vertices"
+
+
+def test_recognition_refuses_an_h_element_of_the_wrong_length():
+    g = isolated(2)
+    good = [GraphAut((0, 1), ()), GraphAut((1, 0), ())]
+    assert check(g, RecognitionWitness(good, [0])).ok
+    with pytest.raises(WitnessInvalid, match="edge map"):
+        check(g, RecognitionWitness([good[0], GraphAut((1, 0), (3,))], [0]))
+
+
+def test_lifting_a_map_of_the_wrong_length_raises_witness_invalid():
+    with pytest.raises(WitnessInvalid, match="edge map is not a permutation"):
+        lift_automorphism(isolated(1), GraphAut((0,), (5,)))
+
+
 def test_level_swap_fails_only_with_parts_respected():
     grp = al.symmetric_group(3)
     gg = build_phi(grp, [al.parse_element(grp, "(1,2)"), al.parse_element(grp, "(2,3)")])

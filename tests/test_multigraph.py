@@ -447,15 +447,17 @@ def test_dot_format():
 
 
 def per_row_map_rows(maps, width):
-    """_map_rows as it was: one row at a time, -1s for a row that fails."""
+    """_map_rows one row at a time: -1s, and False, for a row that fails."""
     rows = np.full((len(maps), width), -1, dtype=np.int32)
+    fits = [False] * len(maps)
     for i, row in enumerate(maps):
         if len(row) == width:
             try:
                 rows[i] = row
+                fits[i] = True
             except (OverflowError, TypeError, ValueError):
                 pass
-    return rows
+    return rows, fits
 
 
 @pytest.mark.parametrize(
@@ -475,9 +477,11 @@ def per_row_map_rows(maps, width):
     ],
 )
 def test_map_rows_match_the_per_row_conversion(maps):
-    got = mg._map_rows(maps, 3)
+    got, fits = mg._map_rows(maps, 3)
+    want, want_fits = per_row_map_rows(maps, 3)
     assert got.dtype == np.int32
-    assert got.tolist() == per_row_map_rows(maps, 3).tolist()
+    assert got.tolist() == want.tolist()
+    assert fits.tolist() == want_fits
 
 
 def rotated_map(g1, g2, colors, **kwargs):
