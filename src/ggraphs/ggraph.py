@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -68,22 +68,36 @@ class Level:
     cosets: tuple[Coset, ...]
     membership: np.ndarray  # element -> coset position within this level
 
+    @property
+    def reps(self) -> np.ndarray:
+        """The coset representatives, one per vertex of the level."""
+        return np.array([c.rep for c in self.cosets], dtype=np.int64)
+
 
 @dataclass
 class GGraph:
+    """A G-graph and its level layout.  A vertex's level and coset are
+    read from the layout (``level_of``, the level offsets); the part tags
+    of ``graph`` are output data, which verify_structure checks."""
+
     group: FiniteGroup
     gens: tuple[int, ...]
     with_loops: bool
     graph: Multigraph
     levels: tuple[Level, ...]
     edge_glabel: np.ndarray  # edge id -> group element
+    # vertex id -> its level by the layout rule
+    level_of: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.level_of = [i for i, lvl in enumerate(self.levels) for _ in lvl.cosets]
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
 
     def vertex_level(self, v: int) -> int:
-        return self.graph.vertices[v].part
+        return self.level_of[_index(v, "vertex", len(self.level_of))]
 
     def vertex_coset(self, v: int) -> Coset:
         lvl = self.levels[self.vertex_level(v)]
@@ -91,8 +105,8 @@ class GGraph:
 
     def vertex_of(self, level: int, x: int) -> int:
         """The vertex <s_level> x."""
-        lvl = self.levels[level]
-        return lvl.offset + int(lvl.membership[x])
+        lvl = self.levels[_index(level, "level", self.n_levels)]
+        return lvl.offset + int(lvl.membership[_index(x, "element", self.group.order)])
 
     def is_simple(self) -> bool:
         return not self.with_loops and all(
@@ -205,7 +219,7 @@ def _shift_arrays(gg: GGraph):
     strips = [(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
     S_v = np.empty((n, n_v), dtype=np.int32)
     for lvl in gg.levels:
-        reps = np.array([c.rep for c in lvl.cosets])
+        reps = lvl.reps
         # delta_g(<s>x) = <s>(x g); row g, columns = cosets of this level
         for r0, r1 in strips:
             cols = S_v[r0:r1, lvl.offset : lvl.offset + len(reps)]
@@ -229,7 +243,7 @@ def shifts(gg: GGraph) -> list[GraphAut]:
 def colour_clique(gg: GGraph, x: int) -> list[int]:
     """C_x: the vertex <s_i>x of every level."""
     x = _index(x, "element", gg.group.order)
-    return [gg.vertex_of(i, x) for i in range(gg.n_levels)]
+    return [lvl.offset + int(lvl.membership[x]) for lvl in gg.levels]
 
 
 def level_vertices(gg: GGraph, i: int) -> list[int]:
@@ -333,7 +347,10 @@ def verify_structure(gg: GGraph) -> StructureReport:
 
     # 2. every level is stabilized setwise by every shift
     parts = np.array([v.part for v in g.vertices], dtype=np.int64)
-    ok2 = all((parts[S_v[r]] == parts).all() for r in read)
+    # a graph with more or fewer vertices than the layout fails
+    ok2 = len(parts) == len(gg.level_of) and all(
+        (parts[S_v[r]] == parts).all() for r in read
+    )
     items.append(ItemReport(2, "levels stable", ok2, "checked all |G| shifts"))
 
     # 3. shifts permute colour cliques: delta_g'(C_g) = C_{g g'}
@@ -381,7 +398,7 @@ def verify_structure(gg: GGraph) -> StructureReport:
         for i, a in enumerate(subs) for j, b in enumerate(subs)
     }
     # each vertex's level and coset by the layout rule, whatever its tag
-    level = [lvl.index for lvl in gg.levels for _ in lvl.cosets]
+    level = gg.level_of
     coset = [c.elems for lvl in gg.levels for c in lvl.cosets]
     ok5 = True
     bad = ""

@@ -409,9 +409,8 @@ def _audit_graph(n: int, gg: GGraph) -> list[ItemReport]:
     expected = n * (n - 1)
     part0 = level_vertices(gg, 0)
     part1 = level_vertices(gg, 1)
-    crossing = all(
-        gg.vertex_level(e.u) != gg.vertex_level(e.v) for e in gg.graph.edges
-    )
+    level = gg.level_of
+    crossing = all(level[e.u] != level[e.v] for e in gg.graph.edges)
     items = [ItemReport(2, "edges join the two levels", crossing, "")]
     deg0 = [gg.graph.degree(v) for v in part0]
     items.append(

@@ -30,7 +30,7 @@ from .errors import (
     WitnessInvalid,
     resolve_budget,
 )
-from .ggraph import GGraph, level_vertices
+from .ggraph import GGraph, colour_clique, level_vertices
 from .multigraph import (
     GraphAut,
     IsoWitness,
@@ -138,20 +138,21 @@ def incidence_preimage(gg: GGraph) -> PreimageResult:
 
     sverts = level_vertices(gg, s_level)
     tverts = level_vertices(gg, t_level)
-    pos = {v: i for i, v in enumerate(sverts)}
+    # s-level vertex v is preimage vertex v - offset, the position of its
+    # coset in the level
+    member = gg.levels[s_level].membership
+    reps = gg.levels[t_level].reps
+    ends = zip(member[reps].tolist(), member[grp.mul[t, reps]].tolist())
     pre = Multigraph()
     for v in sverts:
         pre.add_vertex(gg.graph.vertices[v].label)
-    for v in tverts:
-        r = gg.vertex_coset(v).rep
-        a = pos[gg.vertex_of(s_level, r)]
-        b = pos[gg.vertex_of(s_level, int(grp.mul[t, r]))]
+    for v, (a, b) in zip(tverts, ends):
         pre.add_edge(a, b, gg.graph.vertices[v].label)
 
     ig = incidence_graph(pre)
     vmap = [0] * gg.graph.n_vertices
-    for v in sverts:
-        vmap[v] = pos[v]
+    for k, v in enumerate(sverts):
+        vmap[v] = k
     for k, v in enumerate(tverts):
         vmap[v] = ig.vertex_for_edge(k)
     emap = induced_edge_map(gg.graph, ig.graph, vmap)
@@ -284,15 +285,14 @@ def necessary_bipartite_witness(
     graph = gg.graph
     if len(level_vertices(gg, 0)) != len(level_vertices(gg, 1)):
         return None
-    u0 = gg.vertex_of(0, grp.identity)
-    u1 = gg.vertex_of(1, grp.identity)
+    u0, u1 = colour_clique(gg, grp.identity)
 
     # the first copy of the graph colours each vertex by its level and the
     # second by the other level, so every colour-preserving map swaps the
     # levels; the seed pairs the identity-coset vertices so that f will fix
     # the label e.
     n = graph.n_vertices
-    level = [gg.vertex_level(v) for v in range(n)]
+    level = gg.level_of
     colors = level + [1 - c for c in level]
     colors[u0] = colors[n + u1] = 2
     colors[u1] = colors[n + u0] = 3
@@ -343,11 +343,12 @@ def witness_automorphism(gg: GGraph, w: IncidenceWitnessMap) -> GraphAut:
     f = w.f
     if sorted(f) != list(range(gg.group.order)):
         raise WitnessInvalid("f is not a permutation of the group")
+    # level i's vertex <s_i>x goes to the other level's <s_j>f(x)
+    f_arr = np.asarray(f)
     vmap = [0] * gg.graph.n_vertices
-    for v in level_vertices(gg, 0):
-        vmap[v] = gg.vertex_of(1, f[gg.vertex_coset(v).rep])
-    for v in level_vertices(gg, 1):
-        vmap[v] = gg.vertex_of(0, f[gg.vertex_coset(v).rep])
+    for lvl, other in zip(gg.levels, gg.levels[::-1]):
+        img = other.offset + other.membership[f_arr[lvl.reps]]
+        vmap[lvl.offset : lvl.offset + len(img)] = img.tolist()
     emap = [f[x] for x in gg.edge_glabel.tolist()]  # edge x is labelled x
     out = GraphAut(tuple(vmap), tuple(emap))
     if map_defect(gg.graph, gg.graph, [vmap], [emap]) is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -364,33 +365,21 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
     if rebuilt.graph.n_vertices != g.n_vertices:
         raise InternalAssertion("vertex counts differ after reconstruction")
 
-    # chosen edges x0: one per level pair, plus one loop per level
-    L = len(C)
-    x0 = {}
-    for i in range(L):
-        for j in range(i + 1, L):
-            x0[(i, j)] = g.edges_between(C[i], C[j])[0]
-        if with_loops:
-            x0[(i, i)] = g.loops_at(C[i])[0]
+    # chosen edges x0 in the order of rebuilt's edge blocks: one per level
+    # pair, then one loop per level
+    x0 = [g.edges_between(u, v)[0] for u, v in combinations(C, 2)]
+    if with_loops:
+        x0 += [g.loops_at(u)[0] for u in C]
 
-    # group element x is row x of H
+    # group element x is row x of H; level i holds the cosets of its reps,
+    # and edge block b holds the labels that map x0[b]
     nv, inv = g.n_vertices, grp.inv
-    vimg = []
-    for v in range(rebuilt.graph.n_vertices):
-        lvl = rebuilt.vertex_level(v)
-        rep = rebuilt.vertex_coset(v).rep
-        vimg.append(int(rows[inv[rep], C[lvl]]))
-    eimg = []
-    for e in rebuilt.graph.edges:
-        x = int(rebuilt.edge_glabel[e.id])
-        if e.u == e.v:
-            pair = (rebuilt.vertex_level(e.u),) * 2
-        else:
-            i, j = rebuilt.vertex_level(e.u), rebuilt.vertex_level(e.v)
-            pair = (min(i, j), max(i, j))
-        eimg.append(int(rows[inv[x], nv + x0[pair]]) - nv)
-
-    iso = IsoWitness(tuple(vimg), tuple(eimg))
+    vimg = np.concatenate(
+        [rows[inv[lvl.reps], C[i]] for i, lvl in enumerate(rebuilt.levels)]
+    )
+    col = nv + np.repeat(np.array(x0, dtype=np.intp), grp.order)
+    eimg = rows[inv[rebuilt.edge_glabel], col] - nv
+    iso = IsoWitness(tuple(vimg.tolist()), tuple(eimg.tolist()))
     if not verify_iso_witness(rebuilt.graph, g, iso, respect_parts=False):
         raise InternalAssertion("reconstruction isomorphism failed verification")
     return ReconstructionResult(grp, tuple(gens), rebuilt, iso, report)

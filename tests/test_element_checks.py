@@ -39,6 +39,13 @@ BAD_CALLS = [
     ("subgroup_group-empty", lambda: al.subgroup_group(Z6, [])),
     ("subgroup_group-too-large", lambda: al.subgroup_group(Z6, [0, 7])),
     ("level_vertices-too-large", lambda: gg.level_vertices(gg.build_phi(Z6, [2, 3]), 5)),
+    ("vertex_of-negative-element", lambda: gg.build_phi(Z6, [2, 3]).vertex_of(0, -1)),
+    ("vertex_of-negative-level", lambda: gg.build_phi(Z6, [2, 3]).vertex_of(-1, 0)),
+    ("vertex_coset-negative", lambda: gg.build_phi(Z6, [2, 3]).vertex_coset(-1)),
+    ("vertex_of-element-too-large", lambda: gg.build_phi(Z6, [2, 3]).vertex_of(0, 6)),
+    ("vertex_of-level-too-large", lambda: gg.build_phi(Z6, [2, 3]).vertex_of(2, 0)),
+    ("vertex_level-too-large", lambda: gg.build_phi(Z6, [2, 3]).vertex_level(5)),
+    ("vertex_of-float", lambda: gg.build_phi(Z6, [2, 3]).vertex_of(0, 2.0)),
     ("conjugate_tau-float", lambda: ikn.conjugate_tau(5, ikn.search_tau(5).certificates[0].tau, 1.5)),
 ]
 
