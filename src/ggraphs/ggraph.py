@@ -8,11 +8,12 @@ level of s (one per coset element). Repeated occurrences of the same
 generator produce distinct levels.
 
 Vertex ids are laid out level block by level block, cosets ordered by
-ascending representative (minimal element). Edge ids come in blocks of |G|.
-Block p < P, for the p-th level pair (i, j) with i < j in lexicographic order
-and P the number of pairs, holds the cross edges: edge p*|G| + x is labelled
-x.  In Psi, block P + i holds the loops of level i, in coset order and
-ascending within each coset.  Everything downstream relies on this rule.
+ascending representative (minimal element). Edge ids come in blocks of |G|,
+one per entry of ``_blocks(L, with_loops)``: the level pairs (i, j) with
+i < j in lexicographic order, then in Psi (i, i) for the loops of each level
+i.  Edge b*|G| + k is labelled ``_block_labels(levels, i, j, |G|)[k]`` for
+block b = (i, j), and joins the cosets of its label on levels i and j.
+Everything downstream relies on this rule.
 
 The edges of ``gg.graph`` carry no label string: ``gg.edge_glabel[e]`` is
 the element of edge e.  Names are computed only when written out:
@@ -109,9 +110,7 @@ class GGraph:
         return lvl.offset + int(lvl.membership[_index(x, "element", self.group.order)])
 
     def is_simple(self) -> bool:
-        return not self.with_loops and all(
-            len(ids) == 1 for ids in self.graph.multi_edges().values()
-        )
+        return not self.with_loops and self.graph.first_multiple_edge() is None
 
 
 def _check_gens(group: FiniteGroup, gens) -> tuple[int, ...]:
@@ -127,13 +126,30 @@ EDGE_CAP = 1 << 20
 SHIFT_CAP = 1 << 28
 
 
+def _blocks(n_levels: int, with_loops: bool) -> list[tuple[int, int]]:
+    """The edge blocks in layout order: each level pair (i, j) with i < j,
+    lexicographically, then (i, i) for the loops of each level in Psi."""
+    pairs = list(combinations(range(n_levels), 2))
+    return pairs + ([(i, i) for i in range(n_levels)] if with_loops else [])
+
+
+def _block_labels(levels, i: int, j: int, n: int) -> np.ndarray:
+    """The labels of block (i, j), edge k of the block first: k itself for
+    a level pair; for the loops of level i, its cosets in turn, each in
+    ascending order."""
+    if i != j:
+        return np.arange(n)
+    return np.argsort(levels[i].membership, kind="stable")
+
+
 def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
-    """Phi or Psi of (group, gens).  Its C(L,2)·|G| edges, plus L·|G| loops
-    for Psi, are counted before the first vertex is added: above
-    EDGE_CAP = 2^20 it raises CapExceeded."""
+    """Phi or Psi of (group, gens).  Its |G| edges per block of _blocks
+    are counted before the first vertex is added: above EDGE_CAP = 2^20 it
+    raises CapExceeded."""
     gens = _check_gens(group, gens)
     n = group.order
-    n_edges = (math.comb(len(gens), 2) + (len(gens) if with_loops else 0)) * n
+    blocks = _blocks(len(gens), with_loops)
+    n_edges = len(blocks) * n
     if n_edges > EDGE_CAP:
         raise CapExceeded("G-graph with %d edges exceeds cap %d" % (n_edges, EDGE_CAP))
     graph = Multigraph()
@@ -146,18 +162,14 @@ def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
         )
         for c in cosets:
             graph.add_vertex(label="%d:%d" % (i, c.rep), part=i)
-    # edges in the order of the module docstring's layout rule
+    # edge k of block (i, j) joins the cosets of its label on levels i and j
     glabels = []
-    for li, lj in combinations(levels, 2):
-        for a, b in zip(li.membership.tolist(), lj.membership.tolist()):
-            graph.add_edge(li.offset + a, lj.offset + b)
-        glabels.extend(range(n))
-    if with_loops:
-        for lvl in levels:
-            for v, c in enumerate(lvl.cosets, lvl.offset):
-                for _ in c.elems:
-                    graph.add_edge(v, v)
-                glabels.extend(c.elems)
+    for i, j in blocks:
+        labels = _block_labels(levels, i, j, n)
+        ends = [lvl.offset + lvl.membership[labels] for lvl in (levels[i], levels[j])]
+        for a, b in zip(*(x.tolist() for x in ends)):
+            graph.add_edge(a, b)
+        glabels.extend(labels.tolist())
     return GGraph(
         group=group,
         gens=gens,
@@ -204,14 +216,7 @@ def _shift_arrays(gg: GGraph):
     SHIFT_CAP = 2^28 (1 GiB) CapExceeded is raised before either exists."""
     grp = gg.group
     n = grp.order
-    # delta_g maps the edge labelled x to the edge labelled xg of the same
-    # block; pos[y] is where the label y sits in its block (None: at y)
-    blocks = [None] * math.comb(gg.n_levels, 2)
-    if gg.with_loops:
-        for lvl in gg.levels:
-            pos = np.empty(n, dtype=np.int32)
-            pos[np.argsort(lvl.membership, kind="stable")] = np.arange(n)
-            blocks.append(pos)
+    blocks = _blocks(gg.n_levels, gg.with_loops)
     n_v = sum(len(lvl.cosets) for lvl in gg.levels)
     entries = n * (n_v + len(blocks) * n)
     if entries > SHIFT_CAP:
@@ -224,13 +229,19 @@ def _shift_arrays(gg: GGraph):
         for r0, r1 in strips:
             cols = S_v[r0:r1, lvl.offset : lvl.offset + len(reps)]
             np.add(lvl.membership[grp.mul[reps, r0:r1].T], lvl.offset, out=cols)
+    # delta_g maps the edge labelled x to the edge labelled xg of the same
+    # block: edge base + xg of a level pair, whose labels are added without
+    # a gather, and edge base + pos[xg] of a loop block
     S_e = np.empty((n, len(blocks) * n), dtype=np.int32)
-    for b, pos in enumerate(blocks):
+    for b, (i, j) in enumerate(blocks):
         base = b * n
         labels = gg.edge_glabel[base : base + n]
+        if i == j:  # pos[y] is where the label y sits; int32 gathers faster
+            pos = np.empty(n, dtype=np.int32)
+            pos[_block_labels(gg.levels, i, j, n)] = np.arange(n)
         for r0, r1 in strips:
             img = grp.mul[labels, r0:r1].T  # row g: labels times g
-            np.add(img if pos is None else pos[img], base, out=S_e[r0:r1, base : base + n])
+            np.add(img if i != j else pos[img], base, out=S_e[r0:r1, base : base + n])
     return S_v, S_e
 
 
@@ -305,7 +316,7 @@ def verify_structure(gg: GGraph) -> StructureReport:
 
     Where a premise fails, that item reads every shift or colour, _BLOCK
     rows at a time, so the report is the same either way.  Item 4 counts
-    the edges of each level pair from the multi-edge index.  Item 5 takes
+    the edges of each block of _blocks from the multi-edge index.  Item 5 takes
     each vertex's level and coset from the layout rule, not from its part
     tag, which items 2 and 4 check."""
     grp = gg.group
@@ -373,12 +384,9 @@ def verify_structure(gg: GGraph) -> StructureReport:
         )
     )
 
-    # 4. |G| edges between each pair of levels (and |G| loops per level),
-    # and no others; keys are (level, level, is a loop)
-    L = gg.n_levels
-    want = Counter({(i, j, False): n for i in range(L) for j in range(i + 1, L)})
-    if gg.with_loops:
-        want.update({(i, i, True): n for i in range(L)})
+    # 4. |G| edges in each block of _blocks, and no others; keys are
+    # (level, level, is a loop)
+    want = Counter({(i, j, i == j): n for i, j in _blocks(gg.n_levels, gg.with_loops)})
     got = Counter()
     for (u, v), ids in by_pair.items():
         got[(*sorted((int(parts[u]), int(parts[v]))), u == v)] += len(ids)
@@ -403,14 +411,15 @@ def verify_structure(gg: GGraph) -> StructureReport:
     ok5 = True
     bad = ""
     for (u, v), ids in by_pair.items():
-        labels = gg.edge_glabel[ids].tolist()
-        rows, membership = meet[level[u], level[v]]
         # labels must be exactly the coset intersection, which in turn must
-        # be the right coset (<s> inter <t>) * min
-        cosets_meet = sorted(set(coset[u]).intersection(coset[v]))
+        # be the right coset (<s> inter <t>) * min; an end beyond the
+        # layout (u <= v) has no coset
+        cosets_meet = sorted(set(coset[u]).intersection(coset[v])) if v < len(coset) else []
+        if cosets_meet:
+            rows, membership = meet[level[u], level[v]]
         if (
             not cosets_meet  # the ends share no element
-            or sorted(labels) != cosets_meet
+            or sorted(gg.edge_glabel[ids].tolist()) != cosets_meet
             or cosets_meet != rows[membership[cosets_meet[0]]].tolist()
         ):
             ok5 = False

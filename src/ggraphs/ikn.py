@@ -45,7 +45,17 @@ if TYPE_CHECKING:  # the numpy layers load only when a group is built
     from .ggraph import GGraph, ItemReport
 
 SEARCH_MODES = ("first_only", "all", "up_to_conjugacy")
-OBSTRUCTION_KINDS = ("Mod4", "Mod6", "Mod24", "ExhaustiveSearch")
+# each modular obstruction kind: its test on n and its describe() text,
+# in the order obstructions(n) lists them
+_MODULAR = {
+    "Mod4": (lambda n: n > 2 and n % 4 == 2,
+             "n = %d > 2 and n = 2 (mod 4): sigma is even but tau is odd"),
+    "Mod6": (lambda n: n % 6 == 0,
+             "6 divides n = %d: no <rho,tau> orbit partition fits"),
+    "Mod24": (lambda n: n % 24 in (15, 21),
+              "n = %d is 15 or 21 (mod 24): the residue map parity count fails"),
+}
+OBSTRUCTION_KINDS = (*_MODULAR, "ExhaustiveSearch")
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +230,8 @@ class Obstruction:
         return cls(n, kind)
 
     def describe(self) -> str:
-        if self.kind == "Mod4":
-            return "n = %d > 2 and n = 2 (mod 4): sigma is even but tau is odd" % self.n
-        if self.kind == "Mod6":
-            return "6 divides n = %d: no <rho,tau> orbit partition fits" % self.n
-        if self.kind == "Mod24":
-            return "n = %d is 15 or 21 (mod 24): the residue map parity count fails" % self.n
+        if self.kind in _MODULAR:
+            return _MODULAR[self.kind][1] % self.n
         return "exhaustive search for n = %d found no certificate" % self.n
 
 
@@ -234,14 +240,7 @@ def obstructions(n: int) -> tuple[Obstruction, ...]:
     n = _index(n, "n")
     if n < 2:
         raise PreconditionFailed("need n >= 2")
-    out = []
-    if n > 2 and n % 4 == 2:
-        out.append(Obstruction(n, "Mod4"))
-    if n % 6 == 0:
-        out.append(Obstruction(n, "Mod6"))
-    if n % 24 in (15, 21):
-        out.append(Obstruction(n, "Mod24"))
-    return tuple(out)
+    return tuple(Obstruction(n, kind) for kind, (holds, _) in _MODULAR.items() if holds(n))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +409,9 @@ def _audit_graph(n: int, gg: GGraph) -> list[ItemReport]:
     part0 = level_vertices(gg, 0)
     part1 = level_vertices(gg, 1)
     level = gg.level_of
-    crossing = all(level[e.u] != level[e.v] for e in gg.graph.edges)
+    # an end beyond the layout lies on neither level
+    crossing = all(max(e.u, e.v) < len(level) and level[e.u] != level[e.v]
+                   for e in gg.graph.edges)
     items = [ItemReport(2, "edges join the two levels", crossing, "")]
     deg0 = [gg.graph.degree(v) for v in part0]
     items.append(

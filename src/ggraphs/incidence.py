@@ -12,6 +12,7 @@ exists.  Absence of a witness in one direction never decides the other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,21 +210,26 @@ def sufficient_bipartite_test(
 
     For a homomorphism with f(e) = e, the displacement conditions
     f(sx) in <t>f(x), f(tx) in <s>f(x) reduce to the generator conditions,
-    so candidates are the pairs (f(s), f(t)) = (t^m, s^n) in (m, n) order;
-    each is extended over G by word evaluation and kept only when the
-    extension is consistent, which makes it a homomorphism, and involutive:
-    the homomorphism f.f is the identity when it fixes s and t.
+    so candidates are the pairs (f(s), f(t)) = (t^m, s^n) in (m, n) order.
+    For such a homomorphism f.f sends s to s^(mn) and t to t^(mn), so it is
+    an involution exactly when mn = 1 (mod L), L = lcm(o(s), o(t)).  Each m
+    prime to L has one such n below L, n = m^-1 (mod L), and it is a
+    candidate when n < o(s); no other n for that m can give an involution.
+    That one n is extended over G by word evaluation and kept only when the
+    extension is consistent, which makes it a homomorphism, and involutive,
+    which is checked again on s and t.
     Finding a witness proves that I(Phi(G, {s,t})) is a G-graph; absence
     proves nothing.
     """
     if generated_subgroup(g, [s, t]) != tuple(range(g.order)):
         raise PreconditionFailed("s and t do not generate the group")
-    s_powers = _powers(g, s)
-    for m, fs in enumerate(_powers(g, t)):
-        for n, ft in enumerate(s_powers):
-            f = _extend_by_words(g, s, t, fs, ft)
-            if f is None or f[f[s]] != s or f[f[t]] != t:
-                continue
+    s_powers, t_powers = _powers(g, s), _powers(g, t)
+    L = math.lcm(len(s_powers), len(t_powers))
+    for m, fs in enumerate(t_powers):
+        if math.gcd(m, L) != 1 or (n := pow(m, -1, L)) >= len(s_powers):
+            continue
+        f = _extend_by_words(g, s, t, fs, s_powers[n])
+        if f is not None and f[f[s]] == s and f[f[t]] == t:
             return IncidenceWitnessMap(
                 f=tuple(f),
                 involutive=True,
@@ -307,7 +313,7 @@ def necessary_bipartite_witness(
     if not tau.compose(tau).is_identity():
         raise InternalAssertion("matched automorphism is not an involution")
 
-    # over one level pair the edge labelled x is edge x (ggraph's layout)
+    # edge x is labelled x: block (0, 1) of a two-level Phi (_block_labels)
     f = [int(gg.edge_glabel[emap[x]]) for x in range(grp.order)]
 
     if f[grp.identity] != grp.identity:
@@ -349,7 +355,8 @@ def witness_automorphism(gg: GGraph, w: IncidenceWitnessMap) -> GraphAut:
     for lvl, other in zip(gg.levels, gg.levels[::-1]):
         img = other.offset + other.membership[f_arr[lvl.reps]]
         vmap[lvl.offset : lvl.offset + len(img)] = img.tolist()
-    emap = [f[x] for x in gg.edge_glabel.tolist()]  # edge x is labelled x
+    # edge x is labelled x: block (0, 1) of a two-level Phi (_block_labels)
+    emap = [f[x] for x in gg.edge_glabel.tolist()]
     out = GraphAut(tuple(vmap), tuple(emap))
     if map_defect(gg.graph, gg.graph, [vmap], [emap]) is not None:
         raise WitnessInvalid("witness map does not induce an automorphism")

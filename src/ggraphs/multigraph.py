@@ -106,6 +106,11 @@ class Multigraph:
             self._multi = out
         return self._multi
 
+    def first_multiple_edge(self) -> tuple[int, int] | None:
+        """The end pair of the first multi-edge with more than one edge, or
+        None when every multi-edge has one."""
+        return next((uv for uv, ids in self.multi_edges().items() if len(ids) > 1), None)
+
     def has_loops(self) -> bool:
         return any(e.u == e.v for e in self.edges)
 

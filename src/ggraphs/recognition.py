@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -31,12 +30,13 @@ from .errors import (
     WitnessInvalid,
     _json_int,
 )
-from .ggraph import GGraph, build_phi, build_psi, colour_clique, shifts
+from .ggraph import GGraph, _blocks, build_phi, build_psi, colour_clique, shifts
 from .multigraph import (
     GraphAut,
     IsoWitness,
     Multigraph,
     _permutation_rows,
+    induced_edge_map,
     map_defect,
     verify_iso_witness,
 )
@@ -365,11 +365,9 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
     if rebuilt.graph.n_vertices != g.n_vertices:
         raise InternalAssertion("vertex counts differ after reconstruction")
 
-    # chosen edges x0 in the order of rebuilt's edge blocks: one per level
-    # pair, then one loop per level
-    x0 = [g.edges_between(u, v)[0] for u, v in combinations(C, 2)]
-    if with_loops:
-        x0 += [g.loops_at(u)[0] for u in C]
+    # one chosen edge x0 per edge block of rebuilt: the first between C[i]
+    # and C[j], a loop when i = j
+    x0 = [g.edges_between(C[i], C[j])[0] for i, j in _blocks(len(C), with_loops)]
 
     # group element x is row x of H; level i holds the cosets of its reps,
     # and edge block b holds the labels that map x0[b]
@@ -390,17 +388,16 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
 
 
 def infer_edge_map(g: Multigraph, vmap) -> tuple[int, ...]:
-    """The unique edge map compatible with vmap, when one exists."""
-    em = []
-    for e in g.edges:
-        cands = g.edges_between(vmap[e.u], vmap[e.v])
-        if len(cands) != 1:
-            raise WitnessInvalid(
-                "edge map for edge %d is not inferable (%d candidates);"
-                " supply H_generator_edge_maps" % (e.id, len(cands))
-            )
-        em.append(cands[0])
-    return tuple(em)
+    """The edge map that vmap induces (multigraph.induced_edge_map), when
+    every multi-edge of g has multiplicity one."""
+    uv = g.first_multiple_edge()
+    if uv is not None:
+        raise WitnessInvalid("edge map is not inferable: multi-edge %r has %d edges;"
+                             " supply H_generator_edge_maps" % (uv, g.multiplicity(*uv)))
+    em = induced_edge_map(g, g, vmap)
+    if em is None:
+        raise WitnessInvalid("edge map is not inferable: the vertex map is no automorphism")
+    return em
 
 
 def witness_to_json(g: Multigraph, w: RecognitionWitness) -> dict:
@@ -408,7 +405,7 @@ def witness_to_json(g: Multigraph, w: RecognitionWitness) -> dict:
         "H_generators": [list(a.vertex_map) for a in w.H],
         "C": list(w.C),
     }
-    if any(len(ids) > 1 for ids in g.multi_edges().values()):
+    if g.first_multiple_edge() is not None:
         data["H_generator_edge_maps"] = [list(a.edge_map) for a in w.H]
     return data
 
