@@ -1,13 +1,17 @@
 """Time the exact group and G-graph checks at scale, with peak memory.
 
-For each symmetric group S_n named, a fresh interpreter runs three phases
+For each symmetric group S_n named, a fresh interpreter runs five phases
 on Phi(S_n, {(1,2), (1,2,...,n)}) and reports each one's seconds:
 
 - ``parse_group``: closure, Cayley table and its generator-cost check;
 - ``build_phi``: levels, vertices and edges;
-- ``verify_structure``: the five structural checks (all must pass).
+- ``verify_structure``: the five structural checks (all must pass);
+- ``shifts_of``: the recognition witness, H the |G| distinct shifts as
+  one int32 array;
+- ``reconstruct``: the characterisation checks on that witness, the group
+  rebuilt from H and the verified isomorphism (H must have |G| elements).
 
-Before the timed phases the child runs all three once, untimed, on S3, so
+Before the timed phases the child runs all five once, untimed, on S3, so
 numpy's first-call costs land in no timed phase: a phase's time does not
 move when work moves between phases.  Peak RSS is the process's
 high-water mark (``ru_maxrss``) read after each phase, so it includes the
@@ -33,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = ROOT / "benchmarks" / "BENCH_structure_scale.json"
-PHASES = ("parse_group", "build_phi", "verify_structure")
+PHASES = ("parse_group", "build_phi", "verify_structure", "shifts_of", "reconstruct")
 
 CHILD = """
 import json, resource, sys, time
@@ -43,9 +47,12 @@ def peak_mib():
 
 from ggraphs.algebra import parse_element, parse_group
 from ggraphs.ggraph import build_phi, verify_structure
+from ggraphs.recognition import reconstruct, shifts_of
 
 s3 = parse_group("S3")
-verify_structure(build_phi(s3, [parse_element(s3, "(1,2)"), parse_element(s3, "(1,2,3)")]))
+x = build_phi(s3, [parse_element(s3, "(1,2)"), parse_element(s3, "(1,2,3)")])
+verify_structure(x)
+reconstruct(x.graph, shifts_of(x))
 spec = sys.argv[1]
 n = int(spec[1:])
 peak = {"import": peak_mib()}
@@ -63,9 +70,18 @@ t = time.perf_counter()
 report = verify_structure(x)
 seconds["verify_structure"] = time.perf_counter() - t
 peak["verify_structure"] = peak_mib()
+t = time.perf_counter()
+w = shifts_of(x)
+seconds["shifts_of"] = time.perf_counter() - t
+peak["shifts_of"] = peak_mib()
+t = time.perf_counter()
+rebuilt = reconstruct(x.graph, w)
+seconds["reconstruct"] = time.perf_counter() - t
+peak["reconstruct"] = peak_mib()
 print(json.dumps({
     "group": spec, "order": g.order, "vertices": x.graph.n_vertices,
-    "edges": x.graph.n_edges, "all_ok": report.all_ok,
+    "edges": x.graph.n_edges,
+    "all_ok": report.all_ok and len(w.H) == rebuilt.group.order == g.order,
     "seconds": seconds, "peak_rss_mib": peak,
 }))
 """
@@ -127,7 +143,7 @@ def main():
     for spec in groups:
         rows = [run_child(spec) for _ in range(args.repeats)]
         if not all(r["all_ok"] for r in rows):
-            raise SystemExit("verify_structure failed on %s" % spec)
+            raise SystemExit("verify_structure or reconstruct failed on %s" % spec)
         runs.extend(rows)
         cells = [
             "%7.3f / %6.1f" % (

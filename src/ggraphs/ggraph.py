@@ -46,7 +46,7 @@ from .algebra import (
 )
 from .errors import CapExceeded, InternalAssertion, PreconditionFailed, _index
 from .multigraph import (
-    GraphAut,
+    GraphAutRows,
     IsoWitness,
     Multigraph,
     connected_components,
@@ -213,14 +213,22 @@ def _shift_arrays(gg: GGraph):
     Their columns are the vertices and edges that the layout rule gives the
     levels, not those of gg.graph, so an extra edge there leaves no column
     unwritten.  Together they hold |G|·(vertices + edges) entries; above
-    SHIFT_CAP = 2^28 (1 GiB) CapExceeded is raised before either exists."""
+    SHIFT_CAP = 2^28 (1 GiB) CapExceeded is raised before either exists.
+    The edge actions read each block's labels from gg.edge_glabel; when it
+    does not give every edge of the layout an element of G, they are not
+    defined, and PreconditionFailed is raised."""
     grp = gg.group
     n = grp.order
     blocks = _blocks(gg.n_levels, gg.with_loops)
-    n_v = sum(len(lvl.cosets) for lvl in gg.levels)
-    entries = n * (n_v + len(blocks) * n)
+    n_v, n_e = sum(len(lvl.cosets) for lvl in gg.levels), len(blocks) * n
+    entries = n * (n_v + n_e)
     if entries > SHIFT_CAP:
         raise CapExceeded("shift arrays of %d entries exceed cap %d" % (entries, SHIFT_CAP))
+    labelled = gg.edge_glabel[:n_e]
+    if len(labelled) < n_e or ((labelled < 0) | (labelled >= n)).any():
+        raise PreconditionFailed(
+            "edge_glabel does not label the %d edges of the layout with elements of G" % n_e
+        )
     strips = [(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
     S_v = np.empty((n, n_v), dtype=np.int32)
     for lvl in gg.levels:
@@ -232,7 +240,7 @@ def _shift_arrays(gg: GGraph):
     # delta_g maps the edge labelled x to the edge labelled xg of the same
     # block: edge base + xg of a level pair, whose labels are added without
     # a gather, and edge base + pos[xg] of a loop block
-    S_e = np.empty((n, len(blocks) * n), dtype=np.int32)
+    S_e = np.empty((n, n_e), dtype=np.int32)
     for b, (i, j) in enumerate(blocks):
         base = b * n
         labels = gg.edge_glabel[base : base + n]
@@ -245,10 +253,12 @@ def _shift_arrays(gg: GGraph):
     return S_v, S_e
 
 
-def shifts(gg: GGraph) -> list[GraphAut]:
-    """All |G| shifts; entry g is delta_g."""
+def shifts(gg: GGraph) -> GraphAutRows:
+    """All |G| shifts as one array over the layout's vertices and edges;
+    entry g is delta_g."""
     S_v, S_e = _shift_arrays(gg)
-    return [GraphAut(tuple(v), tuple(e)) for v, e in zip(S_v.tolist(), S_e.tolist())]
+    S_e += S_v.shape[1]
+    return GraphAutRows(np.hstack((S_v, S_e)), S_v.shape[1])
 
 
 def colour_clique(gg: GGraph, x: int) -> list[int]:
@@ -357,7 +367,7 @@ def verify_structure(gg: GGraph) -> StructureReport:
     )
 
     # 2. every level is stabilized setwise by every shift
-    parts = np.array([v.part for v in g.vertices], dtype=np.int64)
+    parts = np.array([-1 if v.part is None else v.part for v in g.vertices], dtype=np.int64)
     # a graph with more or fewer vertices than the layout fails
     ok2 = len(parts) == len(gg.level_of) and all(
         (parts[S_v[r]] == parts).all() for r in read
@@ -419,6 +429,7 @@ def verify_structure(gg: GGraph) -> StructureReport:
             rows, membership = meet[level[u], level[v]]
         if (
             not cosets_meet  # the ends share no element
+            or ids[-1] >= len(gg.edge_glabel)  # an edge with no label
             or sorted(gg.edge_glabel[ids].tolist()) != cosets_meet
             or cosets_meet != rows[membership[cosets_meet[0]]].tolist()
         ):

@@ -117,7 +117,11 @@ class TauReport:
 
 
 def verify_tau(n: int, tau: Perm) -> TauReport:
-    """Check the three certificate conditions, reporting every failure."""
+    """Check the three certificate conditions, reporting every failure.
+
+    Both sides of the relation are built per k as lists of the images of
+    1..n, two list lookups per point: sigma^j is a rotation of one row, so
+    no permutation is built per k."""
     _check_tau_arg(n, tau)
     failures = []
     for p in range(1, n + 1):
@@ -127,20 +131,27 @@ def verify_tau(n: int, tau: Perm) -> TauReport:
     if tau(n) != n - 1:
         failures.append("tau(%d) = %d, expected %d" % (n, tau(n), n - 1))
     if not failures:
-        rs = make_rho_sigma(n)
-        row = rs.sigma.img[: n - 1] * 2  # sigma^j(p) = row[p + j - 2], 0 < j < n-1
+        rs, m = make_rho_sigma(n), n - 1
+        t = [0, *tau.img]  # t[p] = tau(p)
+        row = rs.sigma.img[:m] * 2  # sigma^j(p) = row[p - 2 + j % m] for p < n
+
+        def power(j: int) -> list[int]:
+            """sigma^j as a list: 0, then the images of 1..n."""
+            a = (j - 1) % m
+            return [0, *row[a : a + m], n]
+
         for k in range(1, n - 1):
-            e1 = tau(k)
-            e2 = tau(rs.rho(tau(k)))
-            sk, se1, se2 = (Perm((*row[j - 1 : j + n - 2], n)) for j in (k, e1, e2))
-            lhs = tau * sk * tau
-            rhs = se1 * tau * se2
+            e1 = t[k]
+            e2 = t[rs.rho(t[k])]
+            sk, se1, se2 = power(k), power(e1), power(e2)
+            lhs = [t[sk[x]] for x in tau.img]  # images of 1..n
+            rhs = [se1[t[y]] for y in se2[1:]]
             if lhs != rhs:
-                p = next(q for q in range(1, n + 1) if lhs(q) != rhs(q))
+                p = next(q for q in range(n) if lhs[q] != rhs[q]) + 1
                 failures.append(
                     "relation fails at k=%d: (tau sigma^%d tau)(%d) = %d but "
                     "(sigma^%d tau sigma^%d)(%d) = %d"
-                    % (k, k, p, lhs(p), e1, e2, p, rhs(p))
+                    % (k, k, p, lhs[p - 1], e1, e2, p, rhs[p - 1])
                 )
     return TauReport(n, not failures, tuple(failures))
 

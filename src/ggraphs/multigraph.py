@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,6 +240,60 @@ class GraphAut:
 
 
 IsoWitness = GraphAut
+
+
+class GraphAutRows(Sequence):
+    """A read-only sequence of GraphAut held as one int32 array: row i is
+    element i as one permutation of V and E taken together, its vertex map
+    followed by its edge map offset by n_vertices.  Indexing gives a
+    GraphAut, slicing gives a GraphAutRows, and + gives a list."""
+
+    __slots__ = ("rows", "n_vertices")
+
+    def __init__(self, rows: np.ndarray, n_vertices: int):
+        self.rows = rows.view()
+        self.rows.flags.writeable = False
+        self.n_vertices = n_vertices
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return GraphAutRows(self.rows[i], self.n_vertices)
+        return self._aut(self.rows[i].tolist())
+
+    def __iter__(self):
+        return map(self._aut, self.rows.tolist())
+
+    def _aut(self, row: list) -> GraphAut:
+        nv = self.n_vertices
+        return GraphAut(tuple(row[:nv]), tuple(x - nv for x in row[nv:]))
+
+    def __add__(self, other) -> list:
+        return list(self) + list(other)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, GraphAutRows)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
+def _row_order(rows: np.ndarray) -> np.ndarray:
+    """The stable order that sorts the rows of a non-negative int array as
+    tuples compare: each row's big-endian int32 bytes compare as one
+    string."""
+    if rows.shape[1] == 0:
+        return np.arange(len(rows))
+    keys = np.ascontiguousarray(rows, dtype=">i4").view(np.dtype((np.void, 4 * rows.shape[1])))
+    return np.argsort(keys.ravel(), kind="stable")
+
+
+def _repeats(sorted_rows: np.ndarray) -> np.ndarray:
+    """Which rows of a sorted array equal the row before them."""
+    out = np.zeros(len(sorted_rows), dtype=bool)
+    out[1:] = (sorted_rows[1:] == sorted_rows[:-1]).all(axis=1)
+    return out
 
 
 def _map_rows(maps, width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ verified isomorphism between the input and Phi/Psi(H, S).
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,23 +34,27 @@ from .errors import (
 from .ggraph import GGraph, _blocks, build_phi, build_psi, colour_clique, shifts
 from .multigraph import (
     GraphAut,
+    GraphAutRows,
     IsoWitness,
     Multigraph,
     _permutation_rows,
+    _repeats,
+    _row_order,
     induced_edge_map,
     map_defect,
     verify_iso_witness,
 )
 
 
-def close_under_composition(g: Multigraph, gens) -> list[GraphAut]:
+def close_under_composition(g: Multigraph, gens) -> GraphAutRows:
     """The subgroup generated by gens, sorted with the identity first.
 
     Each automorphism acts as one permutation of V and E taken together:
-    the vertex map, then the edge map offset by n_vertices.  Sorting is by
-    (vertex_map, edge_map); the identity is lexicographically minimal so it
-    always lands at index 0.  Above DEFAULT_CLOSURE_CAP elements, the cap
-    on every group table, it raises CapExceeded.
+    the vertex map, then the edge map offset by n_vertices, which is also
+    the row of the GraphAutRows returned.  Sorting is by (vertex_map,
+    edge_map); the identity is lexicographically minimal so it always lands
+    at index 0.  Above DEFAULT_CLOSURE_CAP elements, the cap on every group
+    table, it raises CapExceeded.
     """
     nv = g.n_vertices
     rows = [a.vertex_map + tuple(nv + x for x in a.edge_map) for a in gens]
@@ -57,23 +62,24 @@ def close_under_composition(g: Multigraph, gens) -> list[GraphAut]:
         closure = perm_closure(rows, nv + g.n_edges)
     except CapExceeded:
         raise CapExceeded("automorphism closure exceeds cap %d" % DEFAULT_CLOSURE_CAP) from None
-    return sorted(
-        GraphAut(tuple(row[:nv]), tuple(x - nv for x in row[nv:]))
-        for row in closure.elems.tolist()
-    )
+    return GraphAutRows(closure.elems[_row_order(closure.elems)], nv)
 
 
 @dataclass
 class RecognitionWitness:
-    """H: automorphism list closed under composition; C: candidate clique."""
+    """H: automorphisms closed under composition, a GraphAutRows or any
+    sequence of GraphAut; C: candidate clique."""
 
-    H: list[GraphAut]
+    H: Sequence[GraphAut]
     C: list[int]
 
 
 def shifts_of(gg: GGraph) -> RecognitionWitness:
-    """H = the distinct shifts, C = the colour clique of the identity."""
-    H = sorted(set(shifts(gg)))
+    """H = the distinct shifts in sorted order, C = the colour clique of the
+    identity."""
+    H = shifts(gg)
+    rows = H.rows[_row_order(H.rows)]
+    H = GraphAutRows(rows[~_repeats(rows)], H.n_vertices)
     return RecognitionWitness(H, colour_clique(gg, gg.group.identity))
 
 
@@ -167,16 +173,35 @@ class RecognitionReport:
 
 def _validate_maps(g: Multigraph, w: RecognitionWitness):
     """Hard structural validation; errors here make the checks meaningless.
-    Returns H's vertex maps and edge maps as (|H|, n) int32 arrays, in the
-    order of w.H."""
+    Returns H as one int32 array in the order of w.H, each row a
+    permutation of V and E taken together (the vertex map, then the edge
+    map offset by n_vertices), and the order that sorts its rows.
+
+    An int32 GraphAutRows over g's vertices and edges is validated and
+    returned as it is; any other sequence of GraphAut is converted here,
+    once."""
     nv, ne = g.n_vertices, g.n_edges
-    V, v_ok = _permutation_rows([a.vertex_map for a in w.H], nv, nv)
-    E, e_ok = _permutation_rows([a.edge_map for a in w.H], ne, ne)
+    H = w.H
+    if isinstance(H, GraphAutRows) and H.rows.dtype == np.int32 and (
+        H.n_vertices == nv and H.rows.shape[1] == nv + ne
+    ):
+        rows = H.rows
+        v_ok, e_ok = (
+            (np.sort(rows[:, lo:hi], axis=1) == np.arange(lo, hi)).all(axis=1)
+            for lo, hi in ((0, nv), (nv, nv + ne))
+        )
+    else:
+        V, v_ok = _permutation_rows([a.vertex_map for a in H], nv, nv)
+        E, e_ok = _permutation_rows([a.edge_map for a in H], ne, ne)
+        rows = None
     bad = np.flatnonzero(~(v_ok & e_ok))
     if len(bad):
         what = "edge" if v_ok[bad[0]] else "vertex"
         raise WitnessInvalid("an H element's %s map is not a permutation" % what)
-    if len({(v.tobytes(), e.tobytes()) for v, e in zip(V, E)}) != len(V):
+    if rows is None:
+        rows = np.hstack((V, E + nv))
+    order = _row_order(rows)
+    if _repeats(rows[order]).any():
         raise WitnessInvalid("H contains repeated elements")
     for u in w.C:
         if not 0 <= u < nv:
@@ -187,7 +212,7 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
         raise WitnessInvalid("H is empty")
     if not w.C:
         raise WitnessInvalid("C is empty")
-    return V, E
+    return rows, order
 
 
 def _closure_of(rows: np.ndarray) -> PermClosure | None:
@@ -219,14 +244,15 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
 
     H is validated and tested for automorphisms in the order given, so that
     the error or the detail names the first offending element."""
-    V, E = _validate_maps(g, w)
+    rows, order = _validate_maps(g, w)
+    nv = g.n_vertices
+    E = rows[:, nv:] - nv  # the edge maps in the order given
     details = []
-    reason = map_defect(g, g, V, E)
+    reason = map_defect(g, g, rows[:, :nv], E)
     if reason is not None:
         details.append("H element is not an automorphism: " + reason)
-    order = sorted(range(len(w.H)), key=w.H.__getitem__)
-    V, E = V[order], E[order]
-    rows = np.hstack((V, E + g.n_vertices))
+    rows = rows[order]
+    V = rows[:, :nv]
     if not (rows == np.arange(rows.shape[1])).all(axis=1).any():
         details.append("H does not contain the identity")
     closure = _closure_of(rows)
@@ -281,7 +307,7 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
             if not with_loops and orbit_of[u] == i:
                 continue
             regular, reason = acts_regularly_on_edges(
-                E[stab], edges_toward(g, u, orb)
+                E[order[stab]], edges_toward(g, u, orb)
             )
             if not regular:
                 details.append(
