@@ -11,6 +11,11 @@ on Phi(S_n, {(1,2), (1,2,...,n)}) and reports each one's seconds:
 - ``reconstruct``: the characterisation checks on that witness, the group
   rebuilt from H and the verified isomorphism (H must have |G| elements).
 
+After the timed phases, the child builds the same Phi once more, untimed,
+under tracemalloc, and reports the bytes it retains per edge
+(``bytes_per_edge``: the graph, its levels and its edge labels).  Tracing
+slows allocation, so it runs only there, where no phase is timed.
+
 Before the timed phases the child runs all five once, untimed, on S3, so
 numpy's first-call costs land in no timed phase: a phase's time does not
 move when work moves between phases.  Peak RSS is the process's
@@ -40,7 +45,7 @@ DEFAULT_OUT = ROOT / "benchmarks" / "BENCH_structure_scale.json"
 PHASES = ("parse_group", "build_phi", "verify_structure", "shifts_of", "reconstruct")
 
 CHILD = """
-import json, resource, sys, time
+import gc, json, resource, sys, time, tracemalloc
 
 def peak_mib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -78,11 +83,18 @@ t = time.perf_counter()
 rebuilt = reconstruct(x.graph, w)
 seconds["reconstruct"] = time.perf_counter() - t
 peak["reconstruct"] = peak_mib()
+gc.collect()
+tracemalloc.start()
+again = build_phi(g, gens)
+gc.collect()
+retained = tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
 print(json.dumps({
     "group": spec, "order": g.order, "vertices": x.graph.n_vertices,
     "edges": x.graph.n_edges,
     "all_ok": report.all_ok and len(w.H) == rebuilt.group.order == g.order,
     "seconds": seconds, "peak_rss_mib": peak,
+    "bytes_per_edge": retained / again.graph.n_edges,
 }))
 """
 
@@ -138,8 +150,8 @@ def main():
         ap.error("--repeats must be at least 1")
 
     runs = []
-    print("%-5s %6s  %s" % ("group", "order", "  ".join(
-        "%16s" % p for p in PHASES)) + "  (median s / max peak MiB)")
+    print("%-5s %6s  %s  %s" % ("group", "order", "  ".join(
+        "%16s" % p for p in PHASES), "B/edge") + "  (median s / max peak MiB)")
     for spec in groups:
         rows = [run_child(spec) for _ in range(args.repeats)]
         if not all(r["all_ok"] for r in rows):
@@ -152,7 +164,8 @@ def main():
             )
             for p in PHASES
         ]
-        print("%-5s %6d  %s" % (spec, rows[0]["order"], "  ".join(cells)))
+        print("%-5s %6d  %s  %6.1f" % (spec, rows[0]["order"], "  ".join(cells),
+                                       statistics.median(r["bytes_per_edge"] for r in rows)))
 
     report = {"format": 1, "machine": machine(), "runs": runs}
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -26,7 +26,6 @@ directly therefore labels its edge vertices ``e<id>``.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -46,6 +45,7 @@ from .algebra import (
 )
 from .errors import CapExceeded, InternalAssertion, PreconditionFailed, _index
 from .multigraph import (
+    _BLOCK,
     GraphAutRows,
     IsoWitness,
     Multigraph,
@@ -160,23 +160,21 @@ def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
         levels.append(
             Level(i, s, gens[:i].count(s), graph.n_vertices, cosets, membership)
         )
-        for c in cosets:
-            graph.add_vertex(label="%d:%d" % (i, c.rep), part=i)
+        graph.add_vertices(["%d:%d" % (i, c.rep) for c in cosets], [i] * len(cosets))
     # edge k of block (i, j) joins the cosets of its label on levels i and j
-    glabels = []
-    for i, j in blocks:
-        labels = _block_labels(levels, i, j, n)
-        ends = [lvl.offset + lvl.membership[labels] for lvl in (levels[i], levels[j])]
-        for a, b in zip(*(x.tolist() for x in ends)):
-            graph.add_edge(a, b)
-        glabels.extend(labels.tolist())
+    labels = [_block_labels(levels, i, j, n) for i, j in blocks]
+    ends = [
+        np.column_stack([lvl.offset + lvl.membership[x] for lvl in (levels[i], levels[j])])
+        for (i, j), x in zip(blocks, labels)
+    ]
+    graph.add_edges(np.concatenate([np.zeros((0, 2), dtype=np.int64), *ends]))
     return GGraph(
         group=group,
         gens=gens,
         with_loops=with_loops,
         graph=graph,
         levels=tuple(levels),
-        edge_glabel=np.array(glabels, dtype=np.int64),
+        edge_glabel=np.concatenate([np.zeros(0, dtype=np.int64), *labels]),
     )
 
 
@@ -192,11 +190,6 @@ def build_psi(group: FiniteGroup, gens) -> GGraph:
 
 # ---------------------------------------------------------------------------
 # shifts
-
-
-# rows of S_v and S_e filled or compared at a time, so that no temporary
-# is |G| by |G|
-_BLOCK = 64
 
 
 def _shift_arrays(gg: GGraph):
@@ -326,9 +319,10 @@ def verify_structure(gg: GGraph) -> StructureReport:
 
     Where a premise fails, that item reads every shift or colour, _BLOCK
     rows at a time, so the report is the same either way.  Item 4 counts
-    the edges of each block of _blocks from the multi-edge index.  Item 5 takes
-    each vertex's level and coset from the layout rule, not from its part
-    tag, which items 2 and 4 check."""
+    the edges of each block of _blocks by the part tags of their ends, and
+    fails unless gg.edge_glabel holds one label per edge of gg.graph.  Item
+    5 takes each vertex's level and coset from the layout rule, not from
+    its part tag, which items 2 and 4 check."""
     grp = gg.group
     n = grp.order
     g = gg.graph
@@ -367,7 +361,7 @@ def verify_structure(gg: GGraph) -> StructureReport:
     )
 
     # 2. every level is stabilized setwise by every shift
-    parts = np.array([-1 if v.part is None else v.part for v in g.vertices], dtype=np.int64)
+    parts = np.array([-1 if p is None else p for p in g.parts], dtype=np.int64)
     # a graph with more or fewer vertices than the layout fails
     ok2 = len(parts) == len(gg.level_of) and all(
         (parts[S_v[r]] == parts).all() for r in read
@@ -375,17 +369,14 @@ def verify_structure(gg: GGraph) -> StructureReport:
     items.append(ItemReport(2, "levels stable", ok2, "checked all |G| shifts"))
 
     # 3. shifts permute colour cliques: delta_g'(C_g) = C_{g g'}
-    C = np.empty((n, gg.n_levels), dtype=np.int64)
-    for i, lvl in enumerate(gg.levels):
-        C[:, i] = lvl.offset + lvl.membership.astype(np.int64)
+    C = np.column_stack([lvl.offset + lvl.membership.astype(np.int64) for lvl in gg.levels])
     by_pair = g.multi_edges()
+    i, j = np.triu_indices(gg.n_levels, 1)
+    read_C = C[[e]] if aut_ok else C
     ok3 = (
         comp_ok
         and all((S_v[t][C] == C[grp.mul[:, t]]).all() for t in gens)
-        and all(
-            (min(a, b), max(a, b)) in by_pair
-            for row in (C[[e]] if aut_ok else C).tolist() for a, b in combinations(row, 2)
-        )
+        and bool((by_pair.find(read_C[:, i], read_C[:, j]) >= 0).all())
     )
     items.append(
         ItemReport(
@@ -394,14 +385,17 @@ def verify_structure(gg: GGraph) -> StructureReport:
         )
     )
 
-    # 4. |G| edges in each block of _blocks, and no others; keys are
-    # (level, level, is a loop)
-    want = Counter({(i, j, i == j): n for i, j in _blocks(gg.n_levels, gg.with_loops)})
-    got = Counter()
-    for (u, v), ids in by_pair.items():
-        got[(*sorted((int(parts[u]), int(parts[v]))), u == v)] += len(ids)
-    expected = sum(want.values())
-    ok4 = got == want
+    # 4. |G| edges in each block of _blocks, and no others, each with one
+    # label: the keys (level, level, is a loop) of the edges, as numbers,
+    # are those of the blocks, |G| times each; L stands for a tag that
+    # names no level
+    L = gg.n_levels
+    ends = g.ends()
+    lo, hi = np.sort(np.where((parts >= 0) & (parts < L), parts, L)[ends], axis=1).T
+    got = ((lo * (L + 1) + hi) << 1) + (ends[:, 0] == ends[:, 1])
+    want = [((i * (L + 1) + j) << 1) + (i == j) for i, j in _blocks(L, gg.with_loops)] * n
+    expected = len(want)
+    ok4 = len(gg.edge_glabel) == g.n_edges and np.array_equal(np.sort(got), np.sort(want))
     items.append(
         ItemReport(
             4, "edge counts", ok4,
@@ -491,13 +485,12 @@ def component_analysis(gg: GGraph) -> ComponentReport:
     infos = []
     for comp in comps:
         sg, vmap, emap = induced_subgraph_with_maps(gg.graph, comp)
-        if emap:
-            labels = sorted(int(gg.edge_glabel[e]) for e in emap)
-        else:
-            # a single-vertex component IS its coset
-            labels = sorted(gg.vertex_coset(comp[0]).elems)
+        # the component's edge labels; a single-vertex component IS its coset
+        labels = sorted(
+            set(gg.edge_glabel[list(emap)].tolist()) if emap else gg.vertex_coset(comp[0]).elems
+        )
         expect = rows[membership[labels[0]]].tolist()
-        coset_ok = sorted(set(labels)) == expect
+        coset_ok = labels == expect
         w = isomorphic(sg, ref.graph)
         infos.append(
             ComponentInfo(
@@ -657,12 +650,9 @@ def kmn_build(m: int, n: int, l: int):
 def named_graph(gg: GGraph) -> Multigraph:
     """A copy of gg.graph with each edge labelled by its element's name,
     for the writers that show edge labels."""
-    names = gg.group.elem_names
-    out = Multigraph()
-    for v in gg.graph.vertices:
-        out.add_vertex(v.label, v.part)
-    for e, x in zip(gg.graph.edges, gg.edge_glabel.tolist()):
-        out.add_edge(e.u, e.v, names[x])
+    g, out = gg.graph, Multigraph()
+    out.add_vertices(g.vertex_labels, g.parts)
+    out.add_edges(g.ends(), np.array(gg.group.elem_names, dtype=object)[gg.edge_glabel].tolist())
     return out
 
 

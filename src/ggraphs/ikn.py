@@ -414,45 +414,39 @@ def _audit_graph(n: int, gg: GGraph) -> list[ItemReport]:
     second n(n-1)/2 vertices of degree 2, and the neighbour pairs of the
     second level are distinct, so they enumerate every 2-subset of the
     first (equivalently: the graph is simple with no 4-cycle)."""
+    import numpy as np
+
     from .ggraph import ItemReport, level_vertices
 
     expected = n * (n - 1)
+    g = gg.graph
     part0 = level_vertices(gg, 0)
     part1 = level_vertices(gg, 1)
-    level = gg.level_of
+    ends, level = g.ends(), np.array(gg.level_of)
     # an end beyond the layout lies on neither level
-    crossing = all(max(e.u, e.v) < len(level) and level[e.u] != level[e.v]
-                   for e in gg.graph.edges)
+    crossing = bool((ends < len(level)).all()) and bool(
+        (level[ends[:, 0]] != level[ends[:, 1]]).all()
+    )
     items = [ItemReport(2, "edges join the two levels", crossing, "")]
-    deg0 = [gg.graph.degree(v) for v in part0]
-    items.append(
-        ItemReport(
-            3,
-            "sigma level: n vertices of degree n-1",
-            len(part0) == n and all(d == n - 1 for d in deg0),
-            "%d vertices, degrees %s" % (len(part0), sorted(set(deg0))),
-        )
-    )
-    deg1 = [gg.graph.degree(v) for v in part1]
-    items.append(
-        ItemReport(
-            4,
-            "tau level: n(n-1)/2 vertices of degree 2",
-            len(part1) == expected // 2 and all(d == 2 for d in deg1),
-            "%d vertices, degrees %s" % (len(part1), sorted(set(deg1))),
-        )
-    )
-    adj = gg.graph.adj()
-    pairs = [frozenset(w for _, w in adj[v]) for v in part1]  # ends, not (edge id, end) pairs
-    bijection = all(len(p) == 2 for p in pairs) and len(set(pairs)) == (
-        n * (n - 1) // 2
-    )
+    deg = g.degrees()
+    for number, name, part, size, d in (
+        (3, "sigma level: n vertices of degree n-1", part0, n, n - 1),
+        (4, "tau level: n(n-1)/2 vertices of degree 2", part1, expected // 2, 2),
+    ):
+        degs = deg[part]
+        items.append(ItemReport(
+            number, name, len(part) == size and bool((degs == d).all()),
+            "%d vertices, degrees %s" % (len(part), sorted(set(degs.tolist()))),
+        ))
+    adj = g.adj()
+    pairs = {frozenset(adj[v][:, 1].tolist()) for v in part1}  # distinct neighbour sets
+    bijection = all(len(p) == 2 for p in pairs) and len(pairs) == n * (n - 1) // 2
     items.append(
         ItemReport(
             5,
             "degree-2 vertices enumerate all 2-subsets of the sigma level",
             bijection,
-            "%d distinct neighbour pairs" % len(set(pairs)),
+            "%d distinct neighbour pairs" % len(pairs),
         )
     )
     return items

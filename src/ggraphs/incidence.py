@@ -37,6 +37,7 @@ from .multigraph import (
     IsoWitness,
     Multigraph,
     _first_map,
+    _incidences,
     connected_components,
     induced_edge_map,
     map_defect,
@@ -64,25 +65,19 @@ class IncidenceGraph:
 
 
 def incidence_graph(g: Multigraph) -> IncidenceGraph:
+    n, m = g.n_vertices, g.n_edges
+    names = np.array(g.edge_labels, dtype=object)
+    unnamed = np.flatnonzero(names == "")
+    names[unnamed] = list(map("e{}".format, unnamed.tolist()))
     ig = Multigraph()
-    for v in g.vertices:
-        ig.add_vertex(v.label, part=0)
-    for e in g.edges:
-        ig.add_vertex(e.label if e.label else "e%d" % e.id, part=1)
-    n = g.n_vertices
-    has_loop = False
-    for e in g.edges:
-        ig.add_edge(e.u, n + e.id)
-        if e.v != e.u:
-            ig.add_edge(e.v, n + e.id)
-        else:
-            has_loop = True
-    out = IncidenceGraph(ig, n, g.n_edges, has_loop)
-    for e in g.edges:
-        want = 1 if e.u == e.v else 2
-        if ig.degree(n + e.id) != want:
-            raise InternalAssertion("edge vertex %d has wrong degree" % e.id)
-    return out
+    ig.add_vertices(g.vertex_labels + names.tolist(), [0] * n + [1] * m)
+    ends = g.ends()
+    ig.add_edges(_incidences(ends) + [0, n])  # edge e's ends, each joined to vertex n + e
+    loop = ends[:, 0] == ends[:, 1]
+    wrong = np.flatnonzero(ig.degrees()[n:] != np.where(loop, 1, 2))
+    if len(wrong):
+        raise InternalAssertion("edge vertex %d has wrong degree" % wrong[0])
+    return IncidenceGraph(ig, n, m, bool(loop.any()))
 
 
 def lift_automorphism(
@@ -143,23 +138,21 @@ def incidence_preimage(gg: GGraph) -> PreimageResult:
     # coset in the level
     member = gg.levels[s_level].membership
     reps = gg.levels[t_level].reps
-    ends = zip(member[reps].tolist(), member[grp.mul[t, reps]].tolist())
+    labels = gg.graph.vertex_labels
     pre = Multigraph()
-    for v in sverts:
-        pre.add_vertex(gg.graph.vertices[v].label)
-    for v, (a, b) in zip(tverts, ends):
-        pre.add_edge(a, b, gg.graph.vertices[v].label)
+    pre.add_vertices([labels[v] for v in sverts], [None] * len(sverts))
+    pre.add_edges(
+        np.column_stack((member[reps], member[grp.mul[t, reps]])), [labels[v] for v in tverts]
+    )
 
     ig = incidence_graph(pre)
-    vmap = [0] * gg.graph.n_vertices
-    for k, v in enumerate(sverts):
-        vmap[v] = k
-    for k, v in enumerate(tverts):
-        vmap[v] = ig.vertex_for_edge(k)
+    vmap = np.zeros(gg.graph.n_vertices, dtype=np.int64)
+    vmap[sverts] = np.arange(len(sverts))
+    vmap[tverts] = ig.vertex_for_edge(np.arange(len(tverts)))
     emap = induced_edge_map(gg.graph, ig.graph, vmap)
     if emap is None:
         raise InternalAssertion("incidence image edge is not unique")
-    iso = IsoWitness(tuple(vmap), emap)
+    iso = IsoWitness(tuple(vmap.tolist()), emap)
     if not verify_iso_witness(gg.graph, ig.graph, iso, respect_parts=False):
         raise InternalAssertion("preimage isomorphism failed verification")
     return PreimageResult(pre, ig, iso)
@@ -314,23 +307,19 @@ def necessary_bipartite_witness(
         raise InternalAssertion("matched automorphism is not an involution")
 
     # edge x is labelled x: block (0, 1) of a two-level Phi (_block_labels)
-    f = [int(gg.edge_glabel[emap[x]]) for x in range(grp.order)]
+    f = gg.edge_glabel[list(emap[: grp.order])]
 
     if f[grp.identity] != grp.identity:
         raise InternalAssertion("f does not fix the identity")
-    if any(f[f[x]] != x for x in range(grp.order)):
+    if (f[f] != np.arange(grp.order)).any():
         raise InternalAssertion("f is not involutive")
-    s, t = gg.gens
-    in_t = set(cyclic_subgroup(grp, t))
-    in_s = set(cyclic_subgroup(grp, s))
-    mul, inv = grp.mul, grp.inv
-    for x in range(grp.order):
-        if int(mul[f[mul[s, x]], inv[f[x]]]) not in in_t:
-            raise InternalAssertion("s-displacement fails at %d" % x)
-        if int(mul[f[mul[t, x]], inv[f[x]]]) not in in_s:
-            raise InternalAssertion("t-displacement fails at %d" % x)
+    # f(gen x) f(x)^-1 lies in the other generator's subgroup for every x
+    for name, gen, other in (("s", *gg.gens), ("t", *gg.gens[::-1])):
+        fails = ~np.isin(grp.mul[f[grp.mul[gen]], grp.inv[f]], cyclic_subgroup(grp, other))
+        if fails.any():
+            raise InternalAssertion("%s-displacement fails at %d" % (name, fails.argmax()))
     return IncidenceWitnessMap(
-        f=tuple(f),
+        f=tuple(f.tolist()),
         involutive=True,
         fixes_identity=True,
         is_homomorphism=_is_homomorphism(grp, f),
@@ -350,14 +339,13 @@ def witness_automorphism(gg: GGraph, w: IncidenceWitnessMap) -> GraphAut:
     if sorted(f) != list(range(gg.group.order)):
         raise WitnessInvalid("f is not a permutation of the group")
     # level i's vertex <s_i>x goes to the other level's <s_j>f(x)
-    f_arr = np.asarray(f)
-    vmap = [0] * gg.graph.n_vertices
-    for lvl, other in zip(gg.levels, gg.levels[::-1]):
-        img = other.offset + other.membership[f_arr[lvl.reps]]
-        vmap[lvl.offset : lvl.offset + len(img)] = img.tolist()
+    f = np.asarray(f)
+    vmap = np.concatenate([
+        other.offset + other.membership[f[lvl.reps]]
+        for lvl, other in zip(gg.levels, gg.levels[::-1])
+    ])
     # edge x is labelled x: block (0, 1) of a two-level Phi (_block_labels)
-    emap = [f[x] for x in gg.edge_glabel.tolist()]
-    out = GraphAut(tuple(vmap), tuple(emap))
-    if map_defect(gg.graph, gg.graph, [vmap], [emap]) is not None:
+    emap = f[gg.edge_glabel]
+    if map_defect(gg.graph, gg.graph, vmap[None], emap[None]) is not None:
         raise WitnessInvalid("witness map does not induce an automorphism")
-    return out
+    return GraphAut(tuple(vmap.tolist()), tuple(emap.tolist()))

@@ -118,8 +118,8 @@ def edges_toward(g: Multigraph, u: int, orbit) -> list[int]:
 
     A loop at u counts (once) exactly when u itself is in the orbit.
     """
-    members = set(orbit)
-    return sorted(eid for eid, w in g.adj()[u] if w in members)
+    rows = g.adj()[u]
+    return rows[np.isin(rows[:, 1], orbit), 0].tolist()
 
 
 def acts_regularly_on_edges(edge_maps, edge_ids) -> tuple[bool, str]:
@@ -268,31 +268,24 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
                 details.append("C vertex %d carries no loop" % u)
     witness_ok = not details
     orbits = vertex_orbits(g, V)
-    orbit_of = {}
+    orbit_of = np.empty(nv, dtype=np.intp)
     for i, orb in enumerate(orbits):
-        for v in orb:
-            orbit_of[v] = i
+        orbit_of[orb] = i
     conditions = {}
 
     if not with_loops:
-        ok = True
-        for e in g.edges:
-            if orbit_of[e.u] == orbit_of[e.v]:
-                details.append(
-                    "orbit of vertex %d is not stable (edge %d)" % (e.u, e.id)
-                )
-                ok = False
-                break
-        conditions["orbits_stable"] = ok
+        ends = g.ends()
+        inside = np.flatnonzero(orbit_of[ends[:, 0]] == orbit_of[ends[:, 1]])
+        if len(inside):
+            e = int(inside[0])
+            details.append("orbit of vertex %d is not stable (edge %d)" % (ends[e, 0], e))
+        conditions["orbits_stable"] = not len(inside)
 
-    met = [False] * len(orbits)
-    for u in w.C:
-        met[orbit_of[u]] = True
-    ok = all(met)
-    if not ok:
-        missed = met.index(False)
-        details.append("orbit of vertex %d misses C" % orbits[missed][0])
-    conditions["clique_meets_orbits"] = ok
+    met = np.zeros(len(orbits), dtype=bool)
+    met[orbit_of[w.C]] = True
+    if not met.all():
+        details.append("orbit of vertex %d misses C" % orbits[int(met.argmin())][0])
+    conditions["clique_meets_orbits"] = bool(met.all())
 
     stabs = [stabilizer(V, u) for u in w.C]
     gens = [_cyclic_generator(rows, stab) for stab in stabs]

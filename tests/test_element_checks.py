@@ -105,7 +105,8 @@ def test_add_edge_stores_integer_endpoints():
     g.add_edge(np.int64(0), np.int32(1))
     e = g.edges[0]
     assert (type(e.u), type(e.v)) == (int, int)
-    assert g.adj() == [[(0, 1)], [(0, 0)]]
+    adj = g.adj()
+    assert [adj[v].tolist() for v in range(2)] == [[[0, 1]], [[0, 0]]]
 
 
 @pytest.mark.parametrize("vertex_set", [[0, 1.5], [0, 2], [-1]])

@@ -300,7 +300,8 @@ def test_verify_structure_keeps_no_group_sized_temporaries():
 
 def test_bench_scale_runs(tmp_path):
     """benchmarks/bench_scale.py runs each group in a fresh interpreter and
-    writes one record per run: the phases' seconds and peak RSS."""
+    writes one record per run: the phases' seconds and peak RSS, and the
+    bytes per edge that a rebuilt Phi retains."""
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "scale.json"
     proc = subprocess.run(
@@ -317,3 +318,4 @@ def test_bench_scale_runs(tmp_path):
     for r in report["runs"]:
         assert list(r["seconds"]) == phases
         assert list(r["peak_rss_mib"]) == ["import", *phases]
+        assert r["bytes_per_edge"] > 0

@@ -2,8 +2,8 @@
 GGraphError, never a bare Python exception.
 
 Each input below is a well-formed Phi or Psi with one fault put in: an
-edge with no label, labels missing or outside G, a vertex with no part
-tag, an edge end moved, a vertex added or dropped.
+edge with no label, labels missing, extra or outside G, a vertex with no
+part tag, an edge end moved, a vertex added or dropped.
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ def _malformed(x, rng):
         moved = list(ends)
         moved[k] = (ends[k][0], (ends[k][1] + 1 + rng.randrange(nv - 1)) % nv)
         yield "end of edge %d moved" % k, _copy(x, edges=moved), False
+    yield "extra label", _relabelled(x, np.append(L, L[0])), False
     yield "last label missing", _relabelled(x, L[:-1]), True
     yield "no labels", _relabelled(x, L[:0]), True
     yield "edge and label dropped", _relabelled(_copy(x, edges=ends[1:]), L[1:]), True
