@@ -60,19 +60,21 @@ from .multigraph import (
 
 @dataclass
 class Level:
-    """One occurrence of a generator and its coset row."""
+    """One occurrence of a generator and its cosets, held as one int32
+    array, the one right_cosets returns: row c is the coset of vertex
+    offset + c, in ascending order, and rows are sorted by their minimum."""
 
     index: int
     gen: int
     occurrence: int
     offset: int
-    cosets: tuple[Coset, ...]
+    cosets: np.ndarray  # (number of cosets, o(gen)), int32
     membership: np.ndarray  # element -> coset position within this level
 
     @property
     def reps(self) -> np.ndarray:
         """The coset representatives, one per vertex of the level."""
-        return np.array([c.rep for c in self.cosets], dtype=np.int64)
+        return self.cosets[:, 0]
 
 
 @dataclass
@@ -91,7 +93,7 @@ class GGraph:
     level_of: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.level_of = [i for i, lvl in enumerate(self.levels) for _ in lvl.cosets]
+        self.level_of = [i for i, lvl in enumerate(self.levels) for _ in range(len(lvl.cosets))]
 
     @property
     def n_levels(self) -> int:
@@ -102,7 +104,8 @@ class GGraph:
 
     def vertex_coset(self, v: int) -> Coset:
         lvl = self.levels[self.vertex_level(v)]
-        return lvl.cosets[v - lvl.offset]
+        row = lvl.cosets[v - lvl.offset].tolist()
+        return Coset(gen=lvl.gen, rep=row[0], elems=tuple(row))
 
     def vertex_of(self, level: int, x: int) -> int:
         """The vertex <s_level> x."""
@@ -137,9 +140,7 @@ def _block_labels(levels, i: int, j: int, n: int) -> np.ndarray:
     """The labels of block (i, j), edge k of the block first: k itself for
     a level pair; for the loops of level i, its cosets in turn, each in
     ascending order."""
-    if i != j:
-        return np.arange(n)
-    return np.argsort(levels[i].membership, kind="stable")
+    return np.arange(n) if i != j else levels[i].cosets.ravel()
 
 
 def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
@@ -155,12 +156,11 @@ def _build(group: FiniteGroup, gens, with_loops: bool) -> GGraph:
     graph = Multigraph()
     levels = []
     for i, s in enumerate(gens):
-        rows, membership = right_cosets(group, cyclic_subgroup(group, s))
-        cosets = tuple(Coset(gen=s, rep=r[0], elems=tuple(r)) for r in rows.tolist())
+        cosets, membership = right_cosets(group, cyclic_subgroup(group, s))
         levels.append(
             Level(i, s, gens[:i].count(s), graph.n_vertices, cosets, membership)
         )
-        graph.add_vertices(["%d:%d" % (i, c.rep) for c in cosets], [i] * len(cosets))
+        graph.add_vertices(["%d:%d" % (i, r) for r in cosets[:, 0].tolist()], [i] * len(cosets))
     # edge k of block (i, j) joins the cosets of its label on levels i and j
     labels = [_block_labels(levels, i, j, n) for i, j in blocks]
     ends = [
@@ -225,11 +225,10 @@ def _shift_arrays(gg: GGraph):
     strips = [(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
     S_v = np.empty((n, n_v), dtype=np.int32)
     for lvl in gg.levels:
-        reps = lvl.reps
         # delta_g(<s>x) = <s>(x g); row g, columns = cosets of this level
         for r0, r1 in strips:
-            cols = S_v[r0:r1, lvl.offset : lvl.offset + len(reps)]
-            np.add(lvl.membership[grp.mul[reps, r0:r1].T], lvl.offset, out=cols)
+            cols = S_v[r0:r1, lvl.offset : lvl.offset + len(lvl.cosets)]
+            np.add(lvl.membership[grp.mul[lvl.reps, r0:r1].T], lvl.offset, out=cols)
     # delta_g maps the edge labelled x to the edge labelled xg of the same
     # block: edge base + xg of a level pair, whose labels are added without
     # a gather, and edge base + pos[xg] of a loop block
@@ -411,7 +410,7 @@ def verify_structure(gg: GGraph) -> StructureReport:
     }
     # each vertex's level and coset by the layout rule, whatever its tag
     level = gg.level_of
-    coset = [c.elems for lvl in gg.levels for c in lvl.cosets]
+    coset = [row for lvl in gg.levels for row in lvl.cosets.tolist()]
     ok5 = True
     bad = ""
     for (u, v), ids in by_pair.items():
@@ -481,24 +480,18 @@ def component_analysis(gg: GGraph) -> ComponentReport:
     sub, pos = subgroup_group(grp, sub_elems, name="<S>")
     ref = _build(sub, [pos[s] for s in gg.gens], gg.with_loops)
     rows, membership = right_cosets(grp, sub_elems)
-    comps = connected_components(gg.graph)
     infos = []
-    for comp in comps:
-        sg, vmap, emap = induced_subgraph_with_maps(gg.graph, comp)
+    for comp in connected_components(gg.graph):
+        sg, _, emap = induced_subgraph_with_maps(gg.graph, comp)
         # the component's edge labels; a single-vertex component IS its coset
-        labels = sorted(
-            set(gg.edge_glabel[list(emap)].tolist()) if emap else gg.vertex_coset(comp[0]).elems
-        )
+        if emap:
+            labels = sorted(set(gg.edge_glabel[list(emap)].tolist()))
+        else:
+            lvl = gg.levels[gg.vertex_level(comp[0])]
+            labels = lvl.cosets[comp[0] - lvl.offset].tolist()
         expect = rows[membership[labels[0]]].tolist()
-        coset_ok = labels == expect
-        w = isomorphic(sg, ref.graph)
-        infos.append(
-            ComponentInfo(
-                vertices=comp,
-                coset=tuple(expect) if coset_ok else (),
-                iso=w,
-            )
-        )
+        coset = tuple(expect) if labels == expect else ()
+        infos.append(ComponentInfo(comp, coset, isomorphic(sg, ref.graph)))
     return ComponentReport(
         subgroup=sub_elems,
         expected_count=grp.order // len(sub_elems),
@@ -671,7 +664,7 @@ def export_ggraph_json(gg: GGraph) -> dict:
             {
                 "gen": gg.group.elem_name(lvl.gen),
                 "occurrence": lvl.occurrence,
-                "cosets": [list(c.elems) for c in lvl.cosets],
+                "cosets": lvl.cosets.tolist(),
             }
             for lvl in gg.levels
         ],

@@ -487,10 +487,10 @@ def _branch_key(img) -> tuple[int, ...]:
     return tuple(len(img) + 1 if x == p else x for p, x in enumerate(img, 1))
 
 
-def _orbit_expansion(n: int, imgs) -> list[tuple[int, ...]]:
-    """Every m_a conjugate of every tau in ``imgs``, once each, in branch
-    order."""
-    return sorted({x for img in imgs for x in _orbit(n, img)}, key=_branch_key)
+def _orbit_expansion(orbits) -> list[tuple[int, ...]]:
+    """Every tau of the m_a orbits ``orbits`` (each a set as ``_orbit``
+    gives it), once each, in branch order: the "all" mode's rows."""
+    return sorted(set().union(*orbits), key=_branch_key)
 
 
 def search_tau(
@@ -533,7 +533,7 @@ def search_tau(
     orbits = [_orbit(n, img) for img in rows]
     leaders = {min(orbit) for orbit in orbits}  # the canonical certificates
     if mode == "all":
-        rows = sorted(set().union(*orbits), key=_branch_key)
+        rows = _orbit_expansion(orbits)
     elif mode == "up_to_conjugacy":
         rows = sorted(leaders)
     certs = tuple(_certificate(n, img, img in leaders) for img in rows)

@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     PreconditionFailed,
     WitnessInvalid,
+    _index,
     _json_int,
 )
 from .ggraph import GGraph, _blocks, build_phi, build_psi, colour_clique, shifts
@@ -175,13 +176,16 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
     """Hard structural validation; errors here make the checks meaningless.
     Returns H as one int32 array in the order of w.H, each row a
     permutation of V and E taken together (the vertex map, then the edge
-    map offset by n_vertices), and the order that sorts its rows.
+    map offset by n_vertices), the order that sorts its rows, and C as a
+    list of ints, each entry read once through errors._index.
 
     An int32 GraphAutRows over g's vertices and edges is validated and
     returned as it is; any other sequence of GraphAut is converted here,
     once."""
     nv, ne = g.n_vertices, g.n_edges
     H = w.H
+    if H is None or w.C is None:
+        raise WitnessInvalid("a witness needs both H and C")
     if isinstance(H, GraphAutRows) and H.rows.dtype == np.int32 and (
         H.n_vertices == nv and H.rows.shape[1] == nv + ne
     ):
@@ -203,16 +207,20 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
     order = _row_order(rows)
     if _repeats(rows[order]).any():
         raise WitnessInvalid("H contains repeated elements")
-    for u in w.C:
+    try:
+        C = [_index(u, "a C entry") for u in w.C]
+    except PreconditionFailed as exc:
+        raise WitnessInvalid(str(exc)) from None
+    for u in C:
         if not 0 <= u < nv:
             raise WitnessInvalid("C contains an unknown vertex id %r" % (u,))
-    if len(set(w.C)) != len(w.C):
+    if len(set(C)) != len(C):
         raise WitnessInvalid("C contains repeated vertices")
     if not w.H:
         raise WitnessInvalid("H is empty")
-    if not w.C:
+    if not C:
         raise WitnessInvalid("C is empty")
-    return rows, order
+    return rows, order, C
 
 
 def _closure_of(rows: np.ndarray) -> PermClosure | None:
@@ -244,7 +252,7 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
 
     H is validated and tested for automorphisms in the order given, so that
     the error or the detail names the first offending element."""
-    rows, order = _validate_maps(g, w)
+    rows, order, C = _validate_maps(g, w)
     nv = g.n_vertices
     E = rows[:, nv:] - nv  # the edge maps in the order given
     details = []
@@ -258,12 +266,12 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
     closure = _closure_of(rows)
     if closure is None:
         details.append("H is not closed under composition")
-    for i, u in enumerate(w.C):
-        for v in w.C[i + 1 :]:
+    for i, u in enumerate(C):
+        for v in C[i + 1 :]:
             if g.multiplicity(u, v) == 0:
                 details.append("C is not a clique: %d and %d not adjacent" % (u, v))
     if with_loops:
-        for u in w.C:
+        for u in C:
             if not g.loops_at(u):
                 details.append("C vertex %d carries no loop" % u)
     witness_ok = not details
@@ -282,20 +290,20 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
         conditions["orbits_stable"] = not len(inside)
 
     met = np.zeros(len(orbits), dtype=bool)
-    met[orbit_of[w.C]] = True
+    met[orbit_of[C]] = True
     if not met.all():
         details.append("orbit of vertex %d misses C" % orbits[int(met.argmin())][0])
     conditions["clique_meets_orbits"] = bool(met.all())
 
-    stabs = [stabilizer(V, u) for u in w.C]
+    stabs = [stabilizer(V, u) for u in C]
     gens = [_cyclic_generator(rows, stab) for stab in stabs]
-    for u, x in zip(w.C, gens):
+    for u, x in zip(C, gens):
         if x is None:
             details.append("Stab_H %d is not cyclic" % u)
     conditions["stabilizers_cyclic"] = None not in gens
 
     ok = True
-    for u, stab in zip(w.C, stabs):
+    for u, stab in zip(C, stabs):
         for i, orb in enumerate(orbits):
             if not with_loops and orbit_of[u] == i:
                 continue
@@ -377,7 +385,7 @@ def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:
             "characterisation conditions fail: " + "; ".join(report.details)
         )
     grp = _group_of(closure, rows)
-    C = list(w.C)
+    C = [int(u) for u in w.C]  # the ints that _validate_maps read
     builder = build_psi if with_loops else build_phi
     rebuilt = builder(grp, gens)
 

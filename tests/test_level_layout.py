@@ -8,7 +8,9 @@ its part tag, is kept below as the oracle: on clean G-graphs the two must
 agree.  With the per-vertex accessors made to raise, the readers and the
 I(K_n) audit must still run.  A retagged vertex must leave every answer as
 it is on the clean graph, and a graph with more or fewer vertices than the
-layout must fail verify_structure's item 2, not raise.
+layout must fail verify_structure's item 2, not raise.  A level's cosets
+are the rows right_cosets returns: with algebra.Coset and ggraph.Coset made
+to raise, every G-graph path must still give the same answers.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from test_generator_checks import CASES, build, case_ids
+from test_generator_checks import CASES, build, case_ids, make_group
 
 from ggraphs import algebra as al
 from ggraphs import ggraph as gg
@@ -31,7 +33,7 @@ from ggraphs.multigraph import GraphAut, Multigraph, export_json, induced_edge_m
 
 def former_coset(x, v):
     lvl = x.levels[x.graph.vertices[v].part]
-    return lvl.cosets[v - lvl.offset]
+    return lvl.cosets[v - lvl.offset].tolist()
 
 
 def former_vertex_of(x, level, el):
@@ -56,7 +58,7 @@ def former_reconstruct_iso(g, w):
     part = [v.part for v in rebuilt.graph.vertices]
     nv, inv = g.n_vertices, grp.inv
     vimg = [
-        int(rows[inv[former_coset(rebuilt, v).rep], C[part[v]]])
+        int(rows[inv[former_coset(rebuilt, v)[0]], C[part[v]]])
         for v in range(rebuilt.graph.n_vertices)
     ]
     eimg = []
@@ -71,7 +73,7 @@ def former_witness_automorphism(x, f):
     vmap = [0] * x.graph.n_vertices
     for src, dst in ((0, 1), (1, 0)):
         for v in gg.level_vertices(x, src):
-            vmap[v] = former_vertex_of(x, dst, f[former_coset(x, v).rep])
+            vmap[v] = former_vertex_of(x, dst, f[former_coset(x, v)[0]])
     return GraphAut(tuple(vmap), tuple(f[y] for y in x.edge_glabel.tolist()))
 
 
@@ -88,7 +90,7 @@ def former_preimage(x):
     for v in sverts:
         pre.add_vertex(x.graph.vertices[v].label)
     for v in tverts:
-        r = former_coset(x, v).rep
+        r = former_coset(x, v)[0]
         a = pos[former_vertex_of(x, s_level, r)]
         b = pos[former_vertex_of(x, s_level, int(x.group.mul[t, r]))]
         pre.add_edge(a, b, x.graph.vertices[v].label)
@@ -263,6 +265,57 @@ def test_a_retagged_vertex_keeps_its_layout_coset_and_witness_map():
 def test_a_retagged_vertex_keeps_the_incidence_preimage():
     x = phi("S3", ["(1,2,3)", "(1,2)"])
     assert preimage_of(retagged(x, 3, 0)) == preimage_of(x)
+
+
+# ---------------------------------------------------------------------------
+# a level's cosets are the rows right_cosets returns
+
+
+def _no_coset(*args, **kwargs):
+    raise AssertionError("a Coset was built")
+
+
+def every_path(spec, gens, loops):
+    """Every G-graph path on one case, built by build_phi or build_psi, with
+    each answer in a form that compares."""
+    group = make_group(spec)
+    x = (gg.build_psi if loops else gg.build_phi)(group, [al.parse_element(group, t) for t in gens])
+    report = gg.component_analysis(x)
+    out = {
+        "shifts": gg.shifts(x).rows.tolist(),
+        "structure": gg.verify_structure(x).lines(),
+        "reconstruct": rec.reconstruct(x.graph, rec.shifts_of(x)).iso,
+        "components": [(c.vertices, c.coset, c.iso) for c in report.components],
+        "partition": report.cosets_partition(group.order),
+        "export": gg.export_ggraph_json(x),
+    }
+    if not loops and x.n_levels == 2:
+        out["witness"] = [inc.witness_automorphism(x, w) for w in two_level_witnesses(x)]
+        out["preimage"] = preimage_of(x) if _has_preimage(x) else None
+    return out
+
+
+@pytest.mark.parametrize("loops", [False, True], ids=["phi", "psi"])
+@pytest.mark.parametrize("spec,gens", CASES, ids=case_ids(CASES))
+def test_no_g_graph_path_builds_a_coset(spec, gens, loops, monkeypatch):
+    want = every_path(spec, gens, loops)
+    for module in (al, gg):
+        monkeypatch.setattr(module, "Coset", _no_coset)
+    assert every_path(spec, gens, loops) == want
+    # the two one-coset readers still build one, on demand
+    with pytest.raises(AssertionError, match="a Coset was built"):
+        al.right_coset(make_group(spec), 0, 0)
+    with pytest.raises(AssertionError, match="a Coset was built"):
+        gg.build_phi(make_group(spec), [0]).vertex_coset(0)
+
+
+def test_lone_vertex_components_read_their_coset_from_the_level(monkeypatch):
+    for module in (al, gg):
+        monkeypatch.setattr(module, "Coset", _no_coset)
+    report = gg.component_analysis(gg.build_phi(al.cyclic_group(6), [2]))
+    assert [c.vertices for c in report.components] == [[0], [1]]
+    assert [c.coset for c in report.components] == [(0, 2, 4), (1, 3, 5)]
+    assert report.all_isomorphic and report.cosets_partition(6)
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,8 @@ def former_build(x):
     per coset, then one add_edge per edge of each block, from the layout."""
     r = former.Multigraph()
     for i, lvl in enumerate(x.levels):
-        for c in lvl.cosets:
-            r.add_vertex(label="%d:%d" % (i, c.rep), part=i)
+        for row in lvl.cosets.tolist():
+            r.add_vertex(label="%d:%d" % (i, row[0]), part=i)
     for i, j in gg._blocks(x.n_levels, x.with_loops):
         for k in gg._block_labels(x.levels, i, j, x.group.order).tolist():
             a, b = (lvl.offset + int(lvl.membership[k]) for lvl in (x.levels[i], x.levels[j]))

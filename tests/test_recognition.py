@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from ggraphs.algebra import (
@@ -312,20 +313,42 @@ def test_empty_clique_is_refused():
         check(gg.graph, RecognitionWitness(w.H, []))
 
 
+SHIFTS = "the shifts"  # H of shifts_of
+
+
 @pytest.mark.parametrize(
     "C, H, error",
     [
-        ([0, 7], None, "C contains an unknown vertex id 7"),
-        ([0, 0], None, "C contains repeated vertices"),
+        ([0, 7], SHIFTS, "C contains an unknown vertex id 7"),
+        ([0, 0], SHIFTS, "C contains repeated vertices"),
         ([0], [], "H is empty"),
+        ([0.5, 7], SHIFTS, "a C entry must be an integer, got 0.5"),
+        ([True, 7], SHIFTS, "C contains an unknown vertex id 7"),
+        (["0", 7], SHIFTS, "a C entry must be an integer, got '0'"),
+        (None, SHIFTS, "a witness needs both H and C"),
+        ([0], None, "a witness needs both H and C"),
     ],
-    ids=["unknown-vertex", "repeated-vertex", "empty-H"],
+    ids=[
+        "unknown-vertex", "repeated-vertex", "empty-H", "fractional-entry", "bool-entry",
+        "string-entry", "no-C", "no-H",
+    ],
 )
 def test_malformed_witness_is_refused(C, H, error):
     gg = build_phi(cyclic_group(6), [2, 3])
     w = shifts_of(gg)
     with pytest.raises(WitnessInvalid, match=error):
-        check(gg.graph, RecognitionWitness(w.H if H is None else H, C))
+        check(gg.graph, RecognitionWitness(w.H if H == SHIFTS else H, C))
+
+
+def test_clique_entries_are_read_as_vertex_ids():
+    """An entry that operator.index reads, a bool or a numpy int, is the
+    vertex id it gives, in check and in reconstruct.  [1, 2] is C_3."""
+    gg = build_phi(cyclic_group(6), [2, 3])
+    w = shifts_of(gg)
+    want = reconstruct(gg.graph, RecognitionWitness(w.H, [1, 2]))
+    for C in ([True, 2], [np.int64(1), np.int32(2)]):
+        got = reconstruct(gg.graph, RecognitionWitness(w.H, C))
+        assert got.report.lines() == want.report.lines() and got.iso == want.iso
 
 
 def test_with_loops_clique_vertex_without_a_loop_fails():

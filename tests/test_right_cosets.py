@@ -101,10 +101,10 @@ def former_build(group, gens, with_loops):
                 continue
             elems = sorted(group.mul[sub, x].tolist())
             membership[elems] = len(cosets)
-            cosets.append(al.Coset(gen=s, rep=elems[0], elems=tuple(elems)))
-        for c in cosets:
-            graph.add_vertex(label="%d:%d" % (i, c.rep), part=i)
-        levels.append(gg.Level(i, s, occ, offset, tuple(cosets), membership))
+            cosets.append(elems)
+        for row in cosets:
+            graph.add_vertex(label="%d:%d" % (i, row[0]), part=i)
+        levels.append(gg.Level(i, s, occ, offset, np.array(cosets, dtype=np.int32), membership))
     cross_base = {}
     glabels = []
     for i in range(len(gens)):
@@ -122,9 +122,9 @@ def former_build(group, gens, with_loops):
     if with_loops:
         loop_id = np.full((len(gens), n), -1, dtype=np.int64)
         for lvl in levels:
-            for ci, c in enumerate(lvl.cosets):
+            for ci, row in enumerate(lvl.cosets.tolist()):
                 v = lvl.offset + ci
-                for x in c.elems:
+                for x in row:
                     loop_id[lvl.index, x] = graph.add_edge(v, v, label=group.elem_name(x))
                     glabels.append(x)
     out = gg.GGraph(group, gens, with_loops, graph, tuple(levels),
@@ -138,7 +138,7 @@ def former_shift_arrays(x, cross_base, loop_id):
     nv, ne = x.graph.n_vertices, x.graph.n_edges
     S_v = np.empty((n, nv), dtype=np.int32)
     for lvl in x.levels:
-        reps = np.array([c.rep for c in lvl.cosets], dtype=np.int64)
+        reps = np.array([row[0] for row in lvl.cosets.tolist()], dtype=np.int64)
         img = lvl.membership[grp.mul[reps[None, :], np.arange(n)[:, None]]]
         S_v[:, lvl.offset : lvl.offset + len(reps)] = lvl.offset + img
     S_e = np.empty((n, ne), dtype=np.int32)
@@ -209,8 +209,9 @@ def test_build_and_shifts_match_former(spec, gens, loops):
     old, cross_base, loop_id = former_build(group, elems, loops)
 
     for a, b in zip(new.levels, old.levels):
-        assert (a.index, a.gen, a.occurrence, a.offset, a.cosets) == (
-            b.index, b.gen, b.occurrence, b.offset, b.cosets)
+        assert (a.index, a.gen, a.occurrence, a.offset, a.cosets.tolist()) == (
+            b.index, b.gen, b.occurrence, b.offset, b.cosets.tolist())
+        assert a.cosets.dtype == b.cosets.dtype == np.int32
         assert a.membership.tolist() == b.membership.tolist()
     assert new.edge_glabel.dtype == old.edge_glabel.dtype
     assert new.edge_glabel.tolist() == old.edge_glabel.tolist()

@@ -64,7 +64,7 @@ def test_block_order_and_labels_follow_the_stated_rule(spec, gens, loops):
     for i, j in pairs:
         assert gg._block_labels(x.levels, i, j, n).tolist() == list(range(n))
     for i, lvl in enumerate(x.levels):
-        want = [y for c in lvl.cosets for y in sorted(c.elems)]
+        want = [y for row in lvl.cosets.tolist() for y in sorted(row)]
         assert gg._block_labels(x.levels, i, i, n).tolist() == want
 
 

@@ -57,7 +57,7 @@ def former_report(x):
     got = Counter(
         (*sorted((int(parts[e.u]), int(parts[e.v]))), e.u == e.v) for e in g.edges
     )
-    level = [(lvl.index, set(c.elems)) for lvl in x.levels for c in lvl.cosets]
+    level = [(lvl.index, set(row)) for lvl in x.levels for row in lvl.cosets.tolist()]
     subs = [set(al.cyclic_subgroup(grp, lvl.gen)) for lvl in x.levels]
     by_pair = g.multi_edges()
     bad = ""

@@ -724,7 +724,8 @@ def test_budget_stops_match_the_scan():
 
 def expand(n, rows):
     """The orbit expansion of survivor rows, as rows in branch order."""
-    return [[0, *img] for img in ikn._orbit_expansion(n, [row[1:] for row in rows])]
+    orbits = [ikn._orbit(n, row[1:]) for row in rows]
+    return [[0, *img] for img in ikn._orbit_expansion(orbits)]
 
 
 def test_flat_inputs_are_the_old_arrays_flattened():
