@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -45,25 +45,79 @@ def _check_order(n: int) -> None:
         )
 
 
+class RowIndex:
+    """An exact index of distinct permutation rows (an (n, degree) int
+    array).
+
+    A row's key is read off a few columns that tell the rows apart, picked
+    one at a time: each is the first column where two rows whose keys are
+    still equal differ, until every row has its own key.  (An element of a
+    permutation group is fixed by its images of such a set of points.)  A
+    lookup matches keys, then confirms each match against the full row, so
+    a row that agrees with an indexed one on every key column but differs
+    elsewhere is a miss."""
+
+    def __init__(self, rows: np.ndarray):
+        n, degree = rows.shape
+        self.rows = rows
+        self.steps: list[tuple[int, np.ndarray]] = []  # (column, sorted keys)
+        key = np.zeros(n, dtype=np.int64)  # a dense key, below n
+        while True:
+            order = np.argsort(key, kind="stable")
+            tied = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+            if not len(tied):
+                break
+            a, b = order[tied[0]], order[tied[0] + 1]
+            differ = np.flatnonzero(rows[a] != rows[b])
+            if not len(differ):
+                raise PreconditionFailed("indexed rows must be distinct")
+            c = int(differ[0])
+            keys, key = np.unique(key * degree + rows[:, c], return_inverse=True)
+            self.steps.append((c, keys))
+        self.at = np.empty(n, dtype=np.intp)  # key -> row
+        self.at[key] = np.arange(n)
+
+    def find(self, perms: np.ndarray) -> np.ndarray:
+        """The index of each row of perms among the indexed rows, -1 where
+        it is none of them.  A row whose key is none of the rows' keys
+        walks to some row's key, which the full row then refuses."""
+        key = np.zeros(len(perms), dtype=np.intp)
+        for c, keys in self.steps:
+            key = np.searchsorted(keys, key * self.rows.shape[1] + perms[:, c])
+            np.minimum(key, len(keys) - 1, out=key)
+        at = self.at[key]
+        return np.where((self.rows[at] == perms).all(axis=1), at, -1)
+
+
+_GATHER = 1 << 17  # points per np.take in PermClosure.lmul
+
+
 @dataclass
 class PermClosure:
-    """A permutation group in breadth-first order from the identity.
+    """A permutation group reached breadth first from the identity.
 
     elems[0] is the identity and elems[j] = elems[parent[j]] * gens[gen[j]]
-    for j > 0 (a Schreier vector); rmul[i, s] is the index of
-    elems[i] * gens[s]; index maps elems[i].tobytes() to i.  rmul is read
-    off real compositions, so the table and its checks take it as given.
+    for j > 0 (a Schreier vector); found lists the indices in the order
+    they were reached, each after its parent; rmul[i, s] is the index of
+    elems[i] * gens[s].  index finds an element's index: a dict from
+    elems[i].tobytes() to i, or a RowIndex of elems.  rmul is read off real
+    compositions, so the table and its checks take it as given.
     """
 
     elems: np.ndarray  # (order, degree) int32
     parent: list[int]
     gen: list[int]
     rmul: np.ndarray  # (order, number of generators)
-    index: dict
+    index: dict | RowIndex
     gens: np.ndarray  # (number of generators, degree) int32
+    found: Sequence[int]
 
-    def indices(self, perms) -> list[int]:
-        """The index of each row of perms (int32 permutation arrays)."""
+    def indices(self, perms) -> list[int] | np.ndarray:
+        """The index of each row of perms (int32 permutation arrays), each
+        an element; through a RowIndex, -1 for a row that is none, which
+        the table's checks refuse."""
+        if isinstance(self.index, RowIndex):
+            return self.index.find(perms)
         w = 4 * self.elems.shape[1]
         blob = np.ascontiguousarray(perms, dtype=np.int32).tobytes()
         return [self.index[blob[i * w : (i + 1) * w]] for i in range(len(perms))]
@@ -72,10 +126,15 @@ class PermClosure:
     def lmul(self) -> np.ndarray:
         """lmul[s, j] = the index of gens[s] * elems[j], from the products
         and |G|·k lookups: computed apart from rmul, so that table can check
-        one against the other."""
-        return np.array(
-            [self.indices(g[self.elems]) for g in self.gens], dtype=np.int32
-        ).reshape(len(self.gens), len(self.elems))
+        one against the other.  The products are gathered about _GATHER
+        points at a time: np.take copies its int32 indices as intp."""
+        n, degree = self.elems.shape
+        step = max(1, _GATHER // degree)
+        lmul = np.empty((len(self.gens), n), dtype=np.int32)
+        for s, g in enumerate(self.gens):
+            for i in range(0, n, step):
+                lmul[s, i : i + step] = self.indices(np.take(g, self.elems[i : i + step]))
+        return lmul
 
     def inverses(self, mul: np.ndarray) -> np.ndarray:
         """inv[j] = the index of elems[j]^-1, read off this closure's table
@@ -84,7 +143,7 @@ class PermClosure:
         holds the identity 0, its least entry."""
         rows = [mul[np.argmin(mul[t])].tolist() for t in self.rmul[0]]
         inv = [0] * len(self.parent)
-        for j in range(1, len(inv)):
+        for j in self.found[1:]:
             inv[j] = rows[self.gen[j]][inv[self.parent[j]]]
         return np.array(inv, dtype=np.int32)
 
@@ -94,8 +153,9 @@ class PermClosure:
 
         Row i is row parent[i] read through lmul[gen[i]], because
         elems[i] * elems[j] = elems[parent[i]] * (gens[gen[i]] * elems[j]);
-        every write is one contiguous row.  By induction on i from row 0 =
-        0..n-1, the table is exact once lmul and the Schreier vector are.
+        every write is one contiguous row.  By induction along found from
+        row 0 = 0..n-1, the table is exact once lmul and the Schreier vector
+        are.
         Two checks make that so, each at |G|·k or |G|·k² cost, and a
         mismatch raises InternalAssertion:
 
@@ -118,7 +178,7 @@ class PermClosure:
             raise InternalAssertion("left multiplication disagrees with the closure")
         mul = np.empty((n, n), dtype=np.int32)
         mul[0] = np.arange(n)
-        for i in range(1, n):
+        for i in self.found[1:]:
             np.take(mul[self.parent[i]], lmul[self.gen[i]], out=mul[i])
         if not ((mul[:, at] == rmul).all() and (mul[at] == lmul).all()):
             raise InternalAssertion("closure table disagrees with its generators")
@@ -149,8 +209,37 @@ def perm_closure(gens, degree: int, cap: int = DEFAULT_CLOSURE_CAP) -> PermClosu
     n = len(elems)
     return PermClosure(
         np.array(elems).reshape(n, degree), parent, gen,
-        np.array(rmul, dtype=np.int32).reshape(n, len(gens)), index, gens,
+        np.array(rmul, dtype=np.int32).reshape(n, len(gens)), index, gens, range(n),
     )
+
+
+def row_closure(rows: np.ndarray) -> PermClosure | None:
+    """The group generated by the distinct int32 permutation rows, indexed
+    in their own order, when they are closed under composition; else None.
+
+    The identity must be row 0.  Generators are picked greedily
+    (_greedy_reach): the first row not yet reached joins.  For each, one
+    gather gives every row times it, looked up through a RowIndex of the
+    rows; a product outside them means they are not closed.  Once every
+    row is reached, the rows are the group the generators generate, and
+    rmul and the Schreier vector are in the rows' indices."""
+    n, degree = rows.shape
+    if not (rows[0] == np.arange(degree)).all():
+        return None
+    index = RowIndex(rows)
+
+    def column(h):
+        at = index.find(np.take(rows, rows[h], axis=1))  # row x times row h, for every x
+        return None if (at < 0).any() else at.tolist()
+
+    reach = _greedy_reach(n, column)
+    if reach is None:
+        return None
+    gens, cols, found, parent = reach
+    rmul = np.array(cols, dtype=np.int32).reshape(len(gens), n).T
+    # gen[y]: a generator that takes parent[y] to y (the identity has none)
+    gen = np.argmax(rmul[parent] == np.arange(n)[:, None], axis=1).tolist() if gens else [-1]
+    return PermClosure(rows, parent, gen, rmul, index, rows[gens], found)
 
 
 def orbits(maps, n_points: int, starts=None) -> list[np.ndarray]:
@@ -502,30 +591,37 @@ def generated_subgroup(g: FiniteGroup, gens) -> tuple[int, ...]:
     return tuple(orbits(right_mul, g.order, [0])[0].tolist())
 
 
-def generating_set(mul: np.ndarray, identity: int = 0) -> tuple[int, ...]:
-    """Generators picked greedily from the table mul: each element in index
-    order joins unless the earlier picks already reach it by right
-    multiplication from the identity, so every element is a product of them.
+def _greedy_reach(n: int, column, identity: int = 0):
+    """Generators picked greedily from the elements 0..n-1 of a group: each
+    element in index order joins unless the earlier picks already reach it
+    by right multiplication from the identity, so every element is a
+    product of them.  column(g) is the list x -> x * g over every element,
+    or None when some product is none of the n elements.
 
     The reached set grows as one queue from the identity: a new pick is
     applied to every element reached so far, and each newly reached element
     to every pick.  Each element meets each pick once, and the loop ends
-    only when every element is reached, whatever the table."""
-    n = mul.shape[0]
+    only when every element is reached, whatever the columns.  Returns the
+    picks, their columns, the queue, and parent: element y was first
+    reached as parent[y] times a pick.  None when a column is."""
     gens: list[int] = []
-    cols: list[list[int]] = []  # cols[i][x] = x * gens[i]
+    cols: list[list[int]] = []  # cols[s][x] = x * gens[s]
     reached = [False] * n
     reached[identity] = True
     found = [identity]  # a queue from the identity
+    parent = [-1] * n
     while len(found) < n:
         gens.append(reached.index(False))
-        cols.append(mul[:, gens[-1]].tolist())
+        cols.append(column(gens[-1]))
+        if cols[-1] is None:
+            return None
         i = len(found)
         for x in found[:i]:
             y = cols[-1][x]
             if not reached[y]:
                 reached[y] = True
                 found.append(y)
+                parent[y] = x
         while i < len(found):  # found grows behind i: a queue
             x = found[i]
             i += 1
@@ -534,7 +630,15 @@ def generating_set(mul: np.ndarray, identity: int = 0) -> tuple[int, ...]:
                 if not reached[y]:
                     reached[y] = True
                     found.append(y)
-    return tuple(gens)
+                    parent[y] = x
+    return gens, cols, found, parent
+
+
+def generating_set(mul: np.ndarray, identity: int = 0) -> tuple[int, ...]:
+    """Generators picked greedily from the table mul (_greedy_reach): each
+    element in index order joins unless the earlier picks already reach it,
+    so every element is a product of them."""
+    return tuple(_greedy_reach(mul.shape[0], lambda x: mul[:, x].tolist(), identity)[0])
 
 
 def subgroup_group(g: FiniteGroup, elements, name: str | None = None) -> tuple[FiniteGroup, dict]:

@@ -58,11 +58,13 @@ from .multigraph import (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class Level:
     """One occurrence of a generator and its cosets, held as one int32
     array, the one right_cosets returns: row c is the coset of vertex
-    offset + c, in ascending order, and rows are sorted by their minimum."""
+    offset + c, in ascending order, and rows are sorted by their minimum.
+    Two levels are equal when their fields are, the arrays compared
+    entry by entry."""
 
     index: int
     gen: int
@@ -75,6 +77,16 @@ class Level:
     def reps(self) -> np.ndarray:
         """The coset representatives, one per vertex of the level."""
         return self.cosets[:, 0]
+
+    def __eq__(self, other):
+        if not isinstance(other, Level):
+            return NotImplemented
+        return (
+            (self.index, self.gen, self.occurrence, self.offset)
+            == (other.index, other.gen, other.occurrence, other.offset)
+            and np.array_equal(self.cosets, other.cosets)
+            and np.array_equal(self.membership, other.membership)
+        )
 
 
 @dataclass

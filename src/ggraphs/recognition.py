@@ -22,6 +22,7 @@ from .algebra import (
     _wrap_table,
     orbits,
     perm_closure,
+    row_closure,
 )
 from .errors import (
     CapExceeded,
@@ -223,47 +224,36 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
     return rows, order, C
 
 
-def _closure_of(rows: np.ndarray) -> PermClosure | None:
-    """The group generated by generators picked greedily from the rows
-    (which are distinct), or None when it has more elements than there are
-    rows.  Each row not yet generated joins the generators, so the group
-    contains every row, and it equals the rows exactly when they are closed
-    under composition."""
-    cap = len(rows)
-    gens: list[np.ndarray] = []
-    closure = perm_closure(gens, rows.shape[1])
-    for row in rows:
-        if row.tobytes() in closure.index:
-            continue
-        gens.append(row)
-        try:
-            closure = perm_closure(gens, rows.shape[1], cap)
-        except CapExceeded:
-            return None
-    return closure
-
-
 def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
     """The report, and what reconstruct builds on: H as one int32 array in
     sorted-H order, each row a permutation of V and E taken together (the
-    vertex map, then the edge map offset by n_vertices); the closure of H,
-    None when H is not closed; and per vertex of C the first element of its
-    stabiliser whose order is |Stab|, None when there is none.
+    vertex map, then the edge map offset by n_vertices); the closure of H
+    over those rows (algebra.row_closure), None when H is not closed; and
+    per vertex of C the first element of its stabiliser whose order is
+    |Stab|, None when there is none.
 
-    H is validated and tested for automorphisms in the order given, so that
-    the error or the detail names the first offending element."""
-    rows, order, C = _validate_maps(g, w)
+    A closed H is the group its closure's generators generate, and a
+    product of automorphisms is an automorphism, so when H is closed and
+    its generators are automorphisms, every element is one.  Otherwise
+    every element is tested, in the order given, so that the detail names
+    the first offending element; an error from the validation does too."""
+    given, order, C = _validate_maps(g, w)
     nv = g.n_vertices
-    E = rows[:, nv:] - nv  # the edge maps in the order given
+    rows = given[order]
+    closure = row_closure(rows)
+
+    def defect(R):
+        return map_defect(g, g, R[:, :nv], R[:, nv:] - nv)
+
+    reason = None
+    if closure is None or defect(closure.gens) is not None:
+        reason = defect(given)
     details = []
-    reason = map_defect(g, g, rows[:, :nv], E)
     if reason is not None:
         details.append("H element is not an automorphism: " + reason)
-    rows = rows[order]
     V = rows[:, :nv]
-    if not (rows == np.arange(rows.shape[1])).all(axis=1).any():
+    if not (rows[0] == np.arange(rows.shape[1])).all():
         details.append("H does not contain the identity")
-    closure = _closure_of(rows)
     if closure is None:
         details.append("H is not closed under composition")
     for i, u in enumerate(C):
@@ -308,7 +298,7 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
             if not with_loops and orbit_of[u] == i:
                 continue
             regular, reason = acts_regularly_on_edges(
-                E[order[stab]], edges_toward(g, u, orb)
+                rows[stab, nv:] - nv, edges_toward(g, u, orb)
             )
             if not regular:
                 details.append(
@@ -354,20 +344,14 @@ class ReconstructionResult:
 
 
 def _group_of(closure: PermClosure, rows: np.ndarray) -> FiniteGroup:
-    """The multiplication table of the closed set of rows, indexed in the
-    order of the rows, which must be the closure's elements once each with
-    the identity first.  Relabelling the closure's checked table
-    (PermClosure.table) keeps it a group table, so no axiom check runs."""
-    at = np.array(closure.indices(rows), dtype=np.intp)
-    n = len(closure.elems)
-    if len(at) != n or at[0] != 0:
-        raise InternalAssertion("H is not its closure with the identity first")
-    pos = np.empty(n, dtype=np.int32)
-    pos[at] = np.arange(n)
-    table = closure.table()
-    mul = table[np.ix_(at, at)]
-    np.take(pos, mul, out=mul)
-    return _wrap_table(mul, pos[closure.inverses(table)[at]], "H")
+    """The multiplication table of the closed set of rows, indexed in their
+    order, which must be the closure's elements (algebra.row_closure).
+    PermClosure.table checks it at generator cost, and an exact table is a
+    group table, so no axiom check runs."""
+    if closure.elems is not rows:
+        raise InternalAssertion("H is not its closure's elements")
+    mul = closure.table()
+    return _wrap_table(mul, closure.inverses(mul), "H")
 
 
 def reconstruct(g: Multigraph, w: RecognitionWitness) -> ReconstructionResult:

@@ -43,8 +43,10 @@ def oracle_perm_group(degree, gens, name):
     )
 
 
-def oracle_group_of(closure, rows):
-    """The former recognition._group_of."""
+def oracle_group_of(rows):
+    """The former recognition._group_of, on H closed by its own
+    perm_closure."""
+    closure = al.perm_closure(rows, rows.shape[1])
     at = np.array([closure.index[row.tobytes()] for row in rows])
     pos = np.empty(len(closure.elems), dtype=np.int32)
     pos[at] = np.arange(len(rows))
@@ -105,7 +107,7 @@ def test_reconstructed_h_matches_the_former_table(builder):
     gg = builder(grp, [al.parse_element(grp, "(1,2)"), al.parse_element(grp, "(1,2,3,4)")])
     w = recognition.shifts_of(gg)
     _, rows, closure, _ = recognition._run_checks(gg.graph, w, builder is build_psi)
-    assert_same_group(recognition._group_of(closure, rows), oracle_group_of(closure, rows))
+    assert_same_group(recognition._group_of(closure, rows), oracle_group_of(rows))
     assert recognition.reconstruct(gg.graph, w).group.order == 24
 
 

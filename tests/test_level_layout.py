@@ -342,3 +342,16 @@ def test_verify_structure_reports_a_vertex_count_that_differs_from_the_layout():
         assert [it.number for it in items] == [1, 2, 3, 4, 5]
         assert not items[1].ok
 
+
+
+def test_separately_built_levels_compare_by_value():
+    """Level equality compares the coset and membership arrays entry by
+    entry, so two equal builds give equal levels instead of raising."""
+    x = gg.build_phi(al.cyclic_group(6), [2, 3])
+    y = gg.build_phi(al.cyclic_group(6), [2, 3])
+    assert x.levels[0] == y.levels[0]
+    assert x.levels == y.levels
+    assert x.levels[0] != y.levels[1]
+    moved = dataclasses.replace(y.levels[0], membership=y.levels[0].membership[::-1].copy())
+    assert x.levels[0] != moved
+    assert x.levels[0] != dataclasses.replace(y.levels[0], offset=1)
