@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     CapExceeded, InternalAssertion, NotAGroup, ParseError, PreconditionFailed, _index,
 )
+from .multigraph import _BLOCK
 # re-exported: the same objects as in perm
 from .perm import DEFAULT_CLOSURE_CAP, Perm, _check_degree, conjugate
 
@@ -86,7 +87,10 @@ class RowIndex:
             key = np.searchsorted(keys, key * self.rows.shape[1] + perms[:, c])
             np.minimum(key, len(keys) - 1, out=key)
         at = self.at[key]
-        return np.where((self.rows[at] == perms).all(axis=1), at, -1)
+        for b in range(0, len(at), _BLOCK):  # no temporary of every match
+            block = at[b : b + _BLOCK]
+            block[(self.rows[block] != perms[b : b + _BLOCK]).any(axis=1)] = -1
+        return at
 
 
 _GATHER = 1 << 17  # points per np.take in PermClosure.lmul
@@ -99,28 +103,24 @@ class PermClosure:
     elems[0] is the identity and elems[j] = elems[parent[j]] * gens[gen[j]]
     for j > 0 (a Schreier vector); found lists the indices in the order
     they were reached, each after its parent; rmul[i, s] is the index of
-    elems[i] * gens[s].  index finds an element's index: a dict from
-    elems[i].tobytes() to i, or a RowIndex of elems.  rmul is read off real
-    compositions, so the table and its checks take it as given.
+    elems[i] * gens[s]; index is a RowIndex of elems.  rmul is read off
+    real compositions, so the table and its checks take it as given.
     """
 
     elems: np.ndarray  # (order, degree) int32
     parent: list[int]
     gen: list[int]
     rmul: np.ndarray  # (order, number of generators)
-    index: dict | RowIndex
     gens: np.ndarray  # (number of generators, degree) int32
     found: Sequence[int]
 
-    def indices(self, perms) -> list[int] | np.ndarray:
-        """The index of each row of perms (int32 permutation arrays), each
-        an element; through a RowIndex, -1 for a row that is none, which
-        the table's checks refuse."""
-        if isinstance(self.index, RowIndex):
-            return self.index.find(perms)
-        w = 4 * self.elems.shape[1]
-        blob = np.ascontiguousarray(perms, dtype=np.int32).tobytes()
-        return [self.index[blob[i * w : (i + 1) * w]] for i in range(len(perms))]
+    @cached_property
+    def index(self) -> RowIndex:
+        return RowIndex(self.elems)
+
+    def indices(self, perms: np.ndarray) -> np.ndarray:
+        """Each row's index, -1 for no element, which the table refuses."""
+        return self.index.find(perms)
 
     @cached_property
     def lmul(self) -> np.ndarray:
@@ -191,17 +191,17 @@ def perm_closure(gens, degree: int, cap: int = DEFAULT_CLOSURE_CAP) -> PermClosu
     Raises CapExceeded when the group has more than cap elements."""
     gens = np.array(gens, dtype=np.int32).reshape(len(gens), degree)
     elems = [np.arange(degree, dtype=np.int32)]
-    index = {elems[0].tobytes(): 0}
+    seen = {elems[0].tobytes(): 0}  # only while it grows
     parent, gen, rmul = [-1], [-1], []
     for i, x in enumerate(elems):  # elems grows behind i: a queue
         for s, y in enumerate(x[gens]):
             key = y.tobytes()
-            j = index.get(key)
+            j = seen.get(key)
             if j is None:
                 j = len(elems)
                 if j >= cap:
                     raise CapExceeded("closure exceeds cap %d" % cap)
-                index[key] = j
+                seen[key] = j
                 elems.append(y)
                 parent.append(i)
                 gen.append(s)
@@ -209,7 +209,7 @@ def perm_closure(gens, degree: int, cap: int = DEFAULT_CLOSURE_CAP) -> PermClosu
     n = len(elems)
     return PermClosure(
         np.array(elems).reshape(n, degree), parent, gen,
-        np.array(rmul, dtype=np.int32).reshape(n, len(gens)), index, gens, range(n),
+        np.array(rmul, dtype=np.int32).reshape(n, len(gens)), gens, range(n),
     )
 
 
@@ -239,7 +239,9 @@ def row_closure(rows: np.ndarray) -> PermClosure | None:
     rmul = np.array(cols, dtype=np.int32).reshape(len(gens), n).T
     # gen[y]: a generator that takes parent[y] to y (the identity has none)
     gen = np.argmax(rmul[parent] == np.arange(n)[:, None], axis=1).tolist() if gens else [-1]
-    return PermClosure(rows, parent, gen, rmul, index, rows[gens], found)
+    closure = PermClosure(rows, parent, gen, rmul, rows[gens], found)
+    closure.index = index  # the one its lookups went through
+    return closure
 
 
 def orbits(maps, n_points: int, starts=None) -> list[np.ndarray]:
@@ -291,7 +293,7 @@ class FiniteGroup:
     # 0..degree-1 (int32)
     perm_rows: np.ndarray | None = field(default=None, repr=False)
     _namer: Callable[[int], str] = field(default=str, repr=False)  # names one element
-    _perm_index: dict | None = field(default=None, repr=False)  # row bytes -> element
+    _perm_index: RowIndex | None = field(default=None, repr=False)  # None until a lookup
     _name_index: dict = field(default=None, repr=False, compare=False)
 
     def elements(self) -> range:
@@ -316,10 +318,13 @@ class FiniteGroup:
 
     def perm_element(self, p: Perm) -> int | None:
         """The element that is the permutation p; None when p is not in this
-        permutation group."""
+        permutation group (a permutation of another degree is not)."""
+        if p.degree != self.perm_rows.shape[1]:
+            return None
         if self._perm_index is None:
-            self._perm_index = {row.tobytes(): x for x, row in enumerate(self.perm_rows)}
-        return self._perm_index.get((np.array(p.img, dtype=np.int32) - 1).tobytes())
+            self._perm_index = RowIndex(self.perm_rows)
+        x = self._perm_index.find(np.array([p.img], dtype=np.int32) - 1)[0]
+        return None if x < 0 else int(x)
 
     def name_index(self) -> dict:
         if self._name_index is None:
@@ -368,7 +373,13 @@ def group_from_table(
     perms: tuple[Perm, ...] | None = None,
 ) -> FiniteGroup:
     """Validate a raw table, whose identity must be element 0, and wrap it.
-    Entries must be integers: a float is refused, not truncated."""
+    Entries must be integers: a float is refused, not truncated.
+
+    perms, when given, must be a faithful copy of the group: the identity's
+    is the identity permutation, element x's times t's is mul[x, t]'s for
+    each t of a generating set (enough, by the induction in
+    incidence._is_homomorphism), and no other element's is the identity,
+    so no two elements share one."""
     try:
         mul = np.asarray(mul)
     except ValueError:  # a ragged table
@@ -381,6 +392,13 @@ def group_from_table(
         if len(perms) != len(inv) or len({p.degree for p in perms}) != 1:
             raise PreconditionFailed("perms must be one permutation per element, all of one degree")
         rows = np.array([p.img for p in perms], dtype=np.int32) - 1
+        if not (rows[0] == np.arange(rows.shape[1])).all():
+            raise PreconditionFailed("the identity's permutation is not the identity")
+        for t in generating_set(mul):
+            if not (rows[mul[:, t]] == rows[:, rows[t]]).all():
+                raise PreconditionFailed("perms do not multiply as the table does")
+        if (rows[1:] == rows[0]).all(axis=1).any():
+            raise PreconditionFailed("two elements share a permutation")
     return _wrap_table(
         mul.astype(np.int32, copy=False), inv, name, elem_names,
         factor_orders=factor_orders, perm_rows=rows,

@@ -239,7 +239,8 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
     the first offending element; an error from the validation does too."""
     given, order, C = _validate_maps(g, w)
     nv = g.n_vertices
-    rows = given[order]
+    # an H from shifts_of is sorted already, and is used as it is
+    rows = given if (order == np.arange(len(order))).all() else given[order]
     closure = row_closure(rows)
 
     def defect(R):

@@ -37,7 +37,7 @@ def _closure_of(rows: np.ndarray) -> PermClosure | None:
     gens: list[np.ndarray] = []
     closure = perm_closure(gens, rows.shape[1])
     for row in rows:
-        if row.tobytes() in closure.index:
+        if closure.index.find(row[None])[0] >= 0:
             continue
         gens.append(row)
         try:

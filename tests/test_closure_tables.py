@@ -47,7 +47,7 @@ def oracle_group_of(rows):
     """The former recognition._group_of, on H closed by its own
     perm_closure."""
     closure = al.perm_closure(rows, rows.shape[1])
-    at = np.array([closure.index[row.tobytes()] for row in rows])
+    at = closure.indices(rows)
     pos = np.empty(len(closure.elems), dtype=np.int32)
     pos[at] = np.arange(len(rows))
     return al.group_from_table(pos[oracle_table(closure)[np.ix_(at, at)]], name="H")

@@ -98,9 +98,35 @@ def test_group_from_table_keeps_the_perms_it_is_given():
     assert al.parse_element(g, "(1,2)") == 1
     with pytest.raises(ParseError):
         al.parse_element(g, "(1,3)")
-    for perms in [(one,), (one, swap, swap), (al.Perm((1,)), swap)]:
+    for perms in [(one,), (one, swap, swap), (al.Perm((1,)), swap), (swap, swap), (swap, one),
+                  (one, one)]:
         with pytest.raises(PreconditionFailed):
             al.group_from_table(z2, perms=perms)
+    with pytest.raises(PreconditionFailed):
+        al.group_from_table([[0]], perms=(swap,))  # no generator to multiply by
+    z3, cycle = [[0, 1, 2], [1, 2, 0], [2, 0, 1]], al.Perm((2, 3, 1))
+    assert al.group_from_table(z3, perms=(one, cycle, cycle * cycle)).perms[2] == cycle * cycle
+    with pytest.raises(PreconditionFailed, match="multiply"):
+        al.group_from_table(z3, perms=(one, cycle, swap))
+
+
+@pytest.mark.parametrize("spec,gens", [("S4", ["(1,2,3)", "(1,2)(3,4)"]), (WREATH, ["(1,2,3)"])],
+                         ids=["S4", "wreath"])
+def test_a_subgroup_finds_its_permutations_through_an_index_built_on_first_use(spec, gens):
+    """A subgroup_group result has perm_rows but no index until
+    parse_element first asks for one; every element's cycle string gives
+    back its index, and an ambient permutation outside it is refused."""
+    g = al.parse_group(spec)
+    elems = al.generated_subgroup(g, [al.parse_element(g, t) for t in gens])
+    sub, _ = al.subgroup_group(g, elems)
+    assert sub._perm_index is None and sub.order < g.order
+    for x in sub.elements():
+        assert al.parse_element(sub, sub.elem_name(x)) == x
+    assert isinstance(sub._perm_index, al.RowIndex)
+    assert sub.perm_element(al.Perm.identity(sub.perm_rows.shape[1] + 1)) is None
+    outside = next(x for x in g.elements() if x not in set(elems))
+    with pytest.raises(ParseError, match="is not in"):
+        al.parse_element(sub, g.elem_name(outside))
 
 
 def test_build_and_verify_names_nothing(monkeypatch, certificates):

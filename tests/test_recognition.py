@@ -15,10 +15,11 @@ from ggraphs.algebra import (
 )
 from ggraphs.errors import CapExceeded, ParseError, PreconditionFailed, WitnessInvalid
 from ggraphs.ggraph import build_phi, build_psi, level_vertices
-from ggraphs.multigraph import Multigraph, isomorphic
+from ggraphs.multigraph import GraphAutRows, Multigraph, isomorphic
 from ggraphs.recognition import (
     GraphAut,
     RecognitionWitness,
+    _run_checks,
     acts_regularly_on_edges,
     check,
     check_simple,
@@ -455,3 +456,18 @@ def test_witness_closure_above_the_table_cap_is_refused():
     # S7 alone (5040 elements) still closes
     w = witness_from_json(g, {"H_generators": gens[:2], "C": [0]})
     assert len(w.H) == 5040
+
+
+def test_a_sorted_h_is_checked_without_a_copy():
+    """shifts_of gives H sorted, and _run_checks reads its rows as they
+    are; a shuffled H is read through a sorted copy."""
+    g = symmetric_group(4)
+    gg = build_phi(g, [parse_element(g, "(1,2)"), parse_element(g, "(1,2,3,4)")])
+    w = shifts_of(gg)
+    rows = _run_checks(gg.graph, w, False)[1]
+    assert np.shares_memory(rows, w.H.rows)
+    shuffle = np.random.default_rng(1).permutation(len(w.H))
+    shuffled = GraphAutRows(w.H.rows[shuffle], w.H.n_vertices)
+    rows = _run_checks(gg.graph, RecognitionWitness(shuffled, w.C), False)[1]
+    assert not np.shares_memory(rows, shuffled.rows)
+    assert (rows == w.H.rows).all()
