@@ -29,7 +29,6 @@ import numpy as np
 from .errors import (
     CapExceeded, InternalAssertion, NotAGroup, ParseError, PreconditionFailed, _index,
 )
-from .multigraph import _BLOCK
 # re-exported: the same objects as in perm
 from .perm import DEFAULT_CLOSURE_CAP, Perm, _check_degree, conjugate
 
@@ -47,50 +46,42 @@ def _check_order(n: int) -> None:
 
 
 class RowIndex:
-    """An exact index of distinct permutation rows (an (n, degree) int
-    array).
+    """An exact index of distinct int32 rows (an (n, width) array), such
+    as a permutation group's elements.
 
-    A row's key is read off a few columns that tell the rows apart, picked
-    one at a time: each is the first column where two rows whose keys are
-    still equal differ, until every row has its own key.  (An element of a
-    permutation group is fixed by its images of such a set of points.)  A
-    lookup matches keys, then confirms each match against the full row, so
-    a row that agrees with an indexed one on every key column but differs
-    elsewhere is a miss."""
+    A row's key is the row itself: its bytes read as one np.void scalar, a
+    view of the rows, so two keys are equal exactly when the rows are.  The
+    keys are argsorted once, and a lookup is two binary searches in that
+    order: a row is found where the run of keys equal to it is not empty."""
 
     def __init__(self, rows: np.ndarray):
-        n, degree = rows.shape
-        self.rows = rows
-        self.steps: list[tuple[int, np.ndarray]] = []  # (column, sorted keys)
-        key = np.zeros(n, dtype=np.int64)  # a dense key, below n
-        while True:
-            order = np.argsort(key, kind="stable")
-            tied = np.flatnonzero(key[order[1:]] == key[order[:-1]])
-            if not len(tied):
-                break
-            a, b = order[tied[0]], order[tied[0] + 1]
-            differ = np.flatnonzero(rows[a] != rows[b])
-            if not len(differ):
-                raise PreconditionFailed("indexed rows must be distinct")
-            c = int(differ[0])
-            keys, key = np.unique(key * degree + rows[:, c], return_inverse=True)
-            self.steps.append((c, keys))
-        self.at = np.empty(n, dtype=np.intp)  # key -> row
-        self.at[key] = np.arange(n)
+        self.keys = _row_keys(rows)
+        self.order = np.argsort(self.keys)
+        # each row's run starts at its own place in the order unless the
+        # row is repeated
+        left = np.searchsorted(self.keys, self.keys, sorter=self.order)
+        if (left[self.order] != np.arange(len(left))).any():
+            raise PreconditionFailed("indexed rows must be distinct")
 
     def find(self, perms: np.ndarray) -> np.ndarray:
         """The index of each row of perms among the indexed rows, -1 where
-        it is none of them.  A row whose key is none of the rows' keys
-        walks to some row's key, which the full row then refuses."""
-        key = np.zeros(len(perms), dtype=np.intp)
-        for c, keys in self.steps:
-            key = np.searchsorted(keys, key * self.rows.shape[1] + perms[:, c])
-            np.minimum(key, len(keys) - 1, out=key)
-        at = self.at[key]
-        for b in range(0, len(at), _BLOCK):  # no temporary of every match
-            block = at[b : b + _BLOCK]
-            block[(self.rows[block] != perms[b : b + _BLOCK]).any(axis=1)] = -1
+        it is none of them."""
+        keys = _row_keys(perms)
+        left, right = (
+            np.searchsorted(self.keys, keys, side, sorter=self.order)
+            for side in ("left", "right")
+        )
+        at = np.full(len(keys), -1, dtype=np.intp)
+        hit = right > left
+        at[hit] = self.order[left[hit]]
         return at
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of an (n, width) array, width >= 1, as one np.void scalar of
+    its int32 bytes: a view when the rows are contiguous int32."""
+    rows = np.ascontiguousarray(rows, dtype=np.int32)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
 
 
 _GATHER = 1 << 17  # points per np.take in PermClosure.lmul
@@ -318,7 +309,10 @@ class FiniteGroup:
 
     def perm_element(self, p: Perm) -> int | None:
         """The element that is the permutation p; None when p is not in this
-        permutation group (a permutation of another degree is not)."""
+        permutation group (a permutation of another degree is not).
+        PreconditionFailed when this group has no permutations."""
+        if self.perm_rows is None:
+            raise PreconditionFailed("%s is not a permutation group" % self.name)
         if p.degree != self.perm_rows.shape[1]:
             return None
         if self._perm_index is None:
@@ -389,8 +383,11 @@ def group_from_table(
     inv = check_group_axioms(mul)
     rows = None
     if perms is not None:
-        if len(perms) != len(inv) or len({p.degree for p in perms}) != 1:
-            raise PreconditionFailed("perms must be one permutation per element, all of one degree")
+        degrees = {p.degree for p in perms}
+        if len(perms) != len(inv) or len(degrees) != 1 or 0 in degrees:
+            raise PreconditionFailed(
+                "perms must be one permutation per element, all of one degree >= 1"
+            )
         rows = np.array([p.img for p in perms], dtype=np.int32) - 1
         if not (rows[0] == np.arange(rows.shape[1])).all():
             raise PreconditionFailed("the identity's permutation is not the identity")
@@ -480,6 +477,8 @@ def perm_group(
     Cayley table of a permutation group is a group table.  The inverses come
     from the closure, and so do the element rows and their index, so no Perm
     object or name is built until one is read."""
+    if degree < 1:
+        raise PreconditionFailed("perm_group needs degree >= 1, got %d" % degree)
     gens = list(generators)
     for p in gens:
         if p.degree != degree:

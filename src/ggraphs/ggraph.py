@@ -204,6 +204,26 @@ def build_psi(group: FiniteGroup, gens) -> GGraph:
 # shifts
 
 
+def _check_layout(gg: GGraph) -> None:
+    """Raise PreconditionFailed unless each level's offset is the vertex
+    count of the levels before it, its cosets hold each element of G
+    exactly once, and membership gives each element the row that holds it:
+    |G| entries with membership[cosets[c]] == c for every row c."""
+    n, offset = gg.group.order, 0
+    for i, lvl in enumerate(gg.levels):
+        cosets, membership = lvl.cosets, lvl.membership
+        if not (
+            lvl.offset == offset
+            and np.array_equal(np.sort(cosets, axis=None), np.arange(n))
+            and len(membership) == n
+            and (membership[cosets] == np.arange(len(cosets))[:, None]).all()
+        ):
+            raise PreconditionFailed(
+                "level %d of the layout is malformed: its offset, cosets or membership" % i
+            )
+        offset += len(cosets)
+
+
 def _shift_arrays(gg: GGraph):
     """(S_v, S_e): vertex and edge maps of delta_g for all g, as int32
     matrices; row g is delta_g: <s>x -> <s>xg with its edge action.
@@ -221,7 +241,9 @@ def _shift_arrays(gg: GGraph):
     SHIFT_CAP = 2^28 (1 GiB) CapExceeded is raised before either exists.
     The edge actions read each block's labels from gg.edge_glabel; when it
     does not give every edge of the layout an element of G, they are not
-    defined, and PreconditionFailed is raised."""
+    defined, and PreconditionFailed is raised, as it is for a malformed
+    level layout (_check_layout)."""
+    _check_layout(gg)
     grp = gg.group
     n = grp.order
     blocks = _blocks(gg.n_levels, gg.with_loops)

@@ -183,6 +183,18 @@ def test_perm_group_cap():
         al.symmetric_group(8)
 
 
+def test_a_permutation_group_of_degree_0_is_refused():
+    with pytest.raises(PreconditionFailed, match="degree >= 1"):
+        al.perm_group(0, [])
+    with pytest.raises(PreconditionFailed, match="degree >= 1"):
+        al.group_from_table([[0]], perms=(al.Perm(()),))
+
+
+def test_perm_element_of_a_group_with_no_permutations_is_refused():
+    with pytest.raises(PreconditionFailed, match="Z3 is not a permutation group"):
+        al.cyclic_group(3).perm_element(al.Perm((2, 3, 1)))
+
+
 def test_dihedral_and_quaternion():
     d4 = al.dihedral_group(4)
     assert d4.order == 8

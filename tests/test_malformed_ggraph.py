@@ -3,7 +3,9 @@ GGraphError, never a bare Python exception.
 
 Each input below is a well-formed Phi or Psi with one fault put in: an
 edge with no label, labels missing, extra or outside G, a vertex with no
-part tag, an edge end moved, a vertex added or dropped.
+part tag, an edge end moved, a vertex added or dropped, or a level layout
+whose offset, cosets or membership is wrong.  verify_structure and
+shifts_of refuse a G-graph whose shift arrays are not defined.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from ggraphs import algebra as al
 from ggraphs import ggraph as gg
+from ggraphs import recognition as rec
 from ggraphs.errors import GGraphError, PreconditionFailed
 from ggraphs.multigraph import Multigraph
 
@@ -53,33 +56,56 @@ def _relabelled(x, labels):
     return dataclasses.replace(x, edge_glabel=np.asarray(labels, dtype=np.int64))
 
 
+def _with_level(x, **changes):
+    """x with its last level's fields changed."""
+    *rest, last = x.levels
+    return dataclasses.replace(x, levels=(*rest, dataclasses.replace(last, **changes)))
+
+
 def _malformed(x, rng):
-    """(name, G-graph, whether verify_structure refuses it) triples."""
+    """(name, G-graph, the message verify_structure refuses it with, or
+    None when it must fail the report) triples."""
     n, nv = x.group.order, x.graph.n_vertices
     ends = [(e.u, e.v) for e in x.graph.edges]
     L = x.edge_glabel
     parts = [v.part for v in x.graph.vertices]
-    yield "unlabelled edge", _copy(x, edges=ends + [(0, nv - 1)]), False
-    yield "unlabelled loop", _copy(x, edges=ends + [(0, 0)]), False
-    yield "edge dropped", _copy(x, edges=ends[:-1]), False
-    yield "untagged vertex", _copy(x, parts=[None] + parts[1:]), False
-    yield "retagged vertex", _copy(x, parts=[99] + parts[1:]), False
-    yield "extra vertex", _copy(x, extra_parts=[0]), False
-    yield "extra untagged vertex", _copy(x, extra_parts=[None]), False
+    yield "unlabelled edge", _copy(x, edges=ends + [(0, nv - 1)]), None
+    yield "unlabelled loop", _copy(x, edges=ends + [(0, 0)]), None
+    yield "edge dropped", _copy(x, edges=ends[:-1]), None
+    yield "untagged vertex", _copy(x, parts=[None] + parts[1:]), None
+    yield "retagged vertex", _copy(x, parts=[99] + parts[1:]), None
+    yield "extra vertex", _copy(x, extra_parts=[0]), None
+    yield "extra untagged vertex", _copy(x, extra_parts=[None]), None
     fewer = Multigraph()
     for p in parts[:-1]:
         fewer.add_vertex("", p)
-    yield "vertex dropped", dataclasses.replace(x, graph=fewer), False
+    yield "vertex dropped", dataclasses.replace(x, graph=fewer), None
     for k in rng.sample(range(len(ends)), 3):
         moved = list(ends)
         moved[k] = (ends[k][0], (ends[k][1] + 1 + rng.randrange(nv - 1)) % nv)
-        yield "end of edge %d moved" % k, _copy(x, edges=moved), False
-    yield "extra label", _relabelled(x, np.append(L, L[0])), False
-    yield "last label missing", _relabelled(x, L[:-1]), True
-    yield "no labels", _relabelled(x, L[:0]), True
-    yield "edge and label dropped", _relabelled(_copy(x, edges=ends[1:]), L[1:]), True
+        yield "end of edge %d moved" % k, _copy(x, edges=moved), None
+    yield "extra label", _relabelled(x, np.append(L, L[0])), None
+    unlabelled = "edge_glabel does not label"
+    yield "last label missing", _relabelled(x, L[:-1]), unlabelled
+    yield "no labels", _relabelled(x, L[:0]), unlabelled
+    yield "edge and label dropped", _relabelled(_copy(x, edges=ends[1:]), L[1:]), unlabelled
     for bad in (n, -1, 2**40):
-        yield "label %d" % bad, _relabelled(x, np.where(np.arange(len(L)) == 1, bad, L)), True
+        yield "label %d" % bad, _relabelled(x, np.where(np.arange(len(L)) == 1, bad, L)), unlabelled
+    # the last level's layout; its last coset row holds its last element
+    malformed = "level %d of the layout is malformed" % (x.n_levels - 1)
+    last = x.levels[-1]
+    cosets, membership = last.cosets, last.membership
+    y = cosets[-1, -1]
+    yield "level offset", _with_level(x, offset=last.offset + 1), malformed
+    yield "membership cut short", _with_level(x, membership=membership[:-1]), malformed
+    past = membership.copy()
+    past[y] = len(cosets)
+    yield "membership past the cosets", _with_level(x, membership=past), malformed
+    yield "coset row dropped", _with_level(x, cosets=cosets[:-1]), malformed
+    for bad, name in ((n, "outside G"), (cosets[0, 0], "repeated")):
+        entries = cosets.copy()
+        entries[-1, -1] = bad
+        yield "coset entry %s" % name, _with_level(x, cosets=entries), malformed
 
 
 def _inputs():
@@ -90,17 +116,18 @@ def _inputs():
         elems = [al.parse_element(group, t) for t in gens]
         for loops in (False, True):
             x = gg._build(group, elems, loops)
-            for name, bad, refused in _malformed(x, random.Random(spec)):
+            for name, bad, refusal in _malformed(x, random.Random(spec)):
                 cases.append(pytest.param(
-                    bad, refused, id="%s-%s-%s" % ("psi" if loops else "phi", spec, name)))
+                    bad, refusal, id="%s-%s-%s" % ("psi" if loops else "phi", spec, name)))
     return cases
 
 
-@pytest.mark.parametrize("x,refused", _inputs())
-def test_a_malformed_ggraph_fails_or_is_refused(x, refused):
-    if refused:
-        with pytest.raises(PreconditionFailed, match="edge_glabel does not label"):
-            gg.verify_structure(x)
+@pytest.mark.parametrize("x,refusal", _inputs())
+def test_a_malformed_ggraph_fails_or_is_refused(x, refusal):
+    if refusal is not None:
+        for read in (gg.verify_structure, rec.shifts_of):
+            with pytest.raises(PreconditionFailed, match=refusal):
+                read(x)
         return
     try:
         report = gg.verify_structure(x)
