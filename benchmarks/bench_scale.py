@@ -1,11 +1,13 @@
 """Time the exact group and G-graph checks at scale, with peak memory.
 
-For each symmetric group S_n named, a fresh interpreter runs five phases
+For each symmetric group S_n named, a fresh interpreter runs six phases
 on Phi(S_n, {(1,2), (1,2,...,n)}) and reports each one's seconds:
 
 - ``parse_group``: closure, Cayley table and its generator-cost check;
 - ``build_phi``: levels, vertices and edges;
 - ``verify_structure``: the five structural checks (all must pass);
+- ``verify_psi``: ``build_psi`` on the same generators, then the five
+  checks on Psi, whose loop blocks add one slab of |G| edges per level;
 - ``shifts_of``: the recognition witness, H the |G| distinct shifts as
   one int32 array;
 - ``reconstruct``: the characterisation checks on that witness, the group
@@ -16,7 +18,7 @@ under tracemalloc, and reports the bytes it retains per edge
 (``bytes_per_edge``: the graph, its levels and its edge labels).  Tracing
 slows allocation, so it runs only there, where no phase is timed.
 
-Before the timed phases the child runs all five once, untimed, on S3, so
+Before the timed phases the child runs all six once, untimed, on S3, so
 numpy's first-call costs land in no timed phase: a phase's time does not
 move when work moves between phases.  Peak RSS is the process's
 high-water mark (``ru_maxrss``) read after each phase, so it includes the
@@ -42,7 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = ROOT / "benchmarks" / "BENCH_structure_scale.json"
-PHASES = ("parse_group", "build_phi", "verify_structure", "shifts_of", "reconstruct")
+PHASES = ("parse_group", "build_phi", "verify_structure", "verify_psi", "shifts_of",
+          "reconstruct")
 
 CHILD = """
 import gc, json, resource, sys, time, tracemalloc
@@ -51,12 +54,13 @@ def peak_mib():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 from ggraphs.algebra import parse_element, parse_group
-from ggraphs.ggraph import build_phi, verify_structure
+from ggraphs.ggraph import build_phi, build_psi, verify_structure
 from ggraphs.recognition import reconstruct, shifts_of
 
 s3 = parse_group("S3")
 x = build_phi(s3, [parse_element(s3, "(1,2)"), parse_element(s3, "(1,2,3)")])
 verify_structure(x)
+verify_structure(build_psi(s3, x.gens))
 reconstruct(x.graph, shifts_of(x))
 spec = sys.argv[1]
 n = int(spec[1:])
@@ -76,6 +80,10 @@ report = verify_structure(x)
 seconds["verify_structure"] = time.perf_counter() - t
 peak["verify_structure"] = peak_mib()
 t = time.perf_counter()
+report_psi = verify_structure(build_psi(g, gens))
+seconds["verify_psi"] = time.perf_counter() - t
+peak["verify_psi"] = peak_mib()
+t = time.perf_counter()
 w = shifts_of(x)
 seconds["shifts_of"] = time.perf_counter() - t
 peak["shifts_of"] = peak_mib()
@@ -92,7 +100,8 @@ tracemalloc.stop()
 print(json.dumps({
     "group": spec, "order": g.order, "vertices": x.graph.n_vertices,
     "edges": x.graph.n_edges,
-    "all_ok": report.all_ok and len(w.H) == rebuilt.group.order == g.order,
+    "all_ok": report.all_ok and report_psi.all_ok
+              and len(w.H) == rebuilt.group.order == g.order,
     "seconds": seconds, "peak_rss_mib": peak,
     "bytes_per_edge": retained / again.graph.n_edges,
 }))
@@ -155,7 +164,7 @@ def main():
     for spec in groups:
         rows = [run_child(spec) for _ in range(args.repeats)]
         if not all(r["all_ok"] for r in rows):
-            raise SystemExit("verify_structure or reconstruct failed on %s" % spec)
+            raise SystemExit("verify_structure, verify_psi or reconstruct failed on %s" % spec)
         runs.extend(rows)
         cells = [
             "%7.3f / %6.1f" % (

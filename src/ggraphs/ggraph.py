@@ -136,7 +136,8 @@ def _check_gens(group: FiniteGroup, gens) -> tuple[int, ...]:
 
 
 # size caps, each checked before its allocation: the edges of one G-graph,
-# and the entries of its shift arrays (1 GiB as int32)
+# and the entries of all its shifts (1 GiB as int32), whether they are held
+# at once or one slab at a time
 EDGE_CAP = 1 << 20
 SHIFT_CAP = 1 << 28
 
@@ -204,16 +205,24 @@ def build_psi(group: FiniteGroup, gens) -> GGraph:
 # shifts
 
 
+def _integer_array(a, ndim: int) -> bool:
+    """Whether a is an ndim-dimensional numpy array of integers."""
+    return isinstance(a, np.ndarray) and a.ndim == ndim and a.dtype.kind in "iu"
+
+
 def _check_layout(gg: GGraph) -> None:
-    """Raise PreconditionFailed unless each level's offset is the vertex
-    count of the levels before it, its cosets hold each element of G
-    exactly once, and membership gives each element the row that holds it:
-    |G| entries with membership[cosets[c]] == c for every row c."""
+    """Raise PreconditionFailed unless there is a level, each level's
+    offset is the vertex count of the levels before it, its cosets (a 2-D
+    integer array) hold each element of G exactly once, and membership (a
+    1-D integer array) gives each element the row that holds it: |G|
+    entries with membership[cosets[c]] == c for every row c."""
     n, offset = gg.group.order, 0
-    for i, lvl in enumerate(gg.levels):
-        cosets, membership = lvl.cosets, lvl.membership
+    for i, lvl in enumerate(gg.levels or [None]):  # no level: level 0 is missing
+        cosets, membership = (None, None) if lvl is None else (lvl.cosets, lvl.membership)
         if not (
-            lvl.offset == offset
+            _integer_array(cosets, 2)
+            and _integer_array(membership, 1)
+            and lvl.offset == offset
             and np.array_equal(np.sort(cosets, axis=None), np.arange(n))
             and len(membership) == n
             and (membership[cosets] == np.arange(len(cosets))[:, None]).all()
@@ -224,67 +233,111 @@ def _check_layout(gg: GGraph) -> None:
         offset += len(cosets)
 
 
-def _shift_arrays(gg: GGraph):
-    """(S_v, S_e): vertex and edge maps of delta_g for all g, as int32
-    matrices; row g is delta_g: <s>x -> <s>xg with its edge action.
+def _shift_slabs(gg: GGraph):
+    """The column slabs of the shifts, (vertex slabs, edge slabs), each in
+    layout order: one per level, over its vertices, and one per block of
+    _blocks, over its |G| edges.  Every shift maps each slab into itself.
 
-    They are filled _BLOCK rows at a time from column slices of the table:
-    rows r0:r1 of a level read mul[reps, r0:r1], its coset representatives
-    times g for each g of the strip, so a temporary holds at most
-    _BLOCK·|G| entries.  The strips tile the rows, so every entry is
-    written once, from the table entry mul[x, g] that defines it, as one
-    whole-table gather would.
+    A slab is a triple (start, x, pos): its columns are the ids start,
+    start + 1, ... (vertex ids or edge ids), one per entry of x, and
+    delta_g maps column c to start + pos[x[c] g].  For a level, x is its
+    coset representatives and pos its membership: delta_g(<s>x) = <s>xg.
+    For an edge block, x is its labels, read from gg.edge_glabel, and
+    delta_g maps the edge labelled x to the edge labelled xg of the same
+    block: for a level pair pos is None, since there the edge of label y
+    is edge start + y, and for the loops of a level pos[y] is where the
+    label y sits in _block_labels.
 
-    Their columns are the vertices and edges that the layout rule gives the
-    levels, not those of gg.graph, so an extra edge there leaves no column
-    unwritten.  Together they hold |G|·(vertices + edges) entries; above
-    SHIFT_CAP = 2^28 (1 GiB) CapExceeded is raised before either exists.
-    The edge actions read each block's labels from gg.edge_glabel; when it
-    does not give every edge of the layout an element of G, they are not
-    defined, and PreconditionFailed is raised, as it is for a malformed
-    level layout (_check_layout)."""
+    The slabs hold |G|·(vertices + edges) entries in all, whose columns are
+    the vertices and edges that the layout rule gives the levels, not those
+    of gg.graph.  The checks come first: a malformed level layout
+    (_check_layout) raises PreconditionFailed; above SHIFT_CAP = 2^28 (1
+    GiB as int32) entries, CapExceeded; and when gg.edge_glabel does not
+    give every edge of the layout an element of G, so that the edge slabs
+    are not defined, PreconditionFailed."""
     _check_layout(gg)
-    grp = gg.group
-    n = grp.order
+    n = gg.group.order
     blocks = _blocks(gg.n_levels, gg.with_loops)
     n_v, n_e = sum(len(lvl.cosets) for lvl in gg.levels), len(blocks) * n
     entries = n * (n_v + n_e)
     if entries > SHIFT_CAP:
         raise CapExceeded("shift arrays of %d entries exceed cap %d" % (entries, SHIFT_CAP))
-    labelled = gg.edge_glabel[:n_e]
-    if len(labelled) < n_e or ((labelled < 0) | (labelled >= n)).any():
+    labels = gg.edge_glabel
+    if not (_integer_array(labels, 1) and len(labels) >= n_e) or (
+        (labels[:n_e] < 0) | (labels[:n_e] >= n)
+    ).any():
         raise PreconditionFailed(
             "edge_glabel does not label the %d edges of the layout with elements of G" % n_e
         )
-    strips = [(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
-    S_v = np.empty((n, n_v), dtype=np.int32)
-    for lvl in gg.levels:
-        # delta_g(<s>x) = <s>(x g); row g, columns = cosets of this level
-        for r0, r1 in strips:
-            cols = S_v[r0:r1, lvl.offset : lvl.offset + len(lvl.cosets)]
-            np.add(lvl.membership[grp.mul[lvl.reps, r0:r1].T], lvl.offset, out=cols)
-    # delta_g maps the edge labelled x to the edge labelled xg of the same
-    # block: edge base + xg of a level pair, whose labels are added without
-    # a gather, and edge base + pos[xg] of a loop block
-    S_e = np.empty((n, n_e), dtype=np.int32)
+    edge = []
     for b, (i, j) in enumerate(blocks):
-        base = b * n
-        labels = gg.edge_glabel[base : base + n]
-        if i == j:  # pos[y] is where the label y sits; int32 gathers faster
+        pos = None
+        if i == j:  # int32 gathers faster
             pos = np.empty(n, dtype=np.int32)
             pos[_block_labels(gg.levels, i, j, n)] = np.arange(n)
-        for r0, r1 in strips:
-            img = grp.mul[labels, r0:r1].T  # row g: labels times g
-            np.add(img if i != j else pos[img], base, out=S_e[r0:r1, base : base + n])
+        edge.append((b * n, labels[b * n : b * n + n], pos))
+    return [(lvl.offset, lvl.reps, lvl.membership) for lvl in gg.levels], edge
+
+
+def _slab_entries(mul: np.ndarray, slab, rows) -> np.ndarray:
+    """The entries of the shifts rows (a slice or an index array) on slab,
+    as positions within it: row k is delta_{rows[k]} on the slab's columns,
+    less their start.  Callers pass at most _BLOCK rows, so the gather is
+    one strip; a slice reads mul[x, r0:r1], a column slice of the table."""
+    _, x, pos = slab
+    img = (mul[x, rows] if isinstance(rows, slice) else mul[x[:, None], rows]).T
+    return img if pos is None else pos[img]
+
+
+def _fill(mul: np.ndarray, slabs, rows, out: np.ndarray, add: int = 0) -> None:
+    """Write the shifts rows on slabs into out, column start of a slab at
+    out column start, each entry plus add."""
+    for slab in slabs:
+        start = slab[0]
+        np.add(
+            _slab_entries(mul, slab, rows), start + add,
+            out=out[:, start : start + len(slab[1])],
+        )
+
+
+def _strips(n: int) -> list[slice]:
+    """Rows 0..n-1 as slices of _BLOCK rows."""
+    return [slice(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
+
+
+def _shift_arrays(gg: GGraph):
+    """(S_v, S_e): vertex and edge maps of delta_g for all g, as int32
+    matrices; row g is delta_g: <s>x -> <s>xg with its edge action.
+
+    They are filled from the slabs of _shift_slabs, after its checks, one
+    _BLOCK-row strip at a time, so a temporary holds at most _BLOCK rows of
+    a slab.  The strips tile the rows, so every entry is written once, from
+    the table entry that defines it, as one whole-table gather would."""
+    v_slabs, e_slabs = _shift_slabs(gg)
+    mul = gg.group.mul
+    n = len(mul)
+    S_v = np.empty((n, sum(len(x) for _, x, _ in v_slabs)), dtype=np.int32)
+    S_e = np.empty((n, len(e_slabs) * n), dtype=np.int32)
+    for rows in _strips(n):
+        _fill(mul, v_slabs, rows, S_v[rows])
+        _fill(mul, e_slabs, rows, S_e[rows])
     return S_v, S_e
 
 
 def shifts(gg: GGraph) -> GraphAutRows:
     """All |G| shifts as one array over the layout's vertices and edges;
-    entry g is delta_g."""
-    S_v, S_e = _shift_arrays(gg)
-    S_e += S_v.shape[1]
-    return GraphAutRows(np.hstack((S_v, S_e)), S_v.shape[1])
+    entry g is delta_g.  It is filled as _shift_arrays fills its two, with
+    the edge columns after the vertex columns and their ids offset by the
+    vertex count."""
+    v_slabs, e_slabs = _shift_slabs(gg)
+    mul = gg.group.mul
+    n = len(mul)
+    n_v = sum(len(x) for _, x, _ in v_slabs)
+    rows = np.empty((n, n_v + len(e_slabs) * n), dtype=np.int32)
+    for r in _strips(n):
+        _fill(mul, v_slabs, r, rows[r, :n_v])
+        _fill(mul, e_slabs, r, rows[r, n_v:], add=n_v)
+    return GraphAutRows(rows, n_v)
 
 
 def colour_clique(gg: GGraph, x: int) -> list[int]:
@@ -326,16 +379,30 @@ class StructureReport:
         ]
 
 
+def _law_holds(mul: np.ndarray, slab, gens) -> bool:
+    """Whether delta_a . delta_b = delta_{ba} on slab for every b and each
+    a of gens.  The slab's |G| rows are built in _BLOCK-row strips, then
+    compared _BLOCK rows of b at a time; no other slab is held meanwhile."""
+    strips = _strips(len(mul))
+    T = np.empty((len(mul), len(slab[1])), dtype=np.int32)
+    for rows in strips:
+        T[rows] = _slab_entries(mul, slab, rows)
+    return all((T[a][T[b]] == T[mul[b, a]]).all() for a in gens for b in strips)
+
+
 def verify_structure(gg: GGraph) -> StructureReport:
     """Check the five structural properties every G-graph must satisfy.
 
-    Row x of the shift arrays is delta_x.  Item 1's composition law
-    delta_a . delta_b = delta_{ba} is checked for every b and each a of a
-    generating set: the a that satisfy it for all b are closed under
-    products, and every element is a product of generators.  It is the one
-    step that reads every shift.  Once it holds, delta_{xt} = delta_t .
+    Row x of the shifts is delta_x.  Item 1's composition law delta_a .
+    delta_b = delta_{ba} is checked for every b and each a of a generating
+    set: the a that satisfy it for all b are closed under products, and
+    every element is a product of generators.  It is the one step that
+    reads every shift, and it reads them one slab of _shift_slabs at a
+    time: every shift maps each slab into itself, so the law holds exactly
+    when it holds on each slab.  Once it holds, delta_{xt} = delta_t .
     delta_x for every x and every generator t, so each shift is delta_e
-    followed by generator shifts, and the other steps read less:
+    followed by generator shifts, and the other steps read less, building
+    only the rows they read:
 
     - automorphisms (item 1) and levels (item 2): delta_e and the generator
       shifts, since a composition of automorphisms that keep every vertex's
@@ -343,8 +410,9 @@ def verify_structure(gg: GGraph) -> StructureReport:
     - the kernel {x : delta_x = delta_e}: x -> delta_x maps G onto a group
       of maps, so delta_x = delta_y exactly when x y^-1 lies in the kernel,
       and there are |G| / |kernel| distinct shifts.  A kernel row agrees
-      with delta_e in column 0, so only the rows that do are compared in
-      full: the o(s) rows of <s> when vertex 0 is the coset <s>;
+      with delta_e in column 0, which one table row gives, so only the rows
+      that do are built in full: the o(s) rows of <s> when vertex 0 is the
+      coset <s>;
     - cliqueness (item 3): once the permutation law delta_t(C_x) = C_{xt}
       holds for the generators t, C_{t_1...t_k} = delta_{t_k} ...
       delta_{t_1}(C_e).  When the generator shifts are also automorphisms,
@@ -357,31 +425,49 @@ def verify_structure(gg: GGraph) -> StructureReport:
     5 takes each vertex's level and coset from the layout rule, not from
     its part tag, which items 2 and 4 check."""
     grp = gg.group
-    n = grp.order
+    n, mul = grp.order, grp.mul
     g = gg.graph
-    S_v, S_e = _shift_arrays(gg)
-    blocks = [slice(b, b + _BLOCK) for b in range(0, n, _BLOCK)]
+    v_slabs, e_slabs = _shift_slabs(gg)
+    n_v, n_e = sum(len(x) for _, x, _ in v_slabs), len(e_slabs) * n
+
+    def shift_rows(rows):
+        """The vertex and edge maps of the shifts rows."""
+        k = len(range(n)[rows]) if isinstance(rows, slice) else len(rows)
+        V, E = np.empty((k, n_v), dtype=np.int32), np.empty((k, n_e), dtype=np.int32)
+        _fill(mul, v_slabs, rows, V)
+        _fill(mul, e_slabs, rows, E)
+        return V, E
+
     items = []
 
     # 1. shifts are automorphisms forming a group isomorphic to G
-    gens = generating_set(grp.mul)
-    comp_ok = all(  # delta_a . delta_b = delta_{ba}
-        (S[a][S[b]] == S[grp.mul[b, a]]).all()
-        for a in gens for S in (S_v, S_e) for b in blocks
-    )
+    gens = generating_set(mul)
+    comp_ok = all(_law_holds(mul, slab, gens) for slab in v_slabs + e_slabs)
     e = grp.identity
-    # the rows that item 1's automorphism check and item 2 read
-    read = [[e, *gens]] if comp_ok else blocks
-    aut_ok = all(map_defect(g, g, S_v[r], S_e[r]) is None for r in read)
+    parts = np.array([-1 if p is None else p for p in g.parts], dtype=np.int64)
+    # a graph with more or fewer vertices than the layout fails item 2
+    ok2 = len(parts) == n_v
     if comp_ok:
-        near = np.flatnonzero(S_v[:, 0] == S_v[e, 0])  # holds the kernel
-        kernel = sum(
-            int(((S_v[r] == S_v[e]).all(axis=1) & (S_e[r] == S_e[e]).all(axis=1)).sum())
-            for r in np.split(near, range(_BLOCK, len(near), _BLOCK))
-        )
+        # the rows that item 1's automorphism check and items 2 and 3 read
+        V, E = shift_rows(np.array([e, *gens]))
+        aut_ok = map_defect(g, g, V, E) is None
+        ok2 = ok2 and bool((parts[V] == parts).all())
+        lvl = gg.levels[0]  # vertex 0 is its first coset
+        col0 = lvl.membership[mul[lvl.reps[0]]]
+        near = np.flatnonzero(col0 == col0[e])  # holds the kernel
+        kernel = 0
+        for r in np.split(near, range(_BLOCK, len(near), _BLOCK)):
+            Vr, Er = shift_rows(r)
+            kernel += int(((Vr == V[0]).all(axis=1) & (Er == E[0]).all(axis=1)).sum())
         distinct = n // kernel
     else:
-        distinct = len({(S_v[x].tobytes(), S_e[x].tobytes()) for x in range(n)})
+        aut_ok, seen = True, set()
+        for rows in _strips(n):
+            Vr, Er = shift_rows(rows)
+            aut_ok = aut_ok and map_defect(g, g, Vr, Er) is None
+            ok2 = ok2 and bool((parts[Vr] == parts).all())
+            seen.update(map(bytes, np.hstack((Vr, Er))))
+        distinct = len(seen)
     ok1 = aut_ok and distinct == n and comp_ok
     items.append(
         ItemReport(
@@ -394,11 +480,6 @@ def verify_structure(gg: GGraph) -> StructureReport:
     )
 
     # 2. every level is stabilized setwise by every shift
-    parts = np.array([-1 if p is None else p for p in g.parts], dtype=np.int64)
-    # a graph with more or fewer vertices than the layout fails
-    ok2 = len(parts) == len(gg.level_of) and all(
-        (parts[S_v[r]] == parts).all() for r in read
-    )
     items.append(ItemReport(2, "levels stable", ok2, "checked all |G| shifts"))
 
     # 3. shifts permute colour cliques: delta_g'(C_g) = C_{g g'}
@@ -408,7 +489,7 @@ def verify_structure(gg: GGraph) -> StructureReport:
     read_C = C[[e]] if aut_ok else C
     ok3 = (
         comp_ok
-        and all((S_v[t][C] == C[grp.mul[:, t]]).all() for t in gens)
+        and all((V[k][C] == C[mul[:, t]]).all() for k, t in enumerate(gens, 1))
         and bool((by_pair.find(read_C[:, i], read_C[:, j]) >= 0).all())
     )
     items.append(
@@ -437,39 +518,70 @@ def verify_structure(gg: GGraph) -> StructureReport:
     )
 
     # 5. the label set of each multi-edge is a right coset of <s> inter <t>
-    subs = [set(cyclic_subgroup(grp, lvl.gen)) for lvl in gg.levels]
-    meet = {
-        (i, j): right_cosets(grp, sorted(a & b))
-        for i, a in enumerate(subs) for j, b in enumerate(subs)
-    }
-    # each vertex's level and coset by the layout rule, whatever its tag
-    level = gg.level_of
-    coset = [row for lvl in gg.levels for row in lvl.cosets.tolist()]
-    ok5 = True
-    bad = ""
-    for (u, v), ids in by_pair.items():
-        # labels must be exactly the coset intersection, which in turn must
-        # be the right coset (<s> inter <t>) * min; an end beyond the
-        # layout (u <= v) has no coset
-        cosets_meet = sorted(set(coset[u]).intersection(coset[v])) if v < len(coset) else []
-        if cosets_meet:
-            rows, membership = meet[level[u], level[v]]
-        if (
-            not cosets_meet  # the ends share no element
-            or ids[-1] >= len(gg.edge_glabel)  # an edge with no label
-            or sorted(gg.edge_glabel[ids].tolist()) != cosets_meet
-            or cosets_meet != rows[membership[cosets_meet[0]]].tolist()
-        ):
-            ok5 = False
-            bad = " first failure at multi-edge (%d,%d)" % (u, v)
-            break
+    bad = _first_bad_multi_edge(gg, by_pair, C)
     items.append(
         ItemReport(
-            5, "label cosets", ok5,
-            "%d multi-edges checked%s" % (len(by_pair), bad),
+            5, "label cosets", bad is None,
+            "%d multi-edges checked%s"
+            % (len(by_pair), "" if bad is None else " first failure at multi-edge (%d,%d)" % bad),
         )
     )
     return StructureReport(items)
+
+
+def _first_bad_multi_edge(gg: GGraph, by_pair, C: np.ndarray) -> tuple[int, int] | None:
+    """The end pair (u, v), u <= v, of the first multi-edge (by its first
+    edge) whose labels are not exactly the elements that the cosets of u
+    and v share, or whose shared elements are not the right coset K m of K
+    = <s> inter <t>, m their least; None when there is none.  C is the
+    colour array of verify_structure: C[x, i] is the vertex <s_i>x.
+
+    One array pass over the edges, grouped by multi-edge as by_pair holds
+    them.  The labels of (u, v), on levels i and j, equal the shared set
+    exactly when each label y lies in both cosets (C[y, i] == u and C[y,
+    j] == v), no label repeats, and there are as many as the coset of u
+    has elements x with C[x, j] == v.  When they do, the products k m for
+    k in K must lie in the set and take as many distinct values.  An end
+    beyond the layout has no coset, and an edge with no label or one
+    outside G fails its multi-edge."""
+    grp, n = gg.group, gg.group.order
+    subs = [set(cyclic_subgroup(grp, lvl.gen)) for lvl in gg.levels]
+    level = np.repeat(np.arange(gg.n_levels), [len(lvl.cosets) for lvl in gg.levels])
+    pairs = by_pair.pairs()
+    u, v = pairs.T
+    ok = v < len(level)
+    u, v = np.where(ok, u, 0), np.where(ok, v, 0)
+    i, j = level[u], level[v]
+    # per edge, grouped: its multi-edge and its label, -1 when it has none
+    # in G; then the labels in ascending order within each multi-edge
+    ids, starts = by_pair.rows, by_pair.offsets[:-1]
+    size = np.diff(by_pair.offsets)
+    of = np.repeat(np.arange(len(size)), size)
+    y = np.full(len(ids), -1, dtype=np.int64)
+    has = ids < len(gg.edge_glabel)
+    y[has] = gg.edge_glabel[ids[has]]
+    y[(y < 0) | (y >= n)] = -1
+    y = y[np.lexsort((y, of))]
+    shared = (y >= 0) & (C[y, i[of]] == u[of]) & (C[y, j[of]] == v[of])
+    repeat = np.zeros(len(y), dtype=bool)
+    repeat[1:] = (y[1:] == y[:-1]) & (of[1:] == of[:-1])
+    ok[of[~shared | repeat]] = False
+    for k, lvl in enumerate(gg.levels):  # the count of the shared set
+        at = np.flatnonzero(ok & (i == k))
+        rows = lvl.cosets[u[at] - lvl.offset]
+        ok[at] = (C[rows, j[at, None]] == v[at, None]).sum(axis=1) == size[at]
+    least = y[starts]
+    for a, b in set(zip(i[ok].tolist(), j[ok].tolist())):
+        at = np.flatnonzero(ok & (i == a) & (j == b))
+        coset = grp.mul[np.array(sorted(subs[a] & subs[b]))[None, :], least[at, None]]
+        inside = (C[coset, a] == u[at, None]) & (C[coset, b] == v[at, None])
+        values = np.sort(coset, axis=1)
+        distinct = 1 + (values[:, 1:] != values[:, :-1]).sum(axis=1)
+        ok[at] = inside.all(axis=1) & (distinct == size[at])
+    failed = np.flatnonzero(~ok)
+    if not len(failed):
+        return None
+    return tuple(pairs[failed[np.argmin(ids[starts[failed]])]].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,8 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
             for lo, hi in ((0, nv), (nv, nv + ne))
         )
     else:
+        if not all(isinstance(a, GraphAut) for a in H):
+            raise WitnessInvalid("an H element is not a GraphAut")
         V, v_ok = _permutation_rows([a.vertex_map for a in H], nv, nv)
         E, e_ok = _permutation_rows([a.edge_map for a in H], ne, ne)
         rows = None

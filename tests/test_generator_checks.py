@@ -312,7 +312,8 @@ def test_bench_scale_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
     assert {"python", "numpy", "cpu"} <= set(report["machine"])
-    phases = ["parse_group", "build_phi", "verify_structure", "shifts_of", "reconstruct"]
+    phases = ["parse_group", "build_phi", "verify_structure", "verify_psi", "shifts_of",
+              "reconstruct"]
     assert [(r["group"], r["order"], r["all_ok"]) for r in report["runs"]] == [
         ("S4", 24, True), ("S5", 120, True)]
     for r in report["runs"]:

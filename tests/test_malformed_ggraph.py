@@ -3,9 +3,10 @@ GGraphError, never a bare Python exception.
 
 Each input below is a well-formed Phi or Psi with one fault put in: an
 edge with no label, labels missing, extra or outside G, a vertex with no
-part tag, an edge end moved, a vertex added or dropped, or a level layout
-whose offset, cosets or membership is wrong.  verify_structure and
-shifts_of refuse a G-graph whose shift arrays are not defined.
+part tag, an edge end moved, a vertex added or dropped, labels that are
+not integers, or a level layout with no level, whose offset, cosets or
+membership is wrong, or whose arrays are not integers.  verify_structure
+and shifts_of refuse a G-graph whose shift arrays are not defined.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def _malformed(x, rng):
     yield "edge and label dropped", _relabelled(_copy(x, edges=ends[1:]), L[1:]), unlabelled
     for bad in (n, -1, 2**40):
         yield "label %d" % bad, _relabelled(x, np.where(np.arange(len(L)) == 1, bad, L)), unlabelled
+    yield "float labels", dataclasses.replace(x, edge_glabel=L.astype(float)), unlabelled
+    yield "no level", dataclasses.replace(x, levels=()), "level 0 of the layout is malformed"
     # the last level's layout; its last coset row holds its last element
     malformed = "level %d of the layout is malformed" % (x.n_levels - 1)
     last = x.levels[-1]
@@ -102,6 +105,8 @@ def _malformed(x, rng):
     past[y] = len(cosets)
     yield "membership past the cosets", _with_level(x, membership=past), malformed
     yield "coset row dropped", _with_level(x, cosets=cosets[:-1]), malformed
+    yield "float cosets", _with_level(x, cosets=cosets.astype(float)), malformed
+    yield "float membership", _with_level(x, membership=membership.astype(float)), malformed
     for bad, name in ((n, "outside G"), (cosets[0, 0], "repeated")):
         entries = cosets.copy()
         entries[-1, -1] = bad

@@ -328,10 +328,11 @@ SHIFTS = "the shifts"  # H of shifts_of
         (["0", 7], SHIFTS, "a C entry must be an integer, got '0'"),
         (None, SHIFTS, "a witness needs both H and C"),
         ([0], None, "a witness needs both H and C"),
+        ([0], [1, 2], "an H element is not a GraphAut"),
     ],
     ids=[
         "unknown-vertex", "repeated-vertex", "empty-H", "fractional-entry", "bool-entry",
-        "string-entry", "no-C", "no-H",
+        "string-entry", "no-C", "no-H", "int-H-entries",
     ],
 )
 def test_malformed_witness_is_refused(C, H, error):

@@ -1,4 +1,5 @@
-"""verify_structure reads every shift only in item 1's composition law.
+"""verify_structure reads every shift only in item 1's composition law,
+one slab of columns at a time.
 
 Once the law holds, items 1 and 2 read delta_e and the generator shifts,
 the kernel is counted among the rows that agree with delta_e in column 0,
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import signal
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations
@@ -232,33 +234,35 @@ def test_an_extra_edge_matches_the_oracle():
 # what is read once the law holds
 
 
-class Reads(np.ndarray):
-    """An array that logs every index it is read at and hands out plain
-    arrays, so only direct reads are logged."""
-
-    def __getitem__(self, key):
-        self.log.append(key)
-        return np.asarray(self)[key]
-
-
-def logged(a):
-    out = a.view(Reads)
-    out.log = []
-    return out
-
-
 @pytest.mark.parametrize("loops", [False, True], ids=["phi", "psi"])
 @pytest.mark.parametrize("spec,gens", CASES[:2] + CASES[3:5], ids=case_ids(CASES[:2] + CASES[3:5]))
-def test_only_the_law_reads_every_shift(monkeypatch, spec, gens, loops):
-    """Past the law's reads, S_v and S_e are read at the rows of delta_e
-    and the generators, at column 0 of S_v, and at the rows that agree with
-    delta_e there; the cliqueness check asks the multi-edge index about one
-    colour's pairs only."""
+def test_each_slab_is_built_once(monkeypatch, spec, gens, loops):
+    """verify_structure calls neither _shift_arrays nor shifts.  The law's
+    strips tile the rows of each slab once; past the law, shift entries are
+    built only at the rows of delta_e and the generators and at the rows
+    that agree with delta_e in column 0.  The cliqueness check asks the
+    multi-edge index about one colour's pairs only."""
     x = build(spec, gens, loops)
     grp, e = x.group, x.group.identity
-    gens_ = al.generating_set(grp.mul)
-    S_v, S_e = (logged(S) for S in gg._shift_arrays(x))
-    monkeypatch.setattr(gg, "_shift_arrays", lambda _: (S_v, S_e))
+    S_v, _ = gg._shift_arrays(x)
+    near = set(np.flatnonzero(S_v[:, 0] == S_v[e, 0]).tolist())
+
+    def refused(_):
+        raise AssertionError("a full shift array was built")
+
+    monkeypatch.setattr(gg, "_shift_arrays", refused)
+    monkeypatch.setattr(gg, "shifts", refused)
+    strips, rows = Counter(), []
+    real_entries = gg._slab_entries
+
+    def entries(mul, slab, at):
+        if isinstance(at, slice):
+            strips[id(slab), at.start, at.stop] += 1
+        else:
+            rows.extend(np.ravel(at).tolist())
+        return real_entries(mul, slab, at)
+
+    monkeypatch.setattr(gg, "_slab_entries", entries)
     asked = []
 
     class Index(mg.MultiEdges):
@@ -271,21 +275,32 @@ def test_only_the_law_reads_every_shift(monkeypatch, spec, gens, loops):
     monkeypatch.setattr(x.graph, "multi_edges", lambda: index)
     assert gg.verify_structure(x).all_ok
 
-    allowed = {e, *gens_}
-    near = set(np.flatnonzero(np.asarray(S_v)[:, 0] == np.asarray(S_v)[e, 0]).tolist())
-    law = 3 * len(gens_) * -(-grp.order // gg._BLOCK)  # S[a], S[b], S[ba] per block
-    for S in (S_v, S_e):
-        assert len(S.log) > law
-        for key in S.log[law:]:
-            if isinstance(key, (int, np.integer)):
-                assert key in allowed
-            elif isinstance(key, list):
-                assert set(key) <= allowed
-            elif isinstance(key, np.ndarray):
-                assert set(key.tolist()) <= near
-            else:
-                assert S is S_v and key in ((slice(None), 0), (e, 0)), key
+    n_slabs = x.n_levels + len(gg._blocks(x.n_levels, loops))
+    tiles = [(s.start, s.stop) for s in gg._strips(grp.order)]
+    assert len(strips) == n_slabs * len(tiles)
+    assert set(strips.values()) == {1}
+    assert sorted({key[1:] for key in strips}) == tiles
+    assert rows and set(rows) <= {e, *al.generating_set(grp.mul)} | near
     assert len(asked) == comb(x.n_levels, 2)
+
+
+def test_verify_structure_holds_one_slab_at_a_time():
+    """Psi(S6) has slabs of 360, 120 and three times 720 columns; the traced
+    peak stays under one 720 x 720 int32 slab and one strip of whole rows,
+    where all 720 x 2640 shift entries at once take 7.6 MB."""
+    s6 = al.symmetric_group(6)
+    x = gg.build_psi(s6, [al.parse_element(s6, t) for t in ("(1,2)", "(1,2,3,4,5,6)")])
+    assert gg.verify_structure(x).all_ok  # warm the code paths
+    slab = 720 * 720 * 4
+    strip = gg._BLOCK * (x.graph.n_vertices + x.graph.n_edges) * 4
+    tracemalloc.start()
+    try:
+        report = gg.verify_structure(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.all_ok
+    assert peak <= slab + strip + (1 << 18), peak
 
 
 # ---------------------------------------------------------------------------
