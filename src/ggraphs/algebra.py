@@ -286,9 +286,19 @@ class FiniteGroup:
     _namer: Callable[[int], str] = field(default=str, repr=False)  # names one element
     _perm_index: RowIndex | None = field(default=None, repr=False)  # None until a lookup
     _name_index: dict = field(default=None, repr=False, compare=False)
+    # the table _wrap_table was handed, made read-only there
+    _checked: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def elements(self) -> range:
         return range(self.order)
+
+    @property
+    def table_checked(self) -> bool:
+        """Whether mul is still the group table that _wrap_table wrapped:
+        checked as a group table, or one by construction, and read-only
+        since.  A FiniteGroup built by hand, a dataclasses.replace copy or
+        a deep copy has none, and a table made writeable again loses it."""
+        return self.mul is self._checked and not self.mul.flags.writeable
 
     def is_abelian(self) -> bool:
         return bool((self.mul == self.mul.T).all())
@@ -396,15 +406,20 @@ def group_from_table(
                 raise PreconditionFailed("perms do not multiply as the table does")
         if (rows[1:] == rows[0]).all(axis=1).any():
             raise PreconditionFailed("two elements share a permutation")
+    # an owned int32 copy, cast only after the check: a cast first could
+    # wrap an entry out of range into it, and a view would let the caller
+    # change the checked table
     return _wrap_table(
-        mul.astype(np.int32, copy=False), inv, name, elem_names,
+        np.array(mul, dtype=np.int32), inv, name, elem_names,
         factor_orders=factor_orders, perm_rows=rows,
     )
 
 
 def _wrap_table(mul, inv, name, elem_names=None, **fields) -> FiniteGroup:
     """Wrap a table known to be a group table, with its inverses, unchecked:
-    group_from_table's check, or a construction that proves it.
+    group_from_table's check, or a construction that proves it.  The group
+    takes mul over: it is made read-only and recorded, so table_checked
+    holds while the group keeps it.
 
     elem_names is a sequence of names, or a function that names one
     element when a name is read; by default element x is named str(x)."""
@@ -414,7 +429,10 @@ def _wrap_table(mul, inv, name, elem_names=None, **fields) -> FiniteGroup:
         namer = elem_names
     else:
         namer = tuple(elem_names).__getitem__
-    return FiniteGroup(name=name, order=mul.shape[0], mul=mul, inv=inv, _namer=namer, **fields)
+    mul.flags.writeable = False
+    grp = FiniteGroup(name=name, order=mul.shape[0], mul=mul, inv=inv, _namer=namer, **fields)
+    grp._checked = mul
+    return grp
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -390,19 +390,50 @@ def _law_holds(mul: np.ndarray, slab, gens) -> bool:
     return all((T[a][T[b]] == T[mul[b, a]]).all() for a in gens for b in strips)
 
 
+def _action_law_holds(cols: np.ndarray, slab) -> bool:
+    """_law_holds on an associative table, from the generator columns
+    cols[y, k] = y gens[k] alone: whether P[x[P[y]] a] == P[y a] for every
+    y and each generator a, P the slab's pos (the identity when it is
+    None).  |G| reads per generator; verify_structure gives the proof."""
+    _, x, pos = slab
+    if pos is None:
+        return bool((cols[x] == cols).all())
+    return bool((pos[cols[x[pos]]] == pos[cols]).all())
+
+
 def verify_structure(gg: GGraph) -> StructureReport:
     """Check the five structural properties every G-graph must satisfy.
 
     Row x of the shifts is delta_x.  Item 1's composition law delta_a .
     delta_b = delta_{ba} is checked for every b and each a of a generating
     set: the a that satisfy it for all b are closed under products, and
-    every element is a product of generators.  It is the one step that
-    reads every shift, and it reads them one slab of _shift_slabs at a
-    time: every shift maps each slab into itself, so the law holds exactly
-    when it holds on each slab.  Once it holds, delta_{xt} = delta_t .
-    delta_x for every x and every generator t, so each shift is delta_e
-    followed by generator shifts, and the other steps read less, building
-    only the rows they read:
+    every element is a product of generators.  Every shift maps each slab
+    of _shift_slabs into itself, so the law holds exactly when it holds on
+    each slab (start, x, P), on which delta_g maps column c to P[x_c g]
+    (P the identity for a level pair).
+
+    On a checked table (grp.table_checked), which is associative, the law
+    on a slab needs only the generator columns of the table.  Write T[g,
+    c] = P[x_c g].  Then delta_a . delta_b = delta_{ba} there says T[a,
+    T[b, c]] = T[ba, c] for every b and c, that is
+
+        P[x[P[x_c b]] a] = P[(x_c b) a]   for every b and every column c.
+
+    For a fixed c, y = x_c b runs over all of G as b does, so this is
+    P[x[P[y]] a] = P[y a] for every y, whichever c.  A slab has at least
+    one column, so the law on it holds exactly when that does
+    (_action_law_holds: |G| reads per generator, and no shift is built).
+    For a level, x[P[y]] is the representative of y's coset, and this
+    says right multiplication by a maps each coset into one coset.  For a
+    level pair, P is the identity and it says x[y] a = y a, that is x[y] =
+    y: the block's labels are 0..|G|-1 in order.  On a table that is not
+    checked, associativity is not known, and the law is read off the
+    shifts (_law_holds), every shift of one slab at a time.
+
+    Once the law holds, delta_{xt} = delta_t . delta_x for every x and
+    every generator t, so each shift is delta_e followed by generator
+    shifts, and the other steps read less, building only the rows they
+    read:
 
     - automorphisms (item 1) and levels (item 2): delta_e and the generator
       shifts, since a composition of automorphisms that keep every vertex's
@@ -442,7 +473,11 @@ def verify_structure(gg: GGraph) -> StructureReport:
 
     # 1. shifts are automorphisms forming a group isomorphic to G
     gens = generating_set(mul)
-    comp_ok = all(_law_holds(mul, slab, gens) for slab in v_slabs + e_slabs)
+    if grp.table_checked:
+        cols = mul[:, list(gens)]
+        comp_ok = all(_action_law_holds(cols, slab) for slab in v_slabs + e_slabs)
+    else:
+        comp_ok = all(_law_holds(mul, slab, gens) for slab in v_slabs + e_slabs)
     e = grp.identity
     parts = np.array([-1 if p is None else p for p in g.parts], dtype=np.int64)
     # a graph with more or fewer vertices than the layout fails item 2

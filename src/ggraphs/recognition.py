@@ -80,8 +80,13 @@ def shifts_of(gg: GGraph) -> RecognitionWitness:
     """H = the distinct shifts in sorted order, C = the colour clique of the
     identity."""
     H = shifts(gg)
+    n_vertices = H.n_vertices
     rows = H.rows[_row_order(H.rows)]
-    H = GraphAutRows(rows[~_repeats(rows)], H.n_vertices)
+    del H  # the unsorted rows go before any other copy is made
+    repeats = _repeats(rows)
+    if repeats.any():
+        rows = rows[~repeats]
+    H = GraphAutRows(rows, n_vertices)
     return RecognitionWitness(H, colour_clique(gg, gg.group.identity))
 
 

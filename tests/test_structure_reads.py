@@ -1,5 +1,6 @@
-"""verify_structure reads every shift only in item 1's composition law,
-one slab of columns at a time.
+"""verify_structure reads every shift only in item 1's composition law on
+a table that is not checked, one slab of columns at a time; on a checked
+table the law reads the generator columns alone.
 
 Once the law holds, items 1 and 2 read delta_e and the generator shifts,
 the kernel is counted among the rows that agree with delta_e in column 0,
@@ -237,10 +238,12 @@ def test_an_extra_edge_matches_the_oracle():
 @pytest.mark.parametrize("loops", [False, True], ids=["phi", "psi"])
 @pytest.mark.parametrize("spec,gens", CASES[:2] + CASES[3:5], ids=case_ids(CASES[:2] + CASES[3:5]))
 def test_each_slab_is_built_once(monkeypatch, spec, gens, loops):
-    """verify_structure calls neither _shift_arrays nor shifts.  The law's
-    strips tile the rows of each slab once; past the law, shift entries are
+    """verify_structure calls neither _shift_arrays nor shifts.  On a
+    checked table the law reads the generator columns and builds no strip
+    of a slab; on an unchecked copy of the table, the law's strips tile the
+    rows of each slab once.  Either way, past the law, shift entries are
     built only at the rows of delta_e and the generators and at the rows
-    that agree with delta_e in column 0.  The cliqueness check asks the
+    that agree with delta_e in column 0, and the cliqueness check asks the
     multi-edge index about one colour's pairs only."""
     x = build(spec, gens, loops)
     grp, e = x.group, x.group.identity
@@ -273,15 +276,24 @@ def test_each_slab_is_built_once(monkeypatch, spec, gens, loops):
     real = x.graph.multi_edges()
     index = Index(real.keys, real.offsets, real.rows)
     monkeypatch.setattr(x.graph, "multi_edges", lambda: index)
-    assert gg.verify_structure(x).all_ok
+    unchecked = dataclasses.replace(x, group=dataclasses.replace(grp, mul=grp.mul.copy()))
+    assert grp.table_checked and not unchecked.group.table_checked
+
+    for y in (x, unchecked):
+        strips.clear()
+        rows.clear()
+        asked.clear()
+        assert gg.verify_structure(y).all_ok
+        assert rows and set(rows) <= {e, *al.generating_set(grp.mul)} | near
+        assert len(asked) == comb(x.n_levels, 2)
+        if y is x:
+            assert not strips
 
     n_slabs = x.n_levels + len(gg._blocks(x.n_levels, loops))
     tiles = [(s.start, s.stop) for s in gg._strips(grp.order)]
     assert len(strips) == n_slabs * len(tiles)
     assert set(strips.values()) == {1}
     assert sorted({key[1:] for key in strips}) == tiles
-    assert rows and set(rows) <= {e, *al.generating_set(grp.mul)} | near
-    assert len(asked) == comb(x.n_levels, 2)
 
 
 def test_verify_structure_holds_one_slab_at_a_time():
