@@ -136,8 +136,10 @@ def _check_gens(group: FiniteGroup, gens) -> tuple[int, ...]:
 
 
 # size caps, each checked before its allocation: the edges of one G-graph,
-# and the entries of all its shifts (1 GiB as int32), whether they are held
-# at once or one slab at a time
+# and the entries of all its shifts (1 GiB as int32), which only shifts
+# holds at once.  verify_structure holds at most a _BLOCK-row strip of V+E
+# columns (E <= EDGE_CAP), or on an unchecked table one slab of at most
+# |G|^2 entries
 EDGE_CAP = 1 << 20
 SHIFT_CAP = 1 << 28
 
@@ -234,34 +236,30 @@ def _check_layout(gg: GGraph) -> None:
 
 
 def _shift_slabs(gg: GGraph):
-    """The column slabs of the shifts, (vertex slabs, edge slabs), each in
-    layout order: one per level, over its vertices, and one per block of
-    _blocks, over its |G| edges.  Every shift maps each slab into itself.
+    """The column slabs of the shifts in layout order, and the vertex count:
+    one slab per level, over its vertices, then one per block of _blocks,
+    over its |G| edges.  Every shift maps each slab into itself.
 
-    A slab is a triple (start, x, pos): its columns are the ids start,
-    start + 1, ... (vertex ids or edge ids), one per entry of x, and
-    delta_g maps column c to start + pos[x[c] g].  For a level, x is its
-    coset representatives and pos its membership: delta_g(<s>x) = <s>xg.
-    For an edge block, x is its labels, read from gg.edge_glabel, and
-    delta_g maps the edge labelled x to the edge labelled xg of the same
-    block: for a level pair pos is None, since there the edge of label y
-    is edge start + y, and for the loops of a level pos[y] is where the
-    label y sits in _block_labels.
+    A slab is a triple (start, x, pos): its columns are start, start + 1,
+    ... of a row of shifts(gg), one per entry of x, so an edge slab starts
+    at the vertex count plus its first edge id, and delta_g maps column c
+    to start + pos[x[c] g].  For a level, x is its coset representatives
+    and pos its membership: delta_g(<s>x) = <s>xg.  For an edge block, x is
+    its labels, read from gg.edge_glabel, and delta_g maps the edge
+    labelled x to the edge labelled xg of the same block: for a level pair
+    pos is None, since there the edge of label y is the block's edge y, and
+    for the loops of a level pos[y] is where the label y sits in
+    _block_labels.
 
-    The slabs hold |G|·(vertices + edges) entries in all, whose columns are
-    the vertices and edges that the layout rule gives the levels, not those
-    of gg.graph.  The checks come first: a malformed level layout
-    (_check_layout) raises PreconditionFailed; above SHIFT_CAP = 2^28 (1
-    GiB as int32) entries, CapExceeded; and when gg.edge_glabel does not
-    give every edge of the layout an element of G, so that the edge slabs
-    are not defined, PreconditionFailed."""
+    The columns are the vertices and edges that the layout rule gives the
+    levels, not those of gg.graph.  The checks come first: a malformed
+    level layout (_check_layout) raises PreconditionFailed, and so does a
+    gg.edge_glabel that does not give every edge of the layout an element
+    of G, so that the edge slabs are not defined."""
     _check_layout(gg)
     n = gg.group.order
     blocks = _blocks(gg.n_levels, gg.with_loops)
     n_v, n_e = sum(len(lvl.cosets) for lvl in gg.levels), len(blocks) * n
-    entries = n * (n_v + n_e)
-    if entries > SHIFT_CAP:
-        raise CapExceeded("shift arrays of %d entries exceed cap %d" % (entries, SHIFT_CAP))
     labels = gg.edge_glabel
     if not (_integer_array(labels, 1) and len(labels) >= n_e) or (
         (labels[:n_e] < 0) | (labels[:n_e] >= n)
@@ -269,14 +267,14 @@ def _shift_slabs(gg: GGraph):
         raise PreconditionFailed(
             "edge_glabel does not label the %d edges of the layout with elements of G" % n_e
         )
-    edge = []
+    slabs = [(lvl.offset, lvl.reps, lvl.membership) for lvl in gg.levels]
     for b, (i, j) in enumerate(blocks):
         pos = None
         if i == j:  # int32 gathers faster
             pos = np.empty(n, dtype=np.int32)
             pos[_block_labels(gg.levels, i, j, n)] = np.arange(n)
-        edge.append((b * n, labels[b * n : b * n + n], pos))
-    return [(lvl.offset, lvl.reps, lvl.membership) for lvl in gg.levels], edge
+        slabs.append((n_v + b * n, labels[b * n : b * n + n], pos))
+    return slabs, n_v
 
 
 def _slab_entries(mul: np.ndarray, slab, rows) -> np.ndarray:
@@ -289,15 +287,12 @@ def _slab_entries(mul: np.ndarray, slab, rows) -> np.ndarray:
     return img if pos is None else pos[img]
 
 
-def _fill(mul: np.ndarray, slabs, rows, out: np.ndarray, add: int = 0) -> None:
-    """Write the shifts rows on slabs into out, column start of a slab at
-    out column start, each entry plus add."""
+def _shift_rows(mul: np.ndarray, slabs, rows, out: np.ndarray) -> None:
+    """Write the shifts rows (a slice or an index array, at most _BLOCK
+    rows) into out, as the rows of shifts(gg) hold them."""
     for slab in slabs:
         start = slab[0]
-        np.add(
-            _slab_entries(mul, slab, rows), start + add,
-            out=out[:, start : start + len(slab[1])],
-        )
+        np.add(_slab_entries(mul, slab, rows), start, out=out[:, start : start + len(slab[1])])
 
 
 def _strips(n: int) -> list[slice]:
@@ -305,38 +300,24 @@ def _strips(n: int) -> list[slice]:
     return [slice(r0, min(r0 + _BLOCK, n)) for r0 in range(0, n, _BLOCK)]
 
 
-def _shift_arrays(gg: GGraph):
-    """(S_v, S_e): vertex and edge maps of delta_g for all g, as int32
-    matrices; row g is delta_g: <s>x -> <s>xg with its edge action.
-
-    They are filled from the slabs of _shift_slabs, after its checks, one
-    _BLOCK-row strip at a time, so a temporary holds at most _BLOCK rows of
-    a slab.  The strips tile the rows, so every entry is written once, from
-    the table entry that defines it, as one whole-table gather would."""
-    v_slabs, e_slabs = _shift_slabs(gg)
-    mul = gg.group.mul
-    n = len(mul)
-    S_v = np.empty((n, sum(len(x) for _, x, _ in v_slabs)), dtype=np.int32)
-    S_e = np.empty((n, len(e_slabs) * n), dtype=np.int32)
-    for rows in _strips(n):
-        _fill(mul, v_slabs, rows, S_v[rows])
-        _fill(mul, e_slabs, rows, S_e[rows])
-    return S_v, S_e
-
-
 def shifts(gg: GGraph) -> GraphAutRows:
-    """All |G| shifts as one array over the layout's vertices and edges;
-    entry g is delta_g.  It is filled as _shift_arrays fills its two, with
-    the edge columns after the vertex columns and their ids offset by the
-    vertex count."""
-    v_slabs, e_slabs = _shift_slabs(gg)
+    """All |G| shifts as one int32 array over the layout's vertices and
+    edges, the edge columns after the vertex columns and their ids offset
+    by the vertex count; row g is delta_g: <s>x -> <s>xg with its edge
+    action.  After the checks of _shift_slabs, above SHIFT_CAP entries it
+    raises CapExceeded before any row is allocated.  The array is filled
+    one _BLOCK-row strip at a time, so a temporary holds at most _BLOCK
+    rows of a slab, and every entry is written once, from the table entry
+    that defines it."""
+    slabs, n_v = _shift_slabs(gg)
     mul = gg.group.mul
     n = len(mul)
-    n_v = sum(len(x) for _, x, _ in v_slabs)
-    rows = np.empty((n, n_v + len(e_slabs) * n), dtype=np.int32)
+    width = sum(len(x) for _, x, _ in slabs)
+    if n * width > SHIFT_CAP:
+        raise CapExceeded("shift arrays of %d entries exceed cap %d" % (n * width, SHIFT_CAP))
+    rows = np.empty((n, width), dtype=np.int32)
     for r in _strips(n):
-        _fill(mul, v_slabs, r, rows[r, :n_v])
-        _fill(mul, e_slabs, r, rows[r, n_v:], add=n_v)
+        _shift_rows(mul, slabs, r, rows[r])
     return GraphAutRows(rows, n_v)
 
 
@@ -458,16 +439,17 @@ def verify_structure(gg: GGraph) -> StructureReport:
     grp = gg.group
     n, mul = grp.order, grp.mul
     g = gg.graph
-    v_slabs, e_slabs = _shift_slabs(gg)
-    n_v, n_e = sum(len(x) for _, x, _ in v_slabs), len(e_slabs) * n
+    slabs, n_v = _shift_slabs(gg)
+    width = sum(len(x) for _, x, _ in slabs)
 
     def shift_rows(rows):
-        """The vertex and edge maps of the shifts rows."""
+        """The shifts rows as in shifts(gg), and their vertex and edge
+        maps: the vertex columns, and the edge columns less n_v."""
         k = len(range(n)[rows]) if isinstance(rows, slice) else len(rows)
-        V, E = np.empty((k, n_v), dtype=np.int32), np.empty((k, n_e), dtype=np.int32)
-        _fill(mul, v_slabs, rows, V)
-        _fill(mul, e_slabs, rows, E)
-        return V, E
+        R = np.empty((k, width), dtype=np.int32)
+        _shift_rows(mul, slabs, rows, R)
+        R[:, n_v:] -= n_v
+        return R, R[:, :n_v], R[:, n_v:]
 
     items = []
 
@@ -475,16 +457,16 @@ def verify_structure(gg: GGraph) -> StructureReport:
     gens = generating_set(mul)
     if grp.table_checked:
         cols = mul[:, list(gens)]
-        comp_ok = all(_action_law_holds(cols, slab) for slab in v_slabs + e_slabs)
+        comp_ok = all(_action_law_holds(cols, slab) for slab in slabs)
     else:
-        comp_ok = all(_law_holds(mul, slab, gens) for slab in v_slabs + e_slabs)
+        comp_ok = all(_law_holds(mul, slab, gens) for slab in slabs)
     e = grp.identity
     parts = np.array([-1 if p is None else p for p in g.parts], dtype=np.int64)
     # a graph with more or fewer vertices than the layout fails item 2
     ok2 = len(parts) == n_v
     if comp_ok:
         # the rows that item 1's automorphism check and items 2 and 3 read
-        V, E = shift_rows(np.array([e, *gens]))
+        D, V, E = shift_rows(np.array([e, *gens]))
         aut_ok = map_defect(g, g, V, E) is None
         ok2 = ok2 and bool((parts[V] == parts).all())
         lvl = gg.levels[0]  # vertex 0 is its first coset
@@ -492,16 +474,15 @@ def verify_structure(gg: GGraph) -> StructureReport:
         near = np.flatnonzero(col0 == col0[e])  # holds the kernel
         kernel = 0
         for r in np.split(near, range(_BLOCK, len(near), _BLOCK)):
-            Vr, Er = shift_rows(r)
-            kernel += int(((Vr == V[0]).all(axis=1) & (Er == E[0]).all(axis=1)).sum())
+            kernel += int((shift_rows(r)[0] == D[0]).all(axis=1).sum())
         distinct = n // kernel
     else:
         aut_ok, seen = True, set()
         for rows in _strips(n):
-            Vr, Er = shift_rows(rows)
+            R, Vr, Er = shift_rows(rows)
             aut_ok = aut_ok and map_defect(g, g, Vr, Er) is None
             ok2 = ok2 and bool((parts[Vr] == parts).all())
-            seen.update(map(bytes, np.hstack((Vr, Er))))
+            seen.update(map(bytes, R))
         distinct = len(seen)
     ok1 = aut_ok and distinct == n and comp_ok
     items.append(

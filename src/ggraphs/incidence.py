@@ -13,6 +13,7 @@ exists.  Absence of a witness in one direction never decides the other.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,8 +336,11 @@ def witness_automorphism(gg: GGraph, w: IncidenceWitnessMap) -> GraphAut:
     """
     if len(gg.gens) != 2 or gg.with_loops:
         raise PreconditionFailed("need a loop-free G-graph over two occurrences")
-    f = w.f
-    if sorted(f) != list(range(gg.group.order)):
+    try:  # a float or any other non-integer entry is refused, not truncated
+        f = [operator.index(y) for y in w.f]
+    except TypeError:
+        f = None
+    if f is None or sorted(f) != list(range(gg.group.order)):
         raise WitnessInvalid("f is not a permutation of the group")
     # level i's vertex <s_i>x goes to the other level's <s_j>f(x)
     f = np.asarray(f)

@@ -182,8 +182,10 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
     """Hard structural validation; errors here make the checks meaningless.
     Returns H as one int32 array in the order of w.H, each row a
     permutation of V and E taken together (the vertex map, then the edge
-    map offset by n_vertices), the order that sorts its rows, and C as a
-    list of ints, each entry read once through errors._index.
+    map offset by n_vertices), the same rows in sorted-H order (the array
+    itself when it is sorted already, as an H from shifts_of is, else one
+    sorted copy), and C as a list of ints, each entry read once through
+    errors._index.
 
     An int32 GraphAutRows over g's vertices and edges is validated and
     returned as it is; any other sequence of GraphAut is converted here,
@@ -213,7 +215,8 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
     if rows is None:
         rows = np.hstack((V, E + nv))
     order = _row_order(rows)
-    if _repeats(rows[order]).any():
+    ranked = rows if (order == np.arange(len(order))).all() else rows[order]
+    if _repeats(ranked).any():
         raise WitnessInvalid("H contains repeated elements")
     try:
         C = [_index(u, "a C entry") for u in w.C]
@@ -228,7 +231,7 @@ def _validate_maps(g: Multigraph, w: RecognitionWitness):
         raise WitnessInvalid("H is empty")
     if not C:
         raise WitnessInvalid("C is empty")
-    return rows, order, C
+    return rows, ranked, C
 
 
 def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
@@ -244,10 +247,8 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
     its generators are automorphisms, every element is one.  Otherwise
     every element is tested, in the order given, so that the detail names
     the first offending element; an error from the validation does too."""
-    given, order, C = _validate_maps(g, w)
+    given, rows, C = _validate_maps(g, w)
     nv = g.n_vertices
-    # an H from shifts_of is sorted already, and is used as it is
-    rows = given if (order == np.arange(len(order))).all() else given[order]
     closure = row_closure(rows)
 
     def defect(R):

@@ -5,7 +5,8 @@ _closure_of re-closes H with perm_closure each time it adds a greedy
 generator, _run_checks reads every element with map_defect, and _group_of
 relabels the closure's table into H's order.  Copied from
 ggraphs.recognition as they were before the change; the helpers they call
-are taken from ggraphs.recognition, where they are unchanged.
+are taken from ggraphs.recognition, where they are unchanged, except that
+_validate_maps now returns H's rows sorted, not the order that sorts them.
 """
 
 from __future__ import annotations
@@ -56,14 +57,12 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
 
     H is validated and tested for automorphisms in the order given, so that
     the error or the detail names the first offending element."""
-    rows, order, C = _validate_maps(g, w)
+    given, rows, C = _validate_maps(g, w)
     nv = g.n_vertices
-    E = rows[:, nv:] - nv  # the edge maps in the order given
     details = []
-    reason = map_defect(g, g, rows[:, :nv], E)
+    reason = map_defect(g, g, given[:, :nv], given[:, nv:] - nv)
     if reason is not None:
         details.append("H element is not an automorphism: " + reason)
-    rows = rows[order]
     V = rows[:, :nv]
     if not (rows == np.arange(rows.shape[1])).all(axis=1).any():
         details.append("H does not contain the identity")
@@ -112,7 +111,7 @@ def _run_checks(g: Multigraph, w: RecognitionWitness, with_loops: bool):
             if not with_loops and orbit_of[u] == i:
                 continue
             regular, reason = acts_regularly_on_edges(
-                E[order[stab]], edges_toward(g, u, orb)
+                rows[stab, nv:] - nv, edges_toward(g, u, orb)
             )
             if not regular:
                 details.append(

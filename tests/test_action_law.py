@@ -30,8 +30,7 @@ from ggraphs.errors import NotAGroup
 
 
 def slabs(x):
-    v_slabs, e_slabs = gg._shift_slabs(x)
-    return v_slabs + e_slabs
+    return gg._shift_slabs(x)[0]
 
 
 def both_laws(x, slab):

@@ -28,11 +28,12 @@ from ggraphs.recognition import (
     witness_from_json,
     witness_to_json,
 )
+from split_shifts import split_shifts
 from test_generator_checks import CASES, build, case_ids
 
 
 def former_shifts(x):
-    S_v, S_e = gg._shift_arrays(x)
+    S_v, S_e = split_shifts(x)
     return [GraphAut(tuple(v), tuple(e)) for v, e in zip(S_v.tolist(), S_e.tolist())]
 
 

@@ -25,6 +25,7 @@ from ggraphs import algebra as al
 from ggraphs import ggraph as gg
 from ggraphs import multigraph as mg
 from ggraphs.errors import NotAGroup
+from split_shifts import split_shifts
 
 # ---------------------------------------------------------------------------
 # the group-axiom check
@@ -163,7 +164,7 @@ def former_items_1_2(x):
     grp = x.group
     n = grp.order
     g = x.graph
-    S_v, S_e = gg._shift_arrays(x)
+    S_v, S_e = split_shifts(x)
     aut_ok = mg.map_defect(g, g, S_v, S_e) is None
     distinct = len({(S_v[i].tobytes(), S_e[i].tobytes()) for i in range(n)})
     gens = al.generating_set(grp.mul, grp.identity)
@@ -285,7 +286,7 @@ def test_verify_structure_matches_the_oracle_on_corrupted_input(spec, gens, loop
 def test_verify_structure_keeps_no_group_sized_temporaries():
     s6 = al.symmetric_group(6)
     x = gg.build_phi(s6, [al.parse_element(s6, t) for t in ("(1,2)", "(1,2,3,4,5,6)")])
-    S_v, S_e = gg._shift_arrays(x)
+    S_v, S_e = split_shifts(x)
     bound = 2 * (S_v.nbytes + S_e.nbytes)
     del S_v, S_e
     tracemalloc.start()

@@ -17,6 +17,7 @@ import pytest
 from ggraphs import algebra as al
 from ggraphs import ggraph as gg
 from ggraphs import multigraph as mg
+from ggraphs import recognition as rc
 from ggraphs.errors import CapExceeded, InternalAssertion, PreconditionFailed
 
 
@@ -418,17 +419,46 @@ def test_too_many_edges_are_refused_before_the_first_vertex(monkeypatch):
     assert (math.comb(591, 2) + 591) * 6 > gg.EDGE_CAP >= math.comb(591, 2) * 6
 
 
+S7_GENS = [
+    "(1,2)", "(1,2,3,4,5,6,7)", "(1,3)", "(2,3)", "(1,4)",
+    "(1,5)", "(2,5)", "(3,4)", "(1,6)", "(2,7)",
+]
+
+
+def s7_phi(k):
+    """Phi(S7) over the first k of S7_GENS."""
+    s7 = al.symmetric_group(7)
+    return gg.build_phi(s7, [al.parse_element(s7, t) for t in S7_GENS[:k]])
+
+
 def test_oversized_shift_arrays_are_refused_before_allocating(monkeypatch):
+    """Only shifts, and shifts_of through it, holds every shift at once, so
+    only they refuse Phi(S7) with 10 levels; verify builds a few rows and
+    passes it."""
+
     class NumpyWithoutEmpty:
         def __getattr__(self, name):
             if name == "empty":
                 raise AssertionError("an array was allocated before the size check")
             return getattr(np, name)
 
-    monkeypatch.setattr(gg, "np", NumpyWithoutEmpty())
-    gens = "(1,2),(1,2,3,4,5,6,7),(1,3),(2,3),(1,4),(1,5),(2,5),(3,4),(1,6),(2,7)"
-    code, out, err = ggraph_cli("verify", "-g", "S7", "-s", gens)
-    assert (code, out) == (2, "")
-    # 5040 * (vertices + 226,800 edges): 4.7 GiB as int32
-    assert err.startswith("inconclusive: shift arrays of ")
-    assert err.endswith(" entries exceed cap %d\n" % gg.SHIFT_CAP)
+    x = s7_phi(10)
+    with monkeypatch.context() as m:
+        m.setattr(gg, "np", NumpyWithoutEmpty())
+        # 5040 * (vertices + 226,800 edges): 4.7 GiB as int32
+        for refuse in (gg.shifts, rc.shifts_of):
+            with pytest.raises(CapExceeded) as err:
+                refuse(x)
+            assert str(err.value) == "shift arrays of %d entries exceed cap %d" % (
+                1261008000, gg.SHIFT_CAP,
+            )
+    code, out, err = ggraph_cli("verify", "-g", "S7", "-s", ",".join(S7_GENS))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "result: PASS (5/5)"
+
+
+def test_verify_structure_passes_a_graph_above_the_shift_cap():
+    # Phi(S7) with 5 levels: 5040 * (vertices + 50,400 edges) shift entries
+    x = s7_phi(5)
+    assert x.group.order * (x.graph.n_vertices + x.graph.n_edges) > gg.SHIFT_CAP
+    assert gg.verify_structure(x).all_ok

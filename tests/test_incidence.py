@@ -17,9 +17,10 @@ from ggraphs.algebra import (
     quaternion_group,
     symmetric_group,
 )
-from ggraphs.errors import BudgetExceeded, PreconditionFailed
+from ggraphs.errors import BudgetExceeded, PreconditionFailed, WitnessInvalid
 from ggraphs.ggraph import build_phi, build_psi, level_vertices, shifts
 from ggraphs.incidence import (
+    IncidenceWitnessMap,
     _extend_by_words,
     _is_homomorphism,
     incidence_graph,
@@ -315,6 +316,14 @@ def test_sufficient_requires_generation():
 def test_necessary_witness_none_for_k23():
     gg = build_phi(cyclic_group(6), [2, 3])
     assert necessary_bipartite_witness(gg) is None
+
+
+def test_witness_automorphism_refuses_a_non_integer_f():
+    # sorted((0.0, 1, ..., 5)) == [0, ..., 5]: only the entry's type is wrong
+    gg = build_phi(cyclic_group(6), [2, 3])
+    for f in ((0.0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5.5), (0, 1, 2, 3, 4, "5"), None):
+        with pytest.raises(WitnessInvalid, match="f is not a permutation of the group"):
+            witness_automorphism(gg, IncidenceWitnessMap(f, True, True, True))
 
 
 def test_necessary_witness_for_hexagon():

@@ -15,7 +15,7 @@ import pytest
 
 from ggraphs import algebra as al
 from ggraphs.errors import WitnessInvalid
-from ggraphs.ggraph import _shift_arrays, build_phi, build_psi, level_vertices, shifts
+from ggraphs.ggraph import build_phi, build_psi, level_vertices, shifts
 from ggraphs.incidence import (
     _is_homomorphism,
     incidence_graph,
@@ -35,6 +35,7 @@ from ggraphs.multigraph import (
     verify_iso_witness,
 )
 from ggraphs.recognition import RecognitionWitness, check, shifts_of
+from split_shifts import split_shifts
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def test_every_shift_agrees_with_oracle(gg):
         assert oracle_aut_defect(g, a) is None
         assert map_defect(g, g, [a.vertex_map], [a.edge_map]) is None
         verify_variants(g, g, a)
-    S_v, S_e = _shift_arrays(gg)
+    S_v, S_e = split_shifts(gg)
     assert S_v.dtype == np.int32 and S_e.dtype == np.int32
     assert map_defect(g, g, S_v, S_e) is None
 

@@ -22,6 +22,7 @@ from ggraphs.incidence import (
     sufficient_bipartite_test,
     witness_automorphism,
 )
+from split_shifts import split_shifts
 
 # ---------------------------------------------------------------------------
 # right_cosets against brute force
@@ -217,7 +218,7 @@ def test_build_and_shifts_match_former(spec, gens, loops):
     assert new.edge_glabel.tolist() == old.edge_glabel.tolist()
     assert gg.export_ggraph_json(new) == gg.export_ggraph_json(old)
 
-    S_v, S_e = gg._shift_arrays(new)
+    S_v, S_e = split_shifts(new)
     W_v, W_e = former_shift_arrays(old, cross_base, loop_id)
     assert S_v.dtype == S_e.dtype == np.int32
     assert np.array_equal(S_v, W_v) and np.array_equal(S_e, W_e)
@@ -235,7 +236,7 @@ def test_shift_arrays_match_former_on_a_relabelled_edge(loops):
     for x in (new, old):
         x.edge_glabel[0] = 5
         x.edge_glabel[-1] = 7
-    S_v, S_e = gg._shift_arrays(new)
+    S_v, S_e = split_shifts(new)
     W_v, W_e = former_shift_arrays(old, cross_base, loop_id)
     assert np.array_equal(S_v, W_v) and np.array_equal(S_e, W_e)
     assert not gg.verify_structure(new).all_ok

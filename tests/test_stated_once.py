@@ -20,6 +20,7 @@ from ggraphs.algebra import Perm, _powers, generated_subgroup
 from ggraphs.errors import WitnessInvalid
 from ggraphs.multigraph import Multigraph
 from ggraphs.recognition import infer_edge_map, witness_from_json, witness_to_json
+from split_shifts import split_shifts
 from test_generator_checks import CASES, case_ids, make_group
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ def former_infer_edge_map(g, vmap):
 
 def vertex_maps(x, rng, k=20):
     """The shifts' vertex maps of x, then k random vertex permutations."""
-    S_v, _ = gg._shift_arrays(x)
+    S_v, _ = split_shifts(x)
     out = [tuple(row) for row in S_v.tolist()]
     ids = list(range(x.graph.n_vertices))
     for _ in range(k):

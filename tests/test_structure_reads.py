@@ -28,6 +28,7 @@ from ggraphs import algebra as al
 from ggraphs import ggraph as gg
 from ggraphs import multigraph as mg
 from ggraphs.errors import NotAGroup
+from split_shifts import split_shifts
 
 # ---------------------------------------------------------------------------
 # the former all-rows report
@@ -38,7 +39,7 @@ def former_report(x):
     shift for items 1 and 2, every colour for item 3, every edge for item 4,
     and item 5 from Python sets, with each vertex's level by the layout."""
     grp, n, g = x.group, x.group.order, x.graph
-    S_v, S_e = gg._shift_arrays(x)
+    S_v, S_e = split_shifts(x)
     gens = al.generating_set(grp.mul)
     comp_ok = all(
         (S[a][S] == S[grp.mul[:, a]]).all() for a in gens for S in (S_v, S_e)
@@ -238,22 +239,21 @@ def test_an_extra_edge_matches_the_oracle():
 @pytest.mark.parametrize("loops", [False, True], ids=["phi", "psi"])
 @pytest.mark.parametrize("spec,gens", CASES[:2] + CASES[3:5], ids=case_ids(CASES[:2] + CASES[3:5]))
 def test_each_slab_is_built_once(monkeypatch, spec, gens, loops):
-    """verify_structure calls neither _shift_arrays nor shifts.  On a
-    checked table the law reads the generator columns and builds no strip
-    of a slab; on an unchecked copy of the table, the law's strips tile the
-    rows of each slab once.  Either way, past the law, shift entries are
+    """verify_structure never calls shifts.  On a checked table the law
+    reads the generator columns and builds no strip of a slab; on an
+    unchecked copy of the table, the law's strips tile the rows of each
+    slab once.  Either way, past the law, shift entries are
     built only at the rows of delta_e and the generators and at the rows
     that agree with delta_e in column 0, and the cliqueness check asks the
     multi-edge index about one colour's pairs only."""
     x = build(spec, gens, loops)
     grp, e = x.group, x.group.identity
-    S_v, _ = gg._shift_arrays(x)
+    S_v, _ = split_shifts(x)
     near = set(np.flatnonzero(S_v[:, 0] == S_v[e, 0]).tolist())
 
     def refused(_):
         raise AssertionError("a full shift array was built")
 
-    monkeypatch.setattr(gg, "_shift_arrays", refused)
     monkeypatch.setattr(gg, "shifts", refused)
     strips, rows = Counter(), []
     real_entries = gg._slab_entries
